@@ -20,11 +20,11 @@ from math import comb
 from .classify import (C0, Classification, classify, half_binom, p35_variant,
                        select_case)
 from .digraph import (Orientation, diameter, extend_orientation, from_arcs,
-                      is_strong, shortest_cycle_lengths)
+                      is_strong, pull_back, shortest_cycle_lengths)
 from .errors import ConstructionError, Refusal, UsageError
 from .sperner import kappa, squashed_level
 from .tree import (BranchSpec, TreeSpec, branch_copy, center, leaf_copy,
-                   multiplied_edges, partition, require_valid)
+                   partition, require_valid)
 
 
 # ============================================================================
@@ -658,13 +658,7 @@ def relabel_orientation(d: Orientation, slot_to_user: tuple,
             return v
         return type(v)(v.role, v.copy, user_to_slot[v.i], v.alpha)
 
-    direction = {}
-    for (u, v), b in zip(multiplied_edges(d.spec), d.bits):
-        direction[(u, v)] = b
-        direction[(v, u)] = 1 - b
-    bits = [direction[(to_slot(u), to_slot(v))]
-            for (u, v) in multiplied_edges(user_spec)]
-    return Orientation(user_spec, tuple(bits))
+    return pull_back(d, user_spec, to_slot)
 
 
 def construct_optimal(spec: TreeSpec) -> ConstructionResult:

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .sperner import UsageError, kappa, kappa_star
+from .errors import UsageError
+from .sperner import kappa, kappa_star
 from .tree import TreeSpec, partition, require_valid
 
 C0 = "C0"
@@ -206,9 +207,6 @@ def p35_variant(n_internal: int, n_e: int, s: int) -> str:
     return "P35_D2" if n_internal < s else "P35_D4"
 
 
-_p35_variant = p35_variant
-
-
 def select_case(spec: TreeSpec) -> str:
     """The construction case whose recipe yields a diameter-4 witness.
 
@@ -230,31 +228,31 @@ def select_case(spec: TreeSpec) -> str:
     if part.deg_c == 2:
         return "Thm16a"
     if n3 == 0 and n4 == 0:
-        return _p35_variant(n2, ne, s)
+        return p35_variant(n2, ne, s)
 
     if s % 2 == 0:
         if n2 == 0:
             # branches of multiplicity >= 3 only
-            return "P39" if n3 + n4 >= c else _p35_variant(n_internal, ne, s)
+            return "P39" if n3 + n4 >= c else p35_variant(n_internal, ne, s)
         if n3 == 0:
             if n4 == 1 and ne == 0:
                 # single absorber at full degree: demote everything instead
-                return _p35_variant(n_internal, ne, s)
-            return "P310" if n2 + n4 >= c else _p35_variant(n_internal, ne, s)
+                return p35_variant(n_internal, ne, s)
+            return "P310" if n2 + n4 >= c else p35_variant(n_internal, ne, s)
         if n3 == 1 and n4 == 0:
             return "P311"
-        return "P312" if n_internal >= c else _p35_variant(n_internal, ne, s)
+        return "P312" if n_internal >= c else p35_variant(n_internal, ne, s)
 
     # odd s >= 3
     if n2 == 0:
-        return "P41" if n3 + n4 >= c else _p35_variant(n_internal, ne, s)
+        return "P41" if n3 + n4 >= c else p35_variant(n_internal, ne, s)
     if n3 == 0:
-        return "P411" if n2 + n4 >= c else _p35_variant(n_internal, ne, s)
+        return "P411" if n2 + n4 >= c else p35_variant(n_internal, ne, s)
     if n4 == 0:
         if n3 == 1:
-            return "P43_D1" if n2 == c - 1 else _p35_variant(n_internal, ne, s)
+            return "P43_D1" if n2 == c - 1 else p35_variant(n_internal, ne, s)
         if n2 + n3 < c:
-            return _p35_variant(n_internal, ne, s)
+            return p35_variant(n_internal, ne, s)
         return "P43_D3" if 2 * n2 + n3 == 2 * c - 1 else "P43_D2"
     # A2, A3 and A>=4 all nonempty: the full mixed recipe when the small
     # classes fill the half-set level, else the multiplicity-4 absorber with
@@ -264,4 +262,4 @@ def select_case(spec: TreeSpec) -> str:
         return "P413"
     if n_internal >= s:
         return "P411"
-    return _p35_variant(n_internal, ne, s)
+    return p35_variant(n_internal, ne, s)

@@ -1,7 +1,7 @@
 """Command-line front end: classify, construct, verify, oracle, sperner.
 
 Exit codes: 0 success, 1 principled refusal (orientation number 5, open
-case, enumeration budget), 2 malformed input or bad arguments.
+case, enumeration budget), 2 bad input or arguments, 3 internal failure.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .errors import ConstructionError, Refusal, UsageError
 EXIT_OK = 0
 EXIT_REFUSAL = 1
 EXIT_BAD_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 def _print_json(doc):
@@ -302,9 +303,12 @@ def main(argv=None) -> int:
     except Refusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSAL
-    except (UsageError, ConstructionError, OSError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except ConstructionError as exc:
+        print(f"internal failure: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -2,20 +2,19 @@
 
 An `Orientation` stores one direction bit per canonical edge of the
 multiplied graph (bit 0: as listed by `multiplied_edges`, bit 1: reversed)
-plus derived adjacency.  All distances are unit-length BFS.  `diameter`
-returns the distinguished value `UNREACHABLE` (math.inf) when some ordered
-pair has no path, so non-strong orientations can be ranked cheaply.
+plus derived adjacency.  Distances count arcs, from int-bitset reach sets.
+`diameter` returns the distinguished value `UNREACHABLE` (math.inf) when
+some ordered pair has no path, so non-strong orientations can be ranked.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
-from .sperner import UsageError
-from .tree import (TreeSpec, VertexId, multiplied_edges, multiplied_vertices,
-                   require_valid)
+from .errors import UsageError
+from .tree import (TreeSpec, VertexId, edge_count, multiplied_edges,
+                   multiplied_vertices, require_valid)
 
 UNREACHABLE = math.inf
 
@@ -33,10 +32,10 @@ class Orientation:
 
     def __post_init__(self):
         object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
-        edges = multiplied_edges(self.spec)
-        if len(self.bits) != len(edges):
-            raise UsageError(
-                f"need {len(edges)} direction bits, got {len(self.bits)}")
+        require_valid(self.spec)
+        m = edge_count(self.spec)
+        if len(self.bits) != m:
+            raise UsageError(f"need {m} direction bits, got {len(self.bits)}")
         if any(b not in (0, 1) for b in self.bits):
             raise UsageError("direction bits must be 0 or 1")
 
@@ -113,56 +112,73 @@ def from_arcs(spec: TreeSpec, arcs) -> Orientation:
 # Metrics
 # ============================================================================
 
-def _bfs_dists(adj, src, n):
-    dist = [-1] * n
-    dist[src] = 0
-    q = deque([src])
-    while q:
-        u = q.popleft()
-        du = dist[u] + 1
-        for w in adj[u]:
-            if dist[w] < 0:
-                dist[w] = du
-                q.append(w)
-    return dist
+def _sweep(adj):
+    """Eccentricity and shortest-cycle length of every vertex of `adj`.
+
+    reach[v] = {v} | S_k(v) as an int bitset, where S_k(v) = U_{w in N+(v)}
+    ({w} | S_{k-1}(w)) is what a walk of length 1..k from v reaches; ecc(v)
+    is the first k with reach[v] full, the shortest cycle the first k with
+    v in S_k(v).  What is unknown once no set grows is UNREACHABLE."""
+    n = len(adj)
+    full = (1 << n) - 1
+    reach = [1 << v for v in range(n)]
+    ecc, cyc = [UNREACHABLE] * n, [UNREACHABLE] * n
+    todo, k = range(n), 0
+    while todo:
+        k += 1
+        prev, left = reach[:], []
+        for v in todo:
+            walk = 0
+            for w in adj[v]:
+                walk |= prev[w]
+            if cyc[v] == UNREACHABLE and walk >> v & 1:
+                cyc[v] = k
+            reach[v] = walk | 1 << v
+            if ecc[v] == UNREACHABLE and reach[v] == full:
+                ecc[v] = k
+            if ecc[v] == UNREACHABLE or cyc[v] == UNREACHABLE:
+                left.append(v)
+        todo = left if reach != prev else ()
+    return ecc, cyc
+
+
+def _balls(adj, src):
+    """Bitsets of the vertices within distance 0, 1, ... of `src` while they
+    grow: the same step from one source, expanding only the last additions."""
+    bit = [1 << v for v in range(len(adj))]
+    ball, frontier = bit[src], [src]
+    while frontier:
+        yield ball
+        frontier, last = [], frontier
+        for u in last:
+            for w in adj[u]:
+                if not ball & bit[w]:
+                    ball |= bit[w]
+                    frontier.append(w)
 
 
 def eccentricities(d: Orientation):
     """Out-eccentricity per vertex; UNREACHABLE where some vertex is missed."""
-    _, _, _, out, _ = d._layout()
-    n = len(out)
-    eccs = []
-    for v in range(n):
-        dist = _bfs_dists(out, v, n)
-        eccs.append(UNREACHABLE if -1 in dist else max(dist))
-    return eccs
+    return _sweep(d._layout()[3])[0]
 
 
 def diameter(d: Orientation):
-    """Max over all ordered pairs of BFS distance; UNREACHABLE if any pair
-    has no path."""
-    best = 0
-    for e in eccentricities(d):
-        if e == UNREACHABLE:
-            return UNREACHABLE
-        best = max(best, e)
-    return best
+    """Max distance over all ordered pairs; UNREACHABLE if one has no path."""
+    return max(eccentricities(d), default=0)
 
 
 def distance(d: Orientation, u: VertexId, v: VertexId):
-    _, _, _, out, _ = d._layout()
-    dist = _bfs_dists(out, d.vertex_index(u), len(out))
-    dv = dist[d.vertex_index(v)]
-    return UNREACHABLE if dv < 0 else dv
+    target = 1 << d.vertex_index(v)
+    balls = _balls(d._layout()[3], d.vertex_index(u))
+    return next((k for k, b in enumerate(balls) if b & target), UNREACHABLE)
 
 
 def is_strong(d: Orientation) -> bool:
-    """One forward and one backward BFS from vertex 0 must reach everything."""
+    """Vertex 0 reaches everything along `out` and along `inn`: the last,
+    largest ball is full."""
     _, _, _, out, inn = d._layout()
-    n = len(out)
-    if n == 0:
-        return True
-    return -1 not in _bfs_dists(out, 0, n) and -1 not in _bfs_dists(inn, 0, n)
+    full = (1 << len(out)) - 1
+    return not out or all(max(_balls(adj, 0)) == full for adj in (out, inn))
 
 
 def reverse(d: Orientation) -> Orientation:
@@ -173,17 +189,7 @@ def reverse(d: Orientation) -> Orientation:
 def shortest_cycle_lengths(d: Orientation):
     """For each vertex, the length of a shortest directed cycle through it
     (UNREACHABLE if none)."""
-    _, _, _, out, inn = d._layout()
-    n = len(out)
-    lengths = []
-    for v in range(n):
-        dist = _bfs_dists(out, v, n)
-        best = UNREACHABLE
-        for w in inn[v]:
-            if dist[w] >= 0:
-                best = min(best, dist[w] + 1)
-        lengths.append(best)
-    return lengths
+    return _sweep(d._layout()[3])[1]
 
 
 # ============================================================================
@@ -239,15 +245,15 @@ def extend_orientation(d: Orientation, target: TreeSpec, m: int) -> Orientation:
             return v
         return VertexId(v.role, (v.copy - 1) % old + 1, v.i, v.alpha)
 
-    direction = {}
-    for (u, v), b in zip(multiplied_edges(small), d.bits):
-        direction[(u, v)] = b
-        direction[(v, u)] = 1 - b
+    return pull_back(d, target, donor)
 
-    bits = []
-    for (u, v) in multiplied_edges(target):
-        bits.append(direction[(donor(u), donor(v))])
-    return Orientation(target, tuple(bits))
+
+def pull_back(d: Orientation, target: TreeSpec, to_d) -> Orientation:
+    """Orient each edge (u, v) of `target` like (to_d(u), to_d(v)) in `d`."""
+    arcs = {(u, v) if b == 0 else (v, u)
+            for (u, v), b in zip(multiplied_edges(d.spec), d.bits)}
+    return Orientation(target, tuple(int((to_d(u), to_d(v)) not in arcs)
+                                     for (u, v) in multiplied_edges(target)))
 
 
 # ============================================================================

@@ -76,9 +76,6 @@ class Family:
     def __iter__(self):
         return iter(self.sets)
 
-    def member_sets(self) -> set:
-        return {s.members for s in self.sets}
-
     def uniform_k(self) -> int:
         """Common cardinality of all members; UsageError if mixed."""
         ks = {s.k for s in self.sets}

@@ -113,6 +113,23 @@ def test_malformed_input_exits_two(tmp_path, capsys):
     assert main(["classify", invalid]) == 2
 
 
+def test_construction_failure_exits_three(tmp_path, capsys):
+    # (s; |A2|,|A3|,|A4+|,|E|) = (4; 3,2,1,0) is C0 by Prop3.12b, but the
+    # P312 half-set schedule cannot be completed for it: an internal
+    # failure, not malformed input
+    doc = {"center_multiplicity": 4,
+           "branches": [{"multiplicity": 2, "leaf_multiplicities": [2]}] * 3
+           + [{"multiplicity": 3, "leaf_multiplicities": [2]}] * 2
+           + [{"multiplicity": 4, "leaf_multiplicities": [2]}]}
+    spec_path = write_spec(tmp_path, doc)
+    assert main(["classify", spec_path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "C0"
+    assert main(["construct", spec_path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal failure" in captured.err
+
+
 def test_oracle_cli(tmp_path, capsys):
     spec_path = write_spec(tmp_path, {
         "center_multiplicity": 2,

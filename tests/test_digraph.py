@@ -1,15 +1,18 @@
 """Orientation metrics, duality, the extension step, and projections."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orient4.build import construct_optimal, make_schedule, reduce, \
     build_base_orientation
+from orient4.classify import classify
 from orient4.digraph import (UNREACHABLE, ExtensionError, Orientation,
                              center_in_set, center_out_set, diameter,
-                             distance, extend_orientation, from_arcs,
-                             from_edge_list, in_projection, is_strong,
-                             out_projection, reverse, shortest_cycle_lengths,
-                             to_dot, to_edge_list)
+                             distance, eccentricities, extend_orientation,
+                             from_arcs, from_edge_list, in_projection,
+                             is_strong, out_projection, reverse,
+                             shortest_cycle_lengths, to_dot, to_edge_list)
 from orient4.errors import UsageError
 from orient4.tree import (BranchSpec, TreeSpec, branch_copy, center,
                           leaf_copy, multiplied_edges)
@@ -91,6 +94,69 @@ def test_distance_matches_diameter():
     verts = d.vertices
     worst = max(distance(d, u, v) for u in verts for v in verts)
     assert worst == diameter(d)
+
+
+def reference_distances(d):
+    """Plain per-source BFS over `d.arcs()`: {source: {vertex: distance}}."""
+    out = {v: [] for v in d.vertices}
+    for t, h in d.arcs():
+        out[t].append(h)
+    table = {}
+    for src in d.vertices:
+        dist, frontier = {src: 0}, [src]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in out[u]:
+                    if w not in dist:
+                        dist[w] = dist[u] + 1
+                        nxt.append(w)
+            frontier = nxt
+        table[src] = dist
+    return table
+
+
+leafy = st.builds(BranchSpec, st.integers(2, 3),
+                  st.lists(st.integers(2, 3), min_size=1, max_size=2))
+bare = st.builds(BranchSpec, st.integers(2, 3))
+small_specs = st.builds(lambda s, a, b, e: TreeSpec(s, (a, b, *e)),
+                        st.integers(2, 3), leafy, leafy,
+                        st.lists(bare, max_size=1))
+
+
+@st.composite
+def orientations(draw):
+    """Random bits (mostly not strong), or a diameter-4 witness with up to
+    three arcs flipped (strong or not)."""
+    spec = draw(small_specs)
+    m = len(multiplied_edges(spec))
+    if classify(spec).verdict == "C0" and draw(st.booleans()):
+        bits = list(construct_optimal(spec).orientation.bits)
+        for j in draw(st.lists(st.integers(0, m - 1), max_size=3)):
+            bits[j] ^= 1
+    else:
+        bits = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+    return Orientation(spec, tuple(bits))
+
+
+@settings(max_examples=150, deadline=None)
+@given(orientations())
+def test_reach_sets_match_reference_bfs(d):
+    table = reference_distances(d)
+    verts = d.vertices
+    eccs = [max(table[v].values()) if len(table[v]) == len(verts)
+            else UNREACHABLE for v in verts]
+    cycles = [min((table[v][t] + 1 for t, h in d.arcs()
+                   if h == v and t in table[v]), default=UNREACHABLE)
+              for v in verts]
+    assert eccentricities(d) == eccs
+    assert diameter(d) == max(eccs)
+    assert shortest_cycle_lengths(d) == cycles
+    assert is_strong(d) == (max(eccs) != UNREACHABLE)
+    for u in verts[::3]:
+        for v in verts:
+            assert distance(d, u, v) == table[u].get(v, UNREACHABLE)
+    assert diameter(reverse(d)) == diameter(d)
 
 
 # ----------------------------------------------------------------------------
