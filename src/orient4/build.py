@@ -324,82 +324,32 @@ def _center_split(arcs, s, slot, copy, in_set):
             arcs.append((b, center(x)))
 
 
-def _leaves(spec_h, slot):
-    return range(1, spec_h.branch(slot).leaf_count + 1)
+# Leaf patterns of the core, whose leaves all have two copies: row z-1 has
+# "i" at position y-1 if branch copy y feeds leaf copy z, "o" if leaf copy z
+# drains into branch copy y.
+C4_WITHIN = ("oi", "io")         # copy 2, leaf 1, copy 1, leaf 2: a 4-cycle
+TWO_IN_ONE_OUT = ("oi", "oi")    # copy 2 feeds both leaf copies
+THREE_SINK = ("ooi", "ooi")      # copy 3 is the sole feeder
+THREE_SOURCE = ("iio", "iio")    # copy 3 is the sole drain
+THREE_SPLIT_OUT = ("iio", "ioi")
+THREE_SPLIT_IN = ("ooi", "oio")  # mirror of THREE_SPLIT_OUT
+FOUR_C4 = ("oioi", "ioio")       # copies 2,4 feed leaf copy 1, 1,3 copy 2
+FOUR_C4_P34 = ("oiio", "iooi")   # copies 2,3 feed leaf copy 1, 1,4 copy 2
 
 
-def _leaf_c4_within(arcs, spec_h, slot):
-    # copy 2 feeds leaf copy 1, which feeds copy 1, which feeds leaf copy 2
-    for a in _leaves(spec_h, slot):
-        arcs += [(branch_copy(slot, 2), leaf_copy(slot, a, 1)),
-                 (leaf_copy(slot, a, 1), branch_copy(slot, 1)),
-                 (branch_copy(slot, 1), leaf_copy(slot, a, 2)),
-                 (leaf_copy(slot, a, 2), branch_copy(slot, 2))]
-
-
-def _leaf_two_in_one_out(arcs, spec_h, slot):
-    # copy 2 feeds both leaf copies; both drain into copy 1
-    for a in _leaves(spec_h, slot):
-        for z in (1, 2):
-            arcs += [(branch_copy(slot, 2), leaf_copy(slot, a, z)),
-                     (leaf_copy(slot, a, z), branch_copy(slot, 1))]
-
-
-def _leaf_three_sink(arcs, spec_h, slot):
-    # copy 3 is the sole feeder; copies 1,2 drain the leaves
-    for a in _leaves(spec_h, slot):
-        for z in (1, 2):
-            arcs.append((branch_copy(slot, 3), leaf_copy(slot, a, z)))
-            arcs += [(leaf_copy(slot, a, z), branch_copy(slot, 1)),
-                     (leaf_copy(slot, a, z), branch_copy(slot, 2))]
-
-
-def _leaf_three_source(arcs, spec_h, slot):
-    # copies 1,2 feed the leaves; copy 3 is the sole drain
-    for a in _leaves(spec_h, slot):
-        for z in (1, 2):
-            arcs += [(branch_copy(slot, 1), leaf_copy(slot, a, z)),
-                     (branch_copy(slot, 2), leaf_copy(slot, a, z)),
-                     (leaf_copy(slot, a, z), branch_copy(slot, 3))]
-
-
-def _leaf_three_split_out(arcs, spec_h, slot):
-    # leaf copy 1: in from copies 1,2 and out to 3; leaf copy 2: in 1,3 out 2
-    for a in _leaves(spec_h, slot):
-        arcs += [(branch_copy(slot, 1), leaf_copy(slot, a, 1)),
-                 (branch_copy(slot, 2), leaf_copy(slot, a, 1)),
-                 (leaf_copy(slot, a, 1), branch_copy(slot, 3)),
-                 (branch_copy(slot, 1), leaf_copy(slot, a, 2)),
-                 (branch_copy(slot, 3), leaf_copy(slot, a, 2)),
-                 (leaf_copy(slot, a, 2), branch_copy(slot, 2))]
-
-
-def _leaf_three_split_in(arcs, spec_h, slot):
-    # mirror of _leaf_three_split_out
-    for a in _leaves(spec_h, slot):
-        arcs += [(branch_copy(slot, 3), leaf_copy(slot, a, 1)),
-                 (leaf_copy(slot, a, 1), branch_copy(slot, 1)),
-                 (leaf_copy(slot, a, 1), branch_copy(slot, 2)),
-                 (branch_copy(slot, 2), leaf_copy(slot, a, 2)),
-                 (leaf_copy(slot, a, 2), branch_copy(slot, 1)),
-                 (leaf_copy(slot, a, 2), branch_copy(slot, 3))]
-
-
-def _leaf_four_c4(arcs, spec_h, slot, feeders=(2, 4), drains=(1, 3)):
-    # `feeders` feed leaf copy 1 and drain leaf copy 2; `drains` mirror
-    for a in _leaves(spec_h, slot):
-        for y in feeders:
-            arcs += [(branch_copy(slot, y), leaf_copy(slot, a, 1)),
-                     (leaf_copy(slot, a, 2), branch_copy(slot, y))]
-        for y in drains:
-            arcs += [(leaf_copy(slot, a, 1), branch_copy(slot, y)),
-                     (branch_copy(slot, y), leaf_copy(slot, a, 2))]
+def _leaf_pattern(arcs, spec_h, slot, pattern):
+    """Orient every leaf edge of one slot by `pattern`."""
+    for a in range(1, spec_h.branch(slot).leaf_count + 1):
+        for z, row in enumerate(pattern, start=1):
+            for y, way in enumerate(row, start=1):
+                arc = (branch_copy(slot, y), leaf_copy(slot, a, z))
+                arcs.append(arc if way == "i" else arc[::-1])
 
 
 def _four_copy_slot(arcs, spec_h, s, slot, first, second):
     """4-copy slot: copies 1,4 sit between `second` and `first` halves,
     copies 2,3 the other way round; leaf pattern closes 4-cycles."""
-    _leaf_four_c4(arcs, spec_h, slot)
+    _leaf_pattern(arcs, spec_h, slot, FOUR_C4)
     _center_split(arcs, s, slot, 1, second)
     _center_split(arcs, s, slot, 4, second)
     _center_split(arcs, s, slot, 2, first)
@@ -431,7 +381,7 @@ def build_base_orientation(case: str, rspec: ReducedSpec,
 
     if case == "P34":
         for slot in range(1, rspec.n_a4 + 1):
-            _leaf_four_c4(arcs, h, slot, feeders=(2, 3), drains=(1, 4))
+            _leaf_pattern(arcs, h, slot, FOUR_C4_P34)
             _center_split(arcs, 2, slot, 1, {2})
             _center_split(arcs, 2, slot, 2, {2})
             _center_split(arcs, 2, slot, 3, {1})
@@ -451,7 +401,7 @@ def build_base_orientation(case: str, rspec: ReducedSpec,
             raise ConstructionError(f"variant {variant} admits no leafless "
                                     f"branches")
         for slot in range(1, a + 1):
-            _leaf_c4_within(arcs, h, slot)
+            _leaf_pattern(arcs, h, slot, C4_WITHIN)
         if variant == "D1":
             # each of the first a-1 slots drains into its own center copy;
             # the last slot drains into all remaining copies
@@ -489,18 +439,18 @@ def build_base_orientation(case: str, rspec: ReducedSpec,
             bi_in = [mu[i] for i in range(1, half_binom(s) - 1)]
             off = rspec.n_a2
             for slot in range(1, off + 1):
-                _leaf_c4_within(arcs, h, slot)
+                _leaf_pattern(arcs, h, slot, C4_WITHIN)
                 for y in (1, 2):
                     _center_split(arcs, s, slot, y, bi_in[slot - 1])
         for j in range(rspec.n_bi):
             slot = off + 1 + j
-            _leaf_three_sink(arcs, h, slot)
+            _leaf_pattern(arcs, h, slot, THREE_SINK)
             _center_split(arcs, s, slot, 1, even_second)
             _center_split(arcs, s, slot, 2, even_first)
             _center_split(arcs, s, slot, 3, bi_in[off + j])
         for j in range(rspec.n_bo):
             slot = off + rspec.n_bi + 1 + j
-            _leaf_three_source(arcs, h, slot)
+            _leaf_pattern(arcs, h, slot, THREE_SOURCE)
             _center_split(arcs, s, slot, 1, even_first)
             _center_split(arcs, s, slot, 2, even_second)
             _center_split(arcs, s, slot, 3, comp(sched.psi[j]))
@@ -515,7 +465,7 @@ def build_base_orientation(case: str, rspec: ReducedSpec,
         bi_in = [lam[i] for i in range(1, s // 2)] + \
                 [lam[i] for i in range(s // 2 + 1, half_binom(s))]
         for slot in range(1, rspec.n_a2 + 1):
-            _leaf_c4_within(arcs, h, slot)
+            _leaf_pattern(arcs, h, slot, C4_WITHIN)
             for y in (1, 2):
                 _center_split(arcs, s, slot, y, bi_in[slot - 1])
         for j in range(rspec.n_a4):
@@ -529,13 +479,13 @@ def build_base_orientation(case: str, rspec: ReducedSpec,
         lam1 = lam[0]
         for j in range(rspec.n_bi):
             slot = 1 + j
-            _leaf_three_sink(arcs, h, slot)
+            _leaf_pattern(arcs, h, slot, THREE_SINK)
             _center_split(arcs, s, slot, 1, comp(lam1))
             _center_split(arcs, s, slot, 2, lam1)
             _center_split(arcs, s, slot, 3, lam[slot])
         for j in range(rspec.n_bo):
             slot = rspec.n_bi + 1 + j
-            _leaf_three_source(arcs, h, slot)
+            _leaf_pattern(arcs, h, slot, THREE_SOURCE)
             _center_split(arcs, s, slot, 1, lam1)
             _center_split(arcs, s, slot, 2, comp(lam1))
             _center_split(arcs, s, slot, 3, comp(lam[j + 1]))
@@ -548,12 +498,12 @@ def build_base_orientation(case: str, rspec: ReducedSpec,
 
     elif case == "P43_D1":
         lam1 = lam[0]
-        _leaf_three_split_out(arcs, h, 1)
+        _leaf_pattern(arcs, h, 1, THREE_SPLIT_OUT)
         _center_split(arcs, s, 1, 1, lam1)
         _center_split(arcs, s, 1, 2, comp(lam1))
         _center_split(arcs, s, 1, 3, comp(lam1))
         for slot in range(2, rspec.n_a2 + 2):
-            _leaf_two_in_one_out(arcs, h, slot)
+            _leaf_pattern(arcs, h, slot, TWO_IN_ONE_OUT)
             _center_split(arcs, s, slot, 1, comp(lam[slot - 1]))
             _center_split(arcs, s, slot, 2, lam[slot - 1])
         for j in range(rspec.n_e):
@@ -563,18 +513,18 @@ def build_base_orientation(case: str, rspec: ReducedSpec,
     elif case in ("P43_D2", "P413", "P411"):
         lam1 = lam[0]
         for slot in range(1, rspec.n_a2 + 1):
-            _leaf_two_in_one_out(arcs, h, slot)
+            _leaf_pattern(arcs, h, slot, TWO_IN_ONE_OUT)
             _center_split(arcs, s, slot, 1, comp(lam[slot]))
             _center_split(arcs, s, slot, 2, lam[slot])
         for j in range(rspec.n_bi):
             slot = rspec.n_a2 + 1 + j
-            _leaf_three_sink(arcs, h, slot)
+            _leaf_pattern(arcs, h, slot, THREE_SINK)
             _center_split(arcs, s, slot, 1, comp(lam1))
             _center_split(arcs, s, slot, 2, lam1)
             _center_split(arcs, s, slot, 3, lam[slot])
         for j in range(rspec.n_bo):
             slot = rspec.n_a2 + rspec.n_bi + 1 + j
-            _leaf_three_source(arcs, h, slot)
+            _leaf_pattern(arcs, h, slot, THREE_SOURCE)
             _center_split(arcs, s, slot, 1, lam1)
             _center_split(arcs, s, slot, 2, comp(lam1))
             _center_split(arcs, s, slot, 3, comp(lam[rspec.n_a2 + 1 + j]))
@@ -589,19 +539,19 @@ def build_base_orientation(case: str, rspec: ReducedSpec,
         mu, gamma = sched.mu, sched.gamma
         low = comp(gamma[-1])  # the pivot: first floor(s/2) center copies
         for slot in range(1, rspec.n_a2 + 1):
-            _leaf_two_in_one_out(arcs, h, slot)
+            _leaf_pattern(arcs, h, slot, TWO_IN_ONE_OUT)
             _center_split(arcs, s, slot, 1, comp(mu[slot - 1]))
             _center_split(arcs, s, slot, 2, gamma[slot - 1])
         for j in range(rspec.n_bo):
             slot = rspec.n_a2 + 1 + j
-            _leaf_three_split_out(arcs, h, slot)
+            _leaf_pattern(arcs, h, slot, THREE_SPLIT_OUT)
             _center_split(arcs, s, slot, 1, comp(low))
             _center_split(arcs, s, slot, 2, comp(mu[slot - 1]))
             _center_split(arcs, s, slot, 3, comp(mu[slot - 1]))
         for j in range(rspec.n_bi):
             slot = rspec.n_a2 + rspec.n_bo + 1 + j
             idx = rspec.n_a2 + j  # 1-based position in gamma after the a2 block
-            _leaf_three_split_in(arcs, h, slot)
+            _leaf_pattern(arcs, h, slot, THREE_SPLIT_IN)
             _center_split(arcs, s, slot, 1, comp(low))
             _center_split(arcs, s, slot, 2, gamma[idx])
             _center_split(arcs, s, slot, 3, gamma[idx])
@@ -641,11 +591,6 @@ class ConstructionResult:
     case: str
     reduced: ReducedSpec
     schedule: SetSchedule
-    slot_to_user: tuple
-
-
-def _permuted_target(spec: TreeSpec, order) -> TreeSpec:
-    return TreeSpec(spec.s, tuple(spec.branch(i) for i in order))
 
 
 def relabel_orientation(d: Orientation, slot_to_user: tuple,
@@ -662,7 +607,11 @@ def relabel_orientation(d: Orientation, slot_to_user: tuple,
 
 
 def construct_optimal(spec: TreeSpec) -> ConstructionResult:
-    """Classify, pick the recipe, build the core, lift, relabel, verify.
+    """Classify, pick the recipe, build the core, relabel, lift, verify.
+
+    The core is relabelled to user branch order before the lift: relabelling
+    changes only branch indices and the mimic step only copies, so the two
+    commute, and only the small core is relabelled.
 
     Raises `Refusal` for orientation-number-5 instances and for the open
     regime; raises `ConstructionError` (an internal failure, never a normal
@@ -683,13 +632,14 @@ def construct_optimal(spec: TreeSpec) -> ConstructionResult:
     sched = make_schedule(rspec.h_spec.s, case,
                           rspec.k if case == "P312" else None)
     base = build_base_orientation(case, rspec, sched)
-    target = _permuted_target(spec, rspec.slot_to_user)
-    lifted = extend_orientation(base, target, 4)
-    final = relabel_orientation(lifted, rspec.slot_to_user, spec)
+    h = rspec.h_spec
+    by_user = sorted(zip(rspec.slot_to_user, h.branches), key=lambda p: p[0])
+    h_user = TreeSpec(h.s, tuple(b for _, b in by_user))
+    base_user = relabel_orientation(base, rspec.slot_to_user, h_user)
+    final = extend_orientation(base_user, spec, 4)
 
     if diameter(final) != 4 or not is_strong(final):
         raise ConstructionError(
             f"internal verification failure for case {case}: lifted "
             f"orientation is not a strong diameter-4 orientation")
-    return ConstructionResult(final, cls, case, rspec, sched,
-                              rspec.slot_to_user)
+    return ConstructionResult(final, cls, case, rspec, sched)

@@ -1,7 +1,8 @@
 """Command-line front end: classify, construct, verify, oracle, sperner.
 
 Exit codes: 0 success, 1 principled refusal (orientation number 5, open
-case, enumeration budget), 2 bad input or arguments, 3 internal failure.
+case, enumeration or edge budget), 2 bad input or arguments, 3 internal
+failure.
 """
 
 from __future__ import annotations
@@ -20,9 +21,24 @@ EXIT_REFUSAL = 1
 EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
 
+# multiplied edges `construct` and `verify` accept; 18x the largest
+# benchmark instance
+MAX_EDGES = 100_000
+
 
 def _print_json(doc):
     print(json.dumps(doc, indent=2, sort_keys=True))
+
+
+def _load_within_budget(path):
+    """A valid spec whose multiplied graph has at most MAX_EDGES edges,
+    checked before anything is allocated per edge."""
+    spec = tree.load_spec(path)
+    tree.require_valid(spec)
+    m = tree.edge_count(spec)
+    if m > MAX_EDGES:
+        raise Refusal(f"edge budget exceeded: {m} edges > {MAX_EDGES}")
+    return spec
 
 
 # ============================================================================
@@ -66,8 +82,7 @@ def cmd_classify(args):
 # ============================================================================
 
 def cmd_construct(args):
-    spec = tree.load_spec(args.spec)
-    tree.require_valid(spec)
+    spec = _load_within_budget(args.spec)
     result = build.construct_optimal(spec)
     d = result.orientation
     report = {
@@ -79,7 +94,7 @@ def cmd_construct(args):
     }
     if args.json:
         doc = dict(report)
-        doc["arcs"] = [f"{t} -> {h}" for t, h in d.arcs()]
+        doc["arcs"] = digraph.to_edge_list(d).splitlines()
         if args.explain:
             doc["explain"] = _explain_doc(result)
         _print_json(doc)
@@ -104,7 +119,7 @@ def _explain_doc(result):
     sched = result.schedule
     return {
         "case": result.case,
-        "slot_to_user_branch": list(result.slot_to_user),
+        "slot_to_user_branch": list(result.reduced.slot_to_user),
         "core_multiplicities": {
             "center": result.reduced.h_spec.center_multiplicity,
             "branches": [b.multiplicity
@@ -145,8 +160,7 @@ def _print_explain(result):
 # ============================================================================
 
 def cmd_verify(args):
-    spec = tree.load_spec(args.spec)
-    tree.require_valid(spec)
+    spec = _load_within_budget(args.spec)
     with open(args.edges, "r", encoding="utf-8") as fh:
         text = fh.read()
     d = digraph.from_edge_list(spec, text)  # raises if edges do not match

@@ -2,7 +2,9 @@
 
 An `Orientation` stores one direction bit per canonical edge of the
 multiplied graph (bit 0: as listed by `multiplied_edges`, bit 1: reversed)
-plus derived adjacency.  Distances count arcs, from int-bitset reach sets.
+plus adjacency built from the integer index pairs of `tree.edge_pairs`;
+VertexIds are made only when a caller asks for them.  Distances count
+arcs, from int-bitset reach sets.
 `diameter` returns the distinguished value `UNREACHABLE` (math.inf) when
 some ordered pair has no path, so non-strong orientations can be ranked.
 """
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import UsageError
-from .tree import (TreeSpec, VertexId, edge_count, multiplied_edges,
+from .tree import (TreeSpec, VertexId, edge_count, edge_pairs, indexer,
                    multiplied_vertices, require_valid)
 
 UNREACHABLE = math.inf
@@ -44,67 +46,65 @@ class Orientation:
     def _layout(self):
         cache = getattr(self, "_layout_cache", None)
         if cache is None:
-            verts = multiplied_vertices(self.spec)
-            index = {v: i for i, v in enumerate(verts)}
-            edges = multiplied_edges(self.spec)
-            out = [[] for _ in verts]
-            inn = [[] for _ in verts]
-            for (u, v), b in zip(edges, self.bits):
-                a, c = (index[u], index[v]) if b == 0 else (index[v], index[u])
-                out[a].append(c)
-                inn[c].append(a)
-            cache = (verts, index, edges, tuple(map(tuple, out)),
-                     tuple(map(tuple, inn)))
+            pairs, n = edge_pairs(self.spec)
+            arcs = [(v, u) if b else (u, v)
+                    for (u, v), b in zip(pairs, self.bits)]
+            out = [[] for _ in range(n)]
+            inn = [[] for _ in range(n)]
+            for t, h in arcs:
+                out[t].append(h)
+                inn[h].append(t)
+            cache = (arcs, tuple(map(tuple, out)), tuple(map(tuple, inn)))
             object.__setattr__(self, "_layout_cache", cache)
         return cache
 
     @property
     def vertices(self):
-        return self._layout()[0]
+        return multiplied_vertices(self.spec)
 
     def vertex_index(self, v: VertexId) -> int:
-        try:
-            return self._layout()[1][v]
-        except KeyError:
-            raise UsageError(f"vertex {v} not in the multiplied graph") from None
-
-    @property
-    def edges(self):
-        return self._layout()[2]
+        return indexer(self.spec)(v)
 
     def arcs(self):
         """Directed arcs as (tail, head) VertexId pairs, canonical edge order."""
-        return [((u, v) if b == 0 else (v, u))
-                for (u, v), b in zip(self.edges, self.bits)]
+        verts = self.vertices
+        return [(verts[t], verts[h]) for t, h in self._layout()[0]]
 
     def out_neighbors(self, v: VertexId):
-        verts, _, _, out, _ = self._layout()
-        return [verts[i] for i in out[self.vertex_index(v)]]
+        verts = self.vertices
+        return [verts[i] for i in self._layout()[1][self.vertex_index(v)]]
 
     def in_neighbors(self, v: VertexId):
-        verts, _, _, _, inn = self._layout()
-        return [verts[i] for i in inn[self.vertex_index(v)]]
+        verts = self.vertices
+        return [verts[i] for i in self._layout()[2][self.vertex_index(v)]]
 
 
 def from_arcs(spec: TreeSpec, arcs) -> Orientation:
     """Build an orientation from (tail, head) pairs covering every edge once."""
-    edges = multiplied_edges(spec)
+    pairs, n = edge_pairs(spec)
     pos = {}
-    for j, (u, v) in enumerate(edges):
-        pos[(u, v)] = (j, 0)
-        pos[(v, u)] = (j, 1)
-    bits = [None] * len(edges)
+    for j, (u, v) in enumerate(pairs):
+        pos[u * n + v] = (j, 0)
+        pos[v * n + u] = (j, 1)
+    index = indexer(spec)
+    bits = [None] * len(pairs)
     for (t, h) in arcs:
-        if (t, h) not in pos:
-            raise UsageError(f"arc {t}->{h} is not an edge of the multiplied graph")
-        j, b = pos[(t, h)]
+        try:
+            j, b = pos[index(t) * n + index(h)]
+        except (UsageError, KeyError):
+            raise UsageError(f"arc {t}->{h} is not an edge of the multiplied "
+                             f"graph") from None
         if bits[j] is not None:
-            raise UsageError(f"edge {edges[j][0]} -- {edges[j][1]} assigned twice")
+            verts = multiplied_vertices(spec)
+            u, v = pairs[j]
+            raise UsageError(f"edge {verts[u]} -- {verts[v]} assigned twice")
         bits[j] = b
-    missing = [edges[j] for j, b in enumerate(bits) if b is None]
+    missing = [pairs[j] for j, b in enumerate(bits) if b is None]
     if missing:
+        verts = multiplied_vertices(spec)
         u, v = missing[0]
-        raise UsageError(f"{len(missing)} edge(s) left unoriented, e.g. {u} -- {v}")
+        raise UsageError(f"{len(missing)} edge(s) left unoriented, e.g. "
+                         f"{verts[u]} -- {verts[v]}")
     return Orientation(spec, tuple(bits))
 
 
@@ -159,7 +159,7 @@ def _balls(adj, src):
 
 def eccentricities(d: Orientation):
     """Out-eccentricity per vertex; UNREACHABLE where some vertex is missed."""
-    return _sweep(d._layout()[3])[0]
+    return _sweep(d._layout()[1])[0]
 
 
 def diameter(d: Orientation):
@@ -169,14 +169,14 @@ def diameter(d: Orientation):
 
 def distance(d: Orientation, u: VertexId, v: VertexId):
     target = 1 << d.vertex_index(v)
-    balls = _balls(d._layout()[3], d.vertex_index(u))
+    balls = _balls(d._layout()[1], d.vertex_index(u))
     return next((k for k, b in enumerate(balls) if b & target), UNREACHABLE)
 
 
 def is_strong(d: Orientation) -> bool:
     """Vertex 0 reaches everything along `out` and along `inn`: the last,
     largest ball is full."""
-    _, _, _, out, inn = d._layout()
+    _, out, inn = d._layout()
     full = (1 << len(out)) - 1
     return not out or all(max(_balls(adj, 0)) == full for adj in (out, inn))
 
@@ -189,7 +189,7 @@ def reverse(d: Orientation) -> Orientation:
 def shortest_cycle_lengths(d: Orientation):
     """For each vertex, the length of a shortest directed cycle through it
     (UNREACHABLE if none)."""
-    return _sweep(d._layout()[3])[1]
+    return _sweep(d._layout()[1])[1]
 
 
 # ============================================================================
@@ -250,10 +250,12 @@ def extend_orientation(d: Orientation, target: TreeSpec, m: int) -> Orientation:
 
 def pull_back(d: Orientation, target: TreeSpec, to_d) -> Orientation:
     """Orient each edge (u, v) of `target` like (to_d(u), to_d(v)) in `d`."""
-    arcs = {(u, v) if b == 0 else (v, u)
-            for (u, v), b in zip(multiplied_edges(d.spec), d.bits)}
-    return Orientation(target, tuple(int((to_d(u), to_d(v)) not in arcs)
-                                     for (u, v) in multiplied_edges(target)))
+    index = indexer(d.spec)
+    where = [index(to_d(v)) for v in multiplied_vertices(target)]
+    n = len(d._layout()[1])
+    arcs = {t * n + h for t, h in d._layout()[0]}
+    return Orientation(target, tuple(int(where[u] * n + where[v] not in arcs)
+                                     for u, v in edge_pairs(target)[0]))
 
 
 # ============================================================================
@@ -305,7 +307,9 @@ def center_in_set(d: Orientation, v: VertexId) -> frozenset:
 
 def to_edge_list(d: Orientation) -> str:
     """One arc per line, `tail -> head`, canonical edge order."""
-    return "\n".join(f"{t} -> {h}" for t, h in d.arcs()) + "\n"
+    names = [str(v) for v in d.vertices]
+    return "\n".join(f"{names[t]} -> {names[h]}"
+                     for t, h in d._layout()[0]) + "\n"
 
 
 def from_edge_list(spec: TreeSpec, text: str) -> Orientation:
@@ -323,10 +327,9 @@ def from_edge_list(spec: TreeSpec, text: str) -> Orientation:
 
 
 def to_dot(d: Orientation) -> str:
+    names = [str(v) for v in d.vertices]
     lines = ["digraph orientation {"]
-    for v in d.vertices:
-        lines.append(f'  "{v}";')
-    for t, h in d.arcs():
-        lines.append(f'  "{t}" -> "{h}";')
+    lines += [f'  "{v}";' for v in names]
+    lines += [f'  "{names[t]}" -> "{names[h]}";' for t, h in d._layout()[0]]
     lines.append("}")
     return "\n".join(lines) + "\n"

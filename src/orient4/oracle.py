@@ -20,7 +20,7 @@ import numpy as np
 
 from .digraph import Orientation
 from .errors import Refusal, UsageError
-from .tree import TreeSpec, edge_count, multiplied_edges, multiplied_vertices
+from .tree import TreeSpec, edge_count, edge_pairs, multiplied_vertices
 
 DEFAULT_MAX_EDGES = 24
 _BATCH = 1 << 16
@@ -70,10 +70,8 @@ class OracleResult:
 
 
 def graph_from_spec(spec: TreeSpec) -> EnumGraph:
-    verts = multiplied_vertices(spec)
-    index = {v: i for i, v in enumerate(verts)}
-    edges = tuple((index[u], index[v]) for u, v in multiplied_edges(spec))
-    return EnumGraph(tuple(str(v) for v in verts), edges)
+    return EnumGraph(tuple(str(v) for v in multiplied_vertices(spec)),
+                     tuple(edge_pairs(spec)[0]))
 
 
 def bipartite_graph(p: int, q: int) -> EnumGraph:

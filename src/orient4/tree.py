@@ -170,32 +170,64 @@ def partition(spec: TreeSpec) -> NeighborPartition:
                              frozenset(e), spec.deg_c)
 
 
+def _blocks(spec: TreeSpec) -> dict:
+    """(role, i, alpha) of each tree vertex -> (index of its copy 1, its
+    multiplicity), in canonical vertex order: center, branches, leaves."""
+    sizes = [(("c", 0, 0), spec.s)]
+    sizes += [(("b", i, 0), b.multiplicity)
+              for i, b in enumerate(spec.branches, start=1)]
+    sizes += [(("l", i, alpha), lm)
+              for i, b in enumerate(spec.branches, start=1)
+              for alpha, lm in enumerate(b.leaf_multiplicities, start=1)]
+    blocks, n = {}, 0
+    for key, size in sizes:
+        blocks[key] = (n, size)
+        n += size
+    return blocks
+
+
 def multiplied_vertices(spec: TreeSpec) -> list:
     """All vertices of the multiplied graph in canonical order."""
-    out = [center(x) for x in range(1, spec.s + 1)]
-    for i, b in enumerate(spec.branches, start=1):
-        out.extend(branch_copy(i, x) for x in range(1, b.multiplicity + 1))
-    for i, b in enumerate(spec.branches, start=1):
-        for alpha, lm in enumerate(b.leaf_multiplicities, start=1):
-            out.extend(leaf_copy(i, alpha, x) for x in range(1, lm + 1))
-    return out
+    return [VertexId(role, x, i, alpha)
+            for (role, i, alpha), (_, size) in _blocks(spec).items()
+            for x in range(1, size + 1)]
+
+
+def edge_pairs(spec: TreeSpec):
+    """Each undirected edge of the multiplied graph once, in canonical order,
+    as an index pair into `multiplied_vertices` order; plus the vertex count.
+    Center-branch blocks by branch index then copies, then branch-leaf
+    blocks: every copy of a branch (leaf) joins every copy of its parent."""
+    require_valid(spec)
+    blocks = _blocks(spec)
+    out = []
+    for (role, i, _), (start, size) in blocks.items():
+        if role != "c":
+            up, up_size = blocks[("c", 0, 0) if role == "b" else ("b", i, 0)]
+            out.extend((up + x, start + y) for x in range(up_size)
+                       for y in range(size))
+    return out, sum(size for _, size in blocks.values())
 
 
 def multiplied_edges(spec: TreeSpec) -> list:
-    """Each undirected edge of the multiplied graph once, in canonical order:
-    center-branch blocks by branch index then copies, then branch-leaf blocks."""
-    require_valid(spec)
-    out = []
-    for i, b in enumerate(spec.branches, start=1):
-        for x in range(1, spec.s + 1):
-            for y in range(1, b.multiplicity + 1):
-                out.append((center(x), branch_copy(i, y)))
-    for i, b in enumerate(spec.branches, start=1):
-        for alpha, lm in enumerate(b.leaf_multiplicities, start=1):
-            for y in range(1, b.multiplicity + 1):
-                for z in range(1, lm + 1):
-                    out.append((branch_copy(i, y), leaf_copy(i, alpha, z)))
-    return out
+    """`edge_pairs` as (VertexId, VertexId) pairs."""
+    verts = multiplied_vertices(spec)
+    return [(verts[u], verts[v]) for u, v in edge_pairs(spec)[0]]
+
+
+def indexer(spec: TreeSpec):
+    """A function from a VertexId to its index in `multiplied_vertices`
+    order, from its block's offset; it raises UsageError for a vertex the
+    multiplied graph does not have."""
+    blocks = _blocks(spec)
+
+    def index(v: VertexId) -> int:
+        start, size = blocks.get((v.role, v.i, v.alpha), (0, 0))
+        if not 1 <= v.copy <= size:
+            raise UsageError(f"vertex {v} not in the multiplied graph")
+        return start + v.copy - 1
+
+    return index
 
 
 def edge_count(spec: TreeSpec) -> int:

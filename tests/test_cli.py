@@ -1,7 +1,9 @@
 """CLI surface: exit codes, formats, and round trips."""
 
 import json
+import time
 
+from orient4 import build, digraph
 from orient4.cli import main
 
 
@@ -148,6 +150,28 @@ def test_oracle_budget_refusal_exit_one(tmp_path, capsys):
                      {"multiplicity": 3, "leaf_multiplicities": [3, 3]}]})
     assert main(["oracle", spec_path]) == 1
     assert "refused" in capsys.readouterr().err
+
+
+def test_construct_and_verify_refuse_over_edge_budget(tmp_path, capsys,
+                                                      monkeypatch):
+    # 10**9 copies of one branch: refused from the spec's edge count alone;
+    # the per-edge stages are replaced so a missing check fails fast
+    def per_edge_stage(*args):
+        raise AssertionError("reached a per-edge stage")
+
+    monkeypatch.setattr(build, "construct_optimal", per_edge_stage)
+    monkeypatch.setattr(digraph, "from_edge_list", per_edge_stage)
+    doc = c0_doc()
+    doc["branches"][0]["multiplicity"] = 10 ** 9
+    spec_path = write_spec(tmp_path, doc)
+    edge_path = tmp_path / "edges.txt"
+    edge_path.write_text("c.1 -> b1.1\n")
+    start = time.perf_counter()
+    assert main(["construct", spec_path]) == 1
+    assert "edge budget exceeded" in capsys.readouterr().err
+    assert main(["verify", spec_path, str(edge_path)]) == 1
+    assert "edge budget exceeded" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_oracle_bipartite(capsys):

@@ -260,7 +260,7 @@ def test_construct_returns_user_labels():
     res = construct_optimal(spec)
     assert res.orientation.spec == spec
     assert res.case == "P310"
-    assert res.slot_to_user == (2, 5, 6, 8, 1, 4, 7, 3)
+    assert res.reduced.slot_to_user == (2, 5, 6, 8, 1, 4, 7, 3)
     assert diameter(res.orientation) == 4
     assert is_strong(res.orientation)
 
@@ -277,7 +277,7 @@ def test_construct_provenance_fields():
     assert isinstance(res, ConstructionResult)
     assert res.case == "P39"
     assert res.classification.verdict == "C0"
-    assert len(res.slot_to_user) == 10
+    assert len(res.reduced.slot_to_user) == 10
     assert res.schedule.s == 4
 
 
@@ -285,11 +285,10 @@ def test_relabel_is_inverse_of_slot_permutation():
     spec = TreeSpec(4, (BranchSpec(4, (2,)), BranchSpec(2, (2,)),
                         BranchSpec(2, (2,)), BranchSpec(4, (2,))))
     res = construct_optimal(spec)
-    slot_spec = TreeSpec(spec.s, tuple(spec.branch(i)
-                                       for i in res.slot_to_user))
+    order = res.reduced.slot_to_user
+    slot_spec = TreeSpec(spec.s, tuple(spec.branch(i) for i in order))
     back = relabel_orientation(res.orientation,
-                               tuple(sorted(range(1, 5),
-                                            key=res.slot_to_user.index)),
+                               tuple(sorted(range(1, 5), key=order.index)),
                                slot_spec)
     assert diameter(back) == 4
 

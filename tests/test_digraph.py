@@ -14,8 +14,9 @@ from orient4.digraph import (UNREACHABLE, ExtensionError, Orientation,
                              is_strong, out_projection, reverse,
                              shortest_cycle_lengths, to_dot, to_edge_list)
 from orient4.errors import UsageError
-from orient4.tree import (BranchSpec, TreeSpec, branch_copy, center,
-                          leaf_copy, multiplied_edges)
+from orient4.tree import (BranchSpec, TreeSpec, VertexId, branch_copy,
+                          center, edge_pairs, indexer, leaf_copy,
+                          multiplied_edges, multiplied_vertices)
 
 
 def p5_all2():
@@ -46,12 +47,102 @@ def test_from_arcs_errors():
     spec = p5_all2()
     edges = multiplied_edges(spec)
     arcs = [(u, v) for u, v in edges]
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError) as err:
         from_arcs(spec, arcs + [(edges[0][1], edges[0][0])])  # duplicate
-    with pytest.raises(UsageError):
+    assert str(err.value) == "edge c.1 -- b1.1 assigned twice"
+    with pytest.raises(UsageError) as err:
         from_arcs(spec, arcs[:-1])  # missing an edge
-    with pytest.raises(UsageError):
+    assert str(err.value) == "1 edge(s) left unoriented, e.g. b2.2 -- l2.1.2"
+    with pytest.raises(UsageError) as err:
         from_arcs(spec, arcs[:-1] + [(center(1), center(2))])  # non-edge
+    assert str(err.value) == ("arc c.1->c.2 is not an edge of the "
+                              "multiplied graph")
+
+
+# s = 3; branch 1 has 2 copies and leaves of 2 and 3 copies; branch 2 has
+# 4 copies and one leaf.  Each vertex below is one past a bound, and an
+# unchecked offset would land b1.3 on b2.1 and l1.1.3 on l1.2.1.
+BOUNDS_SPEC = TreeSpec(3, (BranchSpec(2, (2, 3)), BranchSpec(4, (2,))))
+OUT_OF_BOUNDS = [("c.0", "b1.1"), ("c.4", "b1.1"), ("b3.1", "c.1"),
+                 ("b1.3", "c.1"), ("l1.3.1", "b1.1"), ("l1.1.3", "b1.1")]
+
+
+@pytest.mark.parametrize("tail, head", OUT_OF_BOUNDS)
+def test_index_rejects_vertices_out_of_bounds(tail, head):
+    spec = BOUNDS_SPEC
+    message = f"arc {tail}->{head} is not an edge of the multiplied graph"
+    with pytest.raises(UsageError) as err:
+        from_edge_list(spec, f"{tail} -> {head}\n")
+    assert str(err.value) == message
+    with pytest.raises(UsageError) as err:
+        from_arcs(spec, [(VertexId.parse(tail), VertexId.parse(head))])
+    assert str(err.value) == message
+    d = Orientation(spec, (0,) * len(edge_pairs(spec)[0]))
+    with pytest.raises(UsageError) as err:
+        d.vertex_index(VertexId.parse(tail))
+    assert str(err.value) == f"vertex {tail} not in the multiplied graph"
+
+
+def reference_vertices(spec):
+    """The multiplied vertices in canonical order, by the loops the integer
+    layout replaced."""
+    out = [center(x) for x in range(1, spec.s + 1)]
+    for i, b in enumerate(spec.branches, start=1):
+        out.extend(branch_copy(i, x) for x in range(1, b.multiplicity + 1))
+    for i, b in enumerate(spec.branches, start=1):
+        for alpha, lm in enumerate(b.leaf_multiplicities, start=1):
+            out.extend(leaf_copy(i, alpha, x) for x in range(1, lm + 1))
+    return out
+
+
+def reference_edges(spec):
+    """The multiplied edges as VertexId pairs, by the nested loops the
+    integer layout replaced."""
+    out = []
+    for i, b in enumerate(spec.branches, start=1):
+        for x in range(1, spec.s + 1):
+            for y in range(1, b.multiplicity + 1):
+                out.append((center(x), branch_copy(i, y)))
+    for i, b in enumerate(spec.branches, start=1):
+        for alpha, lm in enumerate(b.leaf_multiplicities, start=1):
+            for y in range(1, b.multiplicity + 1):
+                for z in range(1, lm + 1):
+                    out.append((branch_copy(i, y), leaf_copy(i, alpha, z)))
+    return out
+
+
+any_branch = st.builds(BranchSpec, st.integers(2, 4),
+                       st.lists(st.integers(2, 3), max_size=3))
+valid_specs = st.builds(
+    TreeSpec, st.integers(2, 4),
+    st.lists(any_branch, min_size=2, max_size=5).filter(
+        lambda bs: sum(b.leaf_count > 0 for b in bs) >= 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_specs, st.data())
+def test_integer_layout_matches_vertex_ids(spec, data):
+    verts = reference_vertices(spec)
+    assert multiplied_vertices(spec) == verts
+    ref_index = {v: i for i, v in enumerate(verts)}
+    edges = reference_edges(spec)
+    pairs, n = edge_pairs(spec)
+    assert n == len(verts) == len(ref_index)
+    assert pairs == [(ref_index[u], ref_index[v]) for u, v in edges]
+    assert multiplied_edges(spec) == edges
+    index = indexer(spec)
+    assert all(index(v) == i for v, i in ref_index.items())
+
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=len(edges),
+                              max_size=len(edges)))
+    d = Orientation(spec, tuple(bits))
+    arcs = [(u, v) if b == 0 else (v, u) for (u, v), b in zip(edges, bits)]
+    assert d.arcs() == arcs
+    assert to_edge_list(d) == "\n".join(f"{t} -> {h}" for t, h in arcs) + "\n"
+    dot = (["digraph orientation {"] + [f'  "{v}";' for v in verts]
+           + [f'  "{t}" -> "{h}";' for t, h in arcs] + ["}"])
+    assert to_dot(d) == "\n".join(dot) + "\n"
+    assert from_arcs(spec, arcs).bits == d.bits
 
 
 # ----------------------------------------------------------------------------
