@@ -6,10 +6,14 @@ orient `H` from a deterministic schedule of half-sized center subsets, check
 the result, then lift to the full multiplicities by letting new copies mimic
 old ones.
 
-Branches are rearranged into construction *slots* (multiplicity-2 block,
-then inlet-style 3-copy block, outlet-style 3-copy block, 4-copy block,
-leafless block); `reduce` records the slot-to-user permutation so outputs
-are expressed in the caller's original branch labels.
+Each construction case is data: an ordered list of *slot blocks*.  `reduce`
+lists the user branches of each block (2-copy, inlet-style and outlet-style
+3-copy, 4-copy, leafless) with their core multiplicity, which fixes the
+slot order and the slot-to-user permutation.  `_slot_blocks` gives each
+block a leaf pattern and one row per slot, the center in-set of every
+branch copy, read off one level of the set schedule in order;
+`build_base_orientation` walks the rows once, numbering the slots.
+Outputs are relabelled to the caller's original branch indices.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .classify import (C0, Classification, classify, half_binom, p35_variant,
-                       select_case)
+from .classify import (C0, Classification, case_for, classify, half_binom,
+                       p35_variant)
 from .digraph import (Orientation, diameter, extend_orientation, from_arcs,
                       is_strong, pull_back, shortest_cycle_lengths)
 from .errors import ConstructionError, Refusal, UsageError
@@ -122,7 +126,7 @@ class ReducedSpec:
     s: int
     h_spec: TreeSpec
     slot_to_user: tuple          # slot j (1-based) -> user branch index
-    n_a2: int = 0                # leading 2-copy slots
+    n_a2: int = 0                # 2-copy slots
     n_bi: int = 0                # inlet-style 3-copy slots
     n_bo: int = 0                # outlet-style 3-copy slots
     n_a4: int = 0                # 4-copy slots
@@ -131,11 +135,10 @@ class ReducedSpec:
     demoted: tuple = ()          # user branch indices given a smaller core t
 
 
-def _h_spec(spec, order, t_values, t_center):
-    branches = tuple(
-        BranchSpec(t, (2,) * spec.branch(u).leaf_count)
-        for u, t in zip(order, t_values))
-    return TreeSpec(t_center, branches)
+# the recipes that give every internal branch two copies
+P35_FAMILY = ("Thm16a", "P311", "P35_D1", "P35_D2", "P35_D3", "P35_D4")
+# the recipes whose in-sets come from one level read in order
+MIXED = ("P39", "P310", "P312", "P41", "P43_D2", "P413", "P411")
 
 
 def _feasible_split(s, n2, n3, k):
@@ -170,159 +173,88 @@ def choose_split(spec: TreeSpec, k_witness: int | None) -> int:
         "half-set superset already claimed by the 2-copy block")
 
 
+def _fill(base, donors, quota, block):
+    """Absorb the lowest-index donors into `base` until it has `quota`
+    branches; returns the filled block and the donors left over."""
+    need = max(0, quota - len(base))
+    if need > len(donors):
+        raise ConstructionError("not enough high-multiplicity branches "
+                                f"to fill the {block} block")
+    return base + donors[:need], donors[need:]
+
+
 def reduce(spec: TreeSpec, case: str, k: int | None = None) -> ReducedSpec:
     """Apply the case's core multiplicities and quota promotions.
 
-    Promotions ("absorb spare high-multiplicity branches into a smaller
-    class to fill a block quota") always pick the lowest user indices.
+    Each case lists its blocks in slot order as (ReducedSpec count field,
+    core multiplicity t, user branches); leafless branches always come
+    last with t = 2.  Promotions ("absorb spare high-multiplicity branches
+    into a smaller class to fill a block quota") always pick the lowest
+    user indices, and a branch is `demoted` when its t is below its class.
     """
     require_valid(spec)
     part = partition(spec)
     s = spec.s
-    a2 = sorted(part.a2)
-    a3 = sorted(part.a3)
-    a4 = sorted(part.a4plus)
-    e = sorted(part.e)
+    a2, a3, a4 = sorted(part.a2), sorted(part.a3), sorted(part.a4plus)
     c = half_binom(s)
+    center_t, split = s, None
 
     if case == "P34":
-        order = a4 + e
-        ts = [4] * len(a4) + [2] * len(e)
-        return ReducedSpec(case, s, _h_spec(spec, order, ts, 2),
-                           tuple(order), n_a4=len(a4), n_e=len(e))
-
-    if case in ("Thm16a", "P311", "P35_D1", "P35_D2", "P35_D3", "P35_D4"):
-        internal = sorted(part.internal)
-        order = internal + e
-        ts = [2] * len(order)
-        demoted = tuple(i for i in internal if spec.branch(i).multiplicity > 2)
-        return ReducedSpec(case, s, _h_spec(spec, order, ts, s),
-                           tuple(order), n_a2=len(internal), n_e=len(e),
-                           demoted=demoted)
-
-    if case == "P39":
-        need = max(0, (c - 2) - len(a3))
-        if need > len(a4):
-            raise ConstructionError("not enough high-multiplicity branches "
-                                    "to fill the inlet block")
-        a3_star = a3 + a4[:need]
-        a4_star = a4[need:]
-        order = a3_star + a4_star + e
-        ts = [3] * len(a3_star) + [4] * len(a4_star) + [2] * len(e)
-        n_bi = min(len(a3_star), c - 2)
-        return ReducedSpec(case, s, _h_spec(spec, order, ts, s),
-                           tuple(order), n_bi=n_bi,
-                           n_bo=len(a3_star) - n_bi, n_a4=len(a4_star),
-                           n_e=len(e), demoted=tuple(a4[:need]))
-
-    if case == "P310":
-        need = max(0, s - len(a2))
-        if need > len(a4):
-            raise ConstructionError("not enough high-multiplicity branches "
-                                    "to fill the 2-copy block")
-        a2_star = a2 + a4[:need]
-        a4_star = a4[need:]
-        if not a4_star:
+        center_t = 2
+        blocks = [("n_a4", 4, a4)]
+    elif case in P35_FAMILY:
+        blocks = [("n_a2", 2, sorted(part.internal))]
+    elif case in ("P39", "P41"):
+        quota, n_bi = (c - 2, c - 2) if case == "P39" else (c, c - 1)
+        a3, a4 = _fill(a3, a4, quota, "inlet")
+        blocks = [("n_bi", 3, a3[:n_bi]), ("n_bo", 3, a3[n_bi:]),
+                  ("n_a4", 4, a4)]
+    elif case in ("P310", "P411"):
+        # a3 is nonempty only on the P411 demotion route
+        a2, a4 = _fill(a2 + a3, a4, s if case == "P310" else s - 1,
+                       "2-copy")
+        if not a4:
             raise ConstructionError("no 4-copy slot left after promotion")
-        order = a2_star + a4_star + e
-        ts = [2] * len(a2_star) + [4] * len(a4_star) + [2] * len(e)
-        return ReducedSpec(case, s, _h_spec(spec, order, ts, s),
-                           tuple(order), n_a2=len(a2_star),
-                           n_a4=len(a4_star), n_e=len(e),
-                           demoted=tuple(a4[:need]))
+        blocks = [("n_a2", 2, a2), ("n_a4", 4, a4)]
+    elif case == "P312":
+        split = choose_split(spec, k)
+        a2, a3 = _fill(a2, a3, split - 1, "2-copy")
+        n_bi = (c - 2) - len(a2)
+        a3, a4 = _fill(a3, a4, n_bi, "inlet")
+        blocks = [("n_a2", 2, a2), ("n_bi", 3, a3[:n_bi]),
+                  ("n_bo", 3, a3[n_bi:]), ("n_a4", 4, a4)]
+    elif case in ("P43_D2", "P413"):
+        n_bi = max(0, (c - 1) - len(a2))
+        blocks = [("n_a2", 2, a2), ("n_bi", 3, a3[:n_bi]),
+                  ("n_bo", 3, a3[n_bi:]), ("n_a4", 4, a4)]
+    elif case == "P43_D3":
+        # outlet block first, then inlet block
+        n_bo = max(0, c - len(a2))
+        blocks = [("n_a2", 2, a2), ("n_bo", 3, a3[:n_bo]),
+                  ("n_bi", 3, a3[n_bo:])]
+    elif case == "P43_D1":
+        blocks = [("n_bo", 3, a3), ("n_a2", 2, a2)]
+    else:
+        raise UsageError(f"unknown construction case {case!r}")
+    blocks.append(("n_e", 2, sorted(part.e)))
 
-    if case == "P312":
-        k = choose_split(spec, k)
-        demote3 = max(0, (k - 1) - len(a2))
-        a2_star = a2 + a3[:demote3]
-        a3_rest = a3[demote3:]
-        need_bi = max(0, (c - 2) - (len(a2_star) + len(a3_rest)))
-        if need_bi > len(a4):
-            raise ConstructionError("not enough high-multiplicity branches "
-                                    "to fill the inlet block")
-        a3_star = a3_rest + a4[:need_bi]
-        a4_star = a4[need_bi:]
-        order = a2_star + a3_star + a4_star + e
-        ts = ([2] * len(a2_star) + [3] * len(a3_star)
-              + [4] * len(a4_star) + [2] * len(e))
-        n_bi = min(len(a3_star), (c - 2) - len(a2_star))
-        return ReducedSpec(case, s, _h_spec(spec, order, ts, s),
-                           tuple(order), n_a2=len(a2_star), n_bi=n_bi,
-                           n_bo=len(a3_star) - n_bi, n_a4=len(a4_star),
-                           n_e=len(e), k=k,
-                           demoted=tuple(a3[:demote3] + a4[:need_bi]))
-
-    if case == "P41":
-        need = max(0, c - len(a3))
-        if need > len(a4):
-            raise ConstructionError("not enough high-multiplicity branches "
-                                    "to fill the inlet block")
-        a3_star = a3 + a4[:need]
-        a4_star = a4[need:]
-        order = a3_star + a4_star + e
-        ts = [3] * len(a3_star) + [4] * len(a4_star) + [2] * len(e)
-        n_bi = min(len(a3_star), c - 1)
-        return ReducedSpec(case, s, _h_spec(spec, order, ts, s),
-                           tuple(order), n_bi=n_bi,
-                           n_bo=len(a3_star) - n_bi, n_a4=len(a4_star),
-                           n_e=len(e), demoted=tuple(a4[:need]))
-
-    if case == "P43_D1":
-        order = a3 + a2 + e
-        ts = [3] * len(a3) + [2] * len(a2) + [2] * len(e)
-        return ReducedSpec(case, s, _h_spec(spec, order, ts, s),
-                           tuple(order), n_a2=len(a2), n_bo=1, n_e=len(e))
-
-    if case in ("P43_D2", "P43_D3", "P413"):
-        if case == "P43_D3":
-            # outlet block first, then inlet block
-            n_bo = c - len(a2)
-            order = a2 + a3 + e
-            ts = [2] * len(a2) + [3] * len(a3) + [2] * len(e)
-            return ReducedSpec(case, s, _h_spec(spec, order, ts, s),
-                               tuple(order), n_a2=len(a2), n_bo=n_bo,
-                               n_bi=len(a3) - n_bo, n_e=len(e))
-        n_bi = (c - 1) - len(a2)
-        order = a2 + a3 + a4 + e
-        ts = ([2] * len(a2) + [3] * len(a3) + [4] * len(a4) + [2] * len(e))
-        return ReducedSpec(case, s, _h_spec(spec, order, ts, s),
-                           tuple(order), n_a2=len(a2), n_bi=n_bi,
-                           n_bo=len(a3) - n_bi, n_a4=len(a4), n_e=len(e))
-
-    if case == "P411":
-        base = a2 + a3  # a3 nonempty only on the demotion route
-        need = max(0, (s - 1) - len(base))
-        if need > len(a4):
-            raise ConstructionError("not enough high-multiplicity branches "
-                                    "to fill the 2-copy block")
-        a2_star = base + a4[:need]
-        a4_star = a4[need:]
-        if not a4_star:
-            raise ConstructionError("no 4-copy slot left after promotion")
-        order = a2_star + a4_star + e
-        ts = [2] * len(a2_star) + [4] * len(a4_star) + [2] * len(e)
-        return ReducedSpec(case, s, _h_spec(spec, order, ts, s),
-                           tuple(order), n_a2=len(a2_star),
-                           n_a4=len(a4_star), n_e=len(e),
-                           demoted=tuple(a3 + a4[:need]))
-
-    raise UsageError(f"unknown construction case {case!r}")
+    order, branches, demoted = [], [], []
+    for _, t, users in blocks:
+        for u in users:
+            b = spec.branch(u)
+            order.append(u)
+            branches.append(BranchSpec(t, (2,) * b.leaf_count))
+            if b.leaf_count and t < min(b.multiplicity, 4):
+                demoted.append(u)
+    counts = {field: len(users) for field, _, users in blocks}
+    return ReducedSpec(case, s, TreeSpec(center_t, tuple(branches)),
+                       tuple(order), k=split, demoted=tuple(demoted),
+                       **counts)
 
 
 # ============================================================================
-# Arc emission
+# Slot blocks
 # ============================================================================
-
-def _center_split(arcs, s, slot, copy, in_set):
-    """Orient every center edge of one branch copy: arcs in from `in_set`,
-    out to its complement."""
-    b = branch_copy(slot, copy)
-    for x in range(1, s + 1):
-        if x in in_set:
-            arcs.append((center(x), b))
-        else:
-            arcs.append((b, center(x)))
-
 
 # Leaf patterns of the core, whose leaves all have two copies: row z-1 has
 # "i" at position y-1 if branch copy y feeds leaf copy z, "o" if leaf copy z
@@ -335,6 +267,95 @@ THREE_SPLIT_OUT = ("iio", "ioi")
 THREE_SPLIT_IN = ("ooi", "oio")  # mirror of THREE_SPLIT_OUT
 FOUR_C4 = ("oioi", "ioio")       # copies 2,4 feed leaf copy 1, 1,3 copy 2
 FOUR_C4_P34 = ("oiio", "iooi")   # copies 2,3 feed leaf copy 1, 1,4 copy 2
+LEAFLESS = ()
+
+
+def _slot_blocks(case, rspec, sched):
+    """The case's core as (leaf pattern, rows) blocks in slot order.  A row
+    is one slot: the center in-set of each of its branch copies."""
+    s = rspec.h_spec.s
+    ground = frozenset(range(1, s + 1))
+
+    def comp(f):
+        return ground - f
+
+    n2, n_e = rspec.n_a2, rspec.n_e
+
+    if case == "P34":
+        return [(FOUR_C4_P34, [({2}, {2}, {1}, {1})] * rspec.n_a4),
+                (LEAFLESS, [({2}, {2})] * n_e)]
+
+    if case in P35_FAMILY:
+        if case == "Thm16a":
+            variant = "D1"
+        elif case == "P311":
+            variant = p35_variant(n2, n_e, s)[-2:]
+        else:
+            variant = case[-2:]
+        if variant in ("D1", "D3") and n_e:
+            raise ConstructionError(f"variant {variant} admits no leafless "
+                                    f"branches")
+        if variant == "D1":
+            # each of the first n2-1 slots drains into its own center copy;
+            # the last slot drains into all remaining copies
+            ins = ([comp({j}) for j in range(1, n2)]
+                   + [ground - set(range(n2, s + 1))])
+        elif variant == "D2":
+            ins = [comp({j}) for j in range(1, n2 + 1)]
+        else:  # D3 / D4
+            ins = sched.lam[:n2]
+        e_in = (frozenset(range(1, n2 + 1)) if variant == "D2"
+                else sched.lam[-1])
+        return [(C4_WITHIN, [(x, x) for x in ins]),
+                (LEAFLESS, [(e_in, e_in)] * n_e)]
+
+    if case == "P43_D3":
+        mu, gamma = sched.mu, sched.gamma
+        hub = gamma[-1]  # the copies outside the pivot {1..floor(s/2)}
+        n_bo = rspec.n_bo
+        return [(TWO_IN_ONE_OUT, [(comp(m), g) for m, g in
+                                  zip(mu[:n2], gamma[:n2])]),
+                (THREE_SPLIT_OUT, [(hub, comp(m), comp(m))
+                                   for m in mu[n2:n2 + n_bo]]),
+                (THREE_SPLIT_IN, [(hub, g, g)
+                                  for g in gamma[n2:n2 + rspec.n_bi]]),
+                (LEAFLESS, [(hub, hub)] * n_e)]
+
+    if case == "P43_D1":  # exactly one 3-copy slot, an outlet
+        first = sched.lam[0]
+        return [(THREE_SPLIT_OUT, [(first, comp(first), comp(first))]),
+                (TWO_IN_ONE_OUT, [(comp(x), x) for x in sched.lam[1:n2 + 1]]),
+                (LEAFLESS, [(first, first)] * n_e)]
+
+    if case not in MIXED:
+        raise UsageError(f"unknown construction case {case!r}")
+    # One level of half-sets read in order (P312: mu; the others: lam).
+    # `first` and its complement orient the 3- and 4-copy slots; the 2-copy
+    # slots take the next sets of the level, then the inlets.
+    level = sched.mu if case == "P312" else sched.lam
+    first, second = level[0], comp(level[0])
+    rest = [f for f in level if f not in (first, second)]
+    even = s % 2 == 0
+    outlet_in = sched.psi if even else rest[n2:]
+    n_bi, n_bo = rspec.n_bi, rspec.n_bo
+    return [(C4_WITHIN if even else TWO_IN_ONE_OUT,
+             [(x, x) if even else (comp(x), x) for x in rest[:n2]]),
+            (THREE_SINK, [(second, first, x) for x in rest[n2:n2 + n_bi]]),
+            (THREE_SOURCE, [(first, second, comp(z))
+                            for z in outlet_in[:n_bo]]),
+            (FOUR_C4, [(second, first, first, second)] * rspec.n_a4),
+            (LEAFLESS, [(first, first)] * n_e)]
+
+
+def _center_split(arcs, s, slot, copy, in_set):
+    """Orient every center edge of one branch copy: arcs in from `in_set`,
+    out to its complement."""
+    b = branch_copy(slot, copy)
+    for x in range(1, s + 1):
+        if x in in_set:
+            arcs.append((center(x), b))
+        else:
+            arcs.append((b, center(x)))
 
 
 def _leaf_pattern(arcs, spec_h, slot, pattern):
@@ -346,221 +367,23 @@ def _leaf_pattern(arcs, spec_h, slot, pattern):
                 arcs.append(arc if way == "i" else arc[::-1])
 
 
-def _four_copy_slot(arcs, spec_h, s, slot, first, second):
-    """4-copy slot: copies 1,4 sit between `second` and `first` halves,
-    copies 2,3 the other way round; leaf pattern closes 4-cycles."""
-    _leaf_pattern(arcs, spec_h, slot, FOUR_C4)
-    _center_split(arcs, s, slot, 1, second)
-    _center_split(arcs, s, slot, 4, second)
-    _center_split(arcs, s, slot, 2, first)
-    _center_split(arcs, s, slot, 3, first)
-
-
-def _e_slot(arcs, s, slot, in_set):
-    for y in (1, 2):
-        _center_split(arcs, s, slot, y, in_set)
-
-
-# ============================================================================
-# The per-case recipes
-# ============================================================================
-
 def build_base_orientation(case: str, rspec: ReducedSpec,
                            sched: SetSchedule) -> Orientation:
-    """Orient every edge of the core instance per the case recipe, then check
-    the two structural guarantees: a directed 4-cycle through every vertex,
-    and diameter exactly 4."""
+    """Orient every edge of the core instance by walking the case's slot
+    blocks, then check the two structural guarantees: a directed 4-cycle
+    through every vertex, and diameter exactly 4."""
     h = rspec.h_spec
-    s = h.s
-    ground = frozenset(range(1, s + 1))
-    lam = sched.lam
+    blocks = _slot_blocks(case, rspec, sched)
+    rows = [(pattern, row) for pattern, block_rows in blocks
+            for row in block_rows]
+    if len(rows) != h.deg_c:
+        raise ConstructionError(f"recipe {case}: the schedule gives "
+                                f"{len(rows)} rows for {h.deg_c} slots")
     arcs = []
-
-    def comp(f):
-        return ground - f
-
-    if case == "P34":
-        for slot in range(1, rspec.n_a4 + 1):
-            _leaf_pattern(arcs, h, slot, FOUR_C4_P34)
-            _center_split(arcs, 2, slot, 1, {2})
-            _center_split(arcs, 2, slot, 2, {2})
-            _center_split(arcs, 2, slot, 3, {1})
-            _center_split(arcs, 2, slot, 4, {1})
-        for slot in range(rspec.n_a4 + 1, rspec.n_a4 + rspec.n_e + 1):
-            _e_slot(arcs, 2, slot, {2})
-
-    elif case in ("Thm16a", "P311", "P35_D1", "P35_D2", "P35_D3", "P35_D4"):
-        a = rspec.n_a2
-        if case == "Thm16a":
-            variant = "D1"
-        elif case == "P311":
-            variant = p35_variant(a, rspec.n_e, s)[-2:]
-        else:
-            variant = case[-2:]
-        if variant in ("D1", "D3") and rspec.n_e:
-            raise ConstructionError(f"variant {variant} admits no leafless "
-                                    f"branches")
-        for slot in range(1, a + 1):
-            _leaf_pattern(arcs, h, slot, C4_WITHIN)
-        if variant == "D1":
-            # each of the first a-1 slots drains into its own center copy;
-            # the last slot drains into all remaining copies
-            for slot in range(1, a):
-                for y in (1, 2):
-                    _center_split(arcs, s, slot, y, ground - {slot})
-            tail = set(range(a, s + 1))
-            for y in (1, 2):
-                _center_split(arcs, s, a, y, ground - tail)
-        elif variant == "D2":
-            for slot in range(1, a + 1):
-                for y in (1, 2):
-                    _center_split(arcs, s, slot, y, ground - {slot})
-            head = frozenset(range(1, a + 1))
-            for slot in range(a + 1, a + rspec.n_e + 1):
-                _e_slot(arcs, s, slot, head)
-        else:  # D3 / D4
-            for slot in range(1, a + 1):
-                for y in (1, 2):
-                    _center_split(arcs, s, slot, y, lam[slot - 1])
-            if variant == "D4":
-                last = lam[half_binom(s) - 1]
-                for slot in range(a + 1, a + rspec.n_e + 1):
-                    _e_slot(arcs, s, slot, last)
-
-    elif case in ("P39", "P312"):
-        even_first = lam[0] if case == "P39" else sched.mu[0]
-        even_second = comp(even_first)
-        if case == "P39":
-            bi_in = [lam[i] for i in range(1, s // 2)] + \
-                    [lam[i] for i in range(s // 2 + 1, half_binom(s))]
-            off = 0
-        else:
-            mu = sched.mu
-            bi_in = [mu[i] for i in range(1, half_binom(s) - 1)]
-            off = rspec.n_a2
-            for slot in range(1, off + 1):
-                _leaf_pattern(arcs, h, slot, C4_WITHIN)
-                for y in (1, 2):
-                    _center_split(arcs, s, slot, y, bi_in[slot - 1])
-        for j in range(rspec.n_bi):
-            slot = off + 1 + j
-            _leaf_pattern(arcs, h, slot, THREE_SINK)
-            _center_split(arcs, s, slot, 1, even_second)
-            _center_split(arcs, s, slot, 2, even_first)
-            _center_split(arcs, s, slot, 3, bi_in[off + j])
-        for j in range(rspec.n_bo):
-            slot = off + rspec.n_bi + 1 + j
-            _leaf_pattern(arcs, h, slot, THREE_SOURCE)
-            _center_split(arcs, s, slot, 1, even_first)
-            _center_split(arcs, s, slot, 2, even_second)
-            _center_split(arcs, s, slot, 3, comp(sched.psi[j]))
-        for j in range(rspec.n_a4):
-            slot = off + rspec.n_bi + rspec.n_bo + 1 + j
-            _four_copy_slot(arcs, h, s, slot, even_first, even_second)
-        for j in range(rspec.n_e):
-            slot = off + rspec.n_bi + rspec.n_bo + rspec.n_a4 + 1 + j
-            _e_slot(arcs, s, slot, even_first)
-
-    elif case == "P310":
-        bi_in = [lam[i] for i in range(1, s // 2)] + \
-                [lam[i] for i in range(s // 2 + 1, half_binom(s))]
-        for slot in range(1, rspec.n_a2 + 1):
-            _leaf_pattern(arcs, h, slot, C4_WITHIN)
-            for y in (1, 2):
-                _center_split(arcs, s, slot, y, bi_in[slot - 1])
-        for j in range(rspec.n_a4):
-            slot = rspec.n_a2 + 1 + j
-            _four_copy_slot(arcs, h, s, slot, lam[0], comp(lam[0]))
-        for j in range(rspec.n_e):
-            slot = rspec.n_a2 + rspec.n_a4 + 1 + j
-            _e_slot(arcs, s, slot, lam[0])
-
-    elif case == "P41":
-        lam1 = lam[0]
-        for j in range(rspec.n_bi):
-            slot = 1 + j
-            _leaf_pattern(arcs, h, slot, THREE_SINK)
-            _center_split(arcs, s, slot, 1, comp(lam1))
-            _center_split(arcs, s, slot, 2, lam1)
-            _center_split(arcs, s, slot, 3, lam[slot])
-        for j in range(rspec.n_bo):
-            slot = rspec.n_bi + 1 + j
-            _leaf_pattern(arcs, h, slot, THREE_SOURCE)
-            _center_split(arcs, s, slot, 1, lam1)
-            _center_split(arcs, s, slot, 2, comp(lam1))
-            _center_split(arcs, s, slot, 3, comp(lam[j + 1]))
-        for j in range(rspec.n_a4):
-            slot = rspec.n_bi + rspec.n_bo + 1 + j
-            _four_copy_slot(arcs, h, s, slot, lam1, comp(lam1))
-        for j in range(rspec.n_e):
-            slot = rspec.n_bi + rspec.n_bo + rspec.n_a4 + 1 + j
-            _e_slot(arcs, s, slot, lam1)
-
-    elif case == "P43_D1":
-        lam1 = lam[0]
-        _leaf_pattern(arcs, h, 1, THREE_SPLIT_OUT)
-        _center_split(arcs, s, 1, 1, lam1)
-        _center_split(arcs, s, 1, 2, comp(lam1))
-        _center_split(arcs, s, 1, 3, comp(lam1))
-        for slot in range(2, rspec.n_a2 + 2):
-            _leaf_pattern(arcs, h, slot, TWO_IN_ONE_OUT)
-            _center_split(arcs, s, slot, 1, comp(lam[slot - 1]))
-            _center_split(arcs, s, slot, 2, lam[slot - 1])
-        for j in range(rspec.n_e):
-            slot = rspec.n_a2 + 2 + j
-            _e_slot(arcs, s, slot, lam1)
-
-    elif case in ("P43_D2", "P413", "P411"):
-        lam1 = lam[0]
-        for slot in range(1, rspec.n_a2 + 1):
-            _leaf_pattern(arcs, h, slot, TWO_IN_ONE_OUT)
-            _center_split(arcs, s, slot, 1, comp(lam[slot]))
-            _center_split(arcs, s, slot, 2, lam[slot])
-        for j in range(rspec.n_bi):
-            slot = rspec.n_a2 + 1 + j
-            _leaf_pattern(arcs, h, slot, THREE_SINK)
-            _center_split(arcs, s, slot, 1, comp(lam1))
-            _center_split(arcs, s, slot, 2, lam1)
-            _center_split(arcs, s, slot, 3, lam[slot])
-        for j in range(rspec.n_bo):
-            slot = rspec.n_a2 + rspec.n_bi + 1 + j
-            _leaf_pattern(arcs, h, slot, THREE_SOURCE)
-            _center_split(arcs, s, slot, 1, lam1)
-            _center_split(arcs, s, slot, 2, comp(lam1))
-            _center_split(arcs, s, slot, 3, comp(lam[rspec.n_a2 + 1 + j]))
-        for j in range(rspec.n_a4):
-            slot = rspec.n_a2 + rspec.n_bi + rspec.n_bo + 1 + j
-            _four_copy_slot(arcs, h, s, slot, lam1, comp(lam1))
-        for j in range(rspec.n_e):
-            slot = rspec.n_a2 + rspec.n_bi + rspec.n_bo + rspec.n_a4 + 1 + j
-            _e_slot(arcs, s, slot, lam1)
-
-    elif case == "P43_D3":
-        mu, gamma = sched.mu, sched.gamma
-        low = comp(gamma[-1])  # the pivot: first floor(s/2) center copies
-        for slot in range(1, rspec.n_a2 + 1):
-            _leaf_pattern(arcs, h, slot, TWO_IN_ONE_OUT)
-            _center_split(arcs, s, slot, 1, comp(mu[slot - 1]))
-            _center_split(arcs, s, slot, 2, gamma[slot - 1])
-        for j in range(rspec.n_bo):
-            slot = rspec.n_a2 + 1 + j
-            _leaf_pattern(arcs, h, slot, THREE_SPLIT_OUT)
-            _center_split(arcs, s, slot, 1, comp(low))
-            _center_split(arcs, s, slot, 2, comp(mu[slot - 1]))
-            _center_split(arcs, s, slot, 3, comp(mu[slot - 1]))
-        for j in range(rspec.n_bi):
-            slot = rspec.n_a2 + rspec.n_bo + 1 + j
-            idx = rspec.n_a2 + j  # 1-based position in gamma after the a2 block
-            _leaf_pattern(arcs, h, slot, THREE_SPLIT_IN)
-            _center_split(arcs, s, slot, 1, comp(low))
-            _center_split(arcs, s, slot, 2, gamma[idx])
-            _center_split(arcs, s, slot, 3, gamma[idx])
-        for j in range(rspec.n_e):
-            slot = rspec.n_a2 + rspec.n_bo + rspec.n_bi + 1 + j
-            _e_slot(arcs, s, slot, comp(low))
-
-    else:
-        raise UsageError(f"unknown construction case {case!r}")
+    for slot, (pattern, row) in enumerate(rows, start=1):
+        _leaf_pattern(arcs, h, slot, pattern)
+        for copy, in_set in enumerate(row, start=1):
+            _center_split(arcs, h.s, slot, copy, in_set)
 
     try:
         d = from_arcs(h, arcs)
@@ -626,7 +449,7 @@ def construct_optimal(spec: TreeSpec) -> ConstructionResult:
         raise Refusal("open case: neither bound settles this instance",
                       rule=cls.rule)
 
-    case = select_case(spec)
+    case = case_for(spec, cls)
     k = cls.k_witness if case == "P312" else None
     rspec = reduce(spec, case, k)
     sched = make_schedule(rspec.h_spec.s, case,

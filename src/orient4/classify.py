@@ -213,7 +213,11 @@ def select_case(spec: TreeSpec) -> str:
     Only meaningful for instances classified C0; calling this on a C1 or
     open-gap instance is a usage error.
     """
-    cls = classify(spec)
+    return case_for(spec, classify(spec))
+
+
+def case_for(spec: TreeSpec, cls: Classification) -> str:
+    """`select_case` for a spec whose classification `cls` is already made."""
     if cls.verdict != C0:
         raise UsageError(f"no construction case for verdict {cls.verdict} "
                          f"(rule {cls.rule})")

@@ -8,6 +8,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -24,17 +25,29 @@ EXIT_INTERNAL = 3
 # multiplied edges `construct` and `verify` accept; 18x the largest
 # benchmark instance
 MAX_EDGES = 100_000
+# center multiplicity every spec command accepts: threshold notes print
+# C(s, ceil(s/2)), which stays under Python's 4,300-digit int-to-str limit
+MAX_CENTER = 10_000
 
 
 def _print_json(doc):
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _load_within_budget(path):
-    """A valid spec whose multiplied graph has at most MAX_EDGES edges,
-    checked before anything is allocated per edge."""
+def _load(path):
+    """A valid spec whose center multiplicity is at most MAX_CENTER."""
     spec = tree.load_spec(path)
     tree.require_valid(spec)
+    if spec.s > MAX_CENTER:
+        raise Refusal(f"center multiplicity {spec.s} exceeds the bound "
+                      f"{MAX_CENTER}")
+    return spec
+
+
+def _load_within_budget(path):
+    """`_load`, and the multiplied graph has at most MAX_EDGES edges,
+    checked before anything is allocated per edge."""
+    spec = _load(path)
     m = tree.edge_count(spec)
     if m > MAX_EDGES:
         raise Refusal(f"edge budget exceeded: {m} edges > {MAX_EDGES}")
@@ -64,9 +77,7 @@ def _classification_doc(cls):
 
 
 def cmd_classify(args):
-    spec = tree.load_spec(args.spec)
-    tree.require_valid(spec)
-    cls = classify_spec(spec)
+    cls = classify_spec(_load(args.spec))
     if args.json:
         _print_json(_classification_doc(cls))
     else:
@@ -191,10 +202,9 @@ def cmd_oracle(args):
     else:
         if args.spec is None:
             raise UsageError("need a spec file or --bipartite P Q")
-        spec = tree.load_spec(args.spec)
-        tree.require_valid(spec)
         res = oracle.orientation_number(
-            spec, max_edges=args.max_edges, symmetry=args.symmetry)
+            _load(args.spec), max_edges=args.max_edges,
+            symmetry=args.symmetry)
     elapsed = time.perf_counter() - t0
     if args.json:
         _print_json({
@@ -251,7 +261,10 @@ def cmd_sperner(args):
 # argument parsing
 # ============================================================================
 
+@functools.cache
 def _parser():
+    """Built once; `main` looks up `cmd_<command>` at call time, so a
+    rebinding of a command function takes effect."""
     ap = argparse.ArgumentParser(
         prog="orient4",
         description="Orientation numbers of diameter-4 tree "
@@ -261,7 +274,6 @@ def _parser():
     p = sub.add_parser("classify", help="decide orientation number 4 vs 5")
     p.add_argument("spec", help="tree spec JSON file")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("construct", help="emit a diameter-4 orientation")
     p.add_argument("spec")
@@ -272,13 +284,11 @@ def _parser():
     p.add_argument("--explain", action="store_true",
                    help="print case id, schedules and the slot permutation")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="check an edge-list file against a spec")
     p.add_argument("spec")
     p.add_argument("edges", help="edge-list file, one 'tail -> head' per line")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="exhaustive orientation search")
     p.add_argument("spec", nargs="?")
@@ -288,7 +298,6 @@ def _parser():
     p.add_argument("--bipartite", nargs=2, type=int, metavar=("P", "Q"),
                    help="run on the complete bipartite graph K(P,Q) instead")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("sperner", help="squashed-order toolkit")
     tools = p.add_subparsers(dest="tool", required=True)
@@ -306,14 +315,13 @@ def _parser():
     t.add_argument("--n", type=int, required=True)
     t.add_argument("--k", type=int, required=True)
     t.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_sperner)
     return ap
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except Refusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSAL

@@ -242,14 +242,31 @@ def edge_count(spec: TreeSpec) -> int:
 # JSON input format
 # ============================================================================
 
+def _integer(x):
+    # bool is an int subclass, and int() would truncate 2.7 and fail on 1e400
+    if type(x) is not int:
+        raise TypeError(f"multiplicity {x!r} is not an integer")
+    return x
+
+
+def _list(x, what):
+    if not isinstance(x, list):
+        raise TypeError(f"{what} is not a list")
+    return x
+
+
 def spec_from_dict(doc: dict) -> TreeSpec:
+    """A spec from its JSON document; every multiplicity must be an integer
+    (not a bool or a float), and every sequence a list."""
     try:
-        branches = tuple(
-            BranchSpec(int(b["multiplicity"]),
-                       tuple(int(x) for x in b.get("leaf_multiplicities", ())))
-            for b in doc["branches"])
-        return TreeSpec(int(doc["center_multiplicity"]), branches)
-    except (KeyError, TypeError, ValueError) as exc:
+        branches = []
+        for b in _list(doc["branches"], "branches"):
+            mult = _integer(b["multiplicity"])
+            leaves = _list(b.get("leaf_multiplicities", []),
+                           "leaf_multiplicities")
+            branches.append(BranchSpec(mult, tuple(map(_integer, leaves))))
+        return TreeSpec(_integer(doc["center_multiplicity"]), tuple(branches))
+    except (KeyError, TypeError) as exc:
         raise UsageError(f"malformed tree document: {exc}") from exc
 
 
@@ -267,6 +284,6 @@ def load_spec(path) -> TreeSpec:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also undecodable bytes, over-long ints
             raise UsageError(f"not valid JSON: {exc}") from exc
     return spec_from_dict(doc)

@@ -3,7 +3,11 @@
 import json
 import time
 
-from orient4 import build, digraph
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from orient4 import build, cli, digraph, tree
 from orient4.cli import main
 
 
@@ -113,6 +117,12 @@ def test_malformed_input_exits_two(tmp_path, capsys):
                      {"multiplicity": 2, "leaf_multiplicities": [2]}]},
         "i.json")
     assert main(["classify", invalid]) == 2
+    capsys.readouterr()
+    # more digits than Python 3.11 converts from text
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"center_multiplicity": %s, "branches": []}'
+                    % ("9" * 5000))
+    assert main(["classify", str(huge)]) == 2
 
 
 def test_construction_failure_exits_three(tmp_path, capsys):
@@ -216,3 +226,94 @@ def test_sperner_subcommands(capsys):
     assert out[:4] == ["123", "124", "134", "234"]
     assert main(["sperner", "shadow", "--n", "5", "--k", "3", "--m", "4"]) == 0
     assert "|shadow| = 6" in capsys.readouterr().out
+
+
+def test_parser_is_built_once_and_commands_are_looked_up_per_call(
+        monkeypatch):
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "cmd_classify", lambda args: 7)
+    assert main(["classify", "unused.json"]) == 7
+
+
+def test_center_bound_refuses_before_classify(tmp_path, capsys):
+    # C(s, ceil(s/2)) at these s has more digits than int-to-str allows;
+    # the construct spec is under the edge budget
+    doc = {"center_multiplicity": 20_000,
+           "branches": [{"multiplicity": m, "leaf_multiplicities": [2]}
+                        for m in (2, 2, 3)]}
+    assert main(["classify", write_spec(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == (
+        "refused: center multiplicity 20000 exceeds the bound 10000\n")
+    doc = {"center_multiplicity": 15_000,
+           "branches": [{"multiplicity": 2, "leaf_multiplicities": [2]}] * 3}
+    assert tree.edge_count(tree.spec_from_dict(doc)) == 90_012 \
+        <= cli.MAX_EDGES
+    assert main(["construct", write_spec(tmp_path, doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "refused: center multiplicity 15000 exceeds the bound 10000\n")
+
+
+@pytest.mark.parametrize("value", ["1e400", "2.7", "2.0", "true", '"3"'])
+def test_non_integer_multiplicity_exits_two(tmp_path, capsys, value):
+    path = tmp_path / "spec.json"
+    path.write_text('{"center_multiplicity": %s, "branches": '
+                    '[{"multiplicity": 2, "leaf_multiplicities": [2]}, '
+                    '{"multiplicity": 2, "leaf_multiplicities": [2]}]}'
+                    % value)
+    assert main(["classify", str(path)]) == 2
+    assert "is not an integer" in capsys.readouterr().err
+
+
+ODD_VALUES = st.one_of(st.sampled_from((float("inf"), 2.7, True, 20_000,
+                                        10 ** 30)),
+                       st.booleans(), st.floats(), st.none(),
+                       st.integers(-10 ** 30, 10 ** 30), st.text(max_size=2),
+                       st.lists(st.integers(0, 3), max_size=2))
+DAMAGE = ("none", "none", "center", "branches", "multiplicity", "leaf",
+          "leaves", "extra keys", "document")
+
+
+@st.composite
+def documents(draw):
+    """A well-formed spec document, then at most one field replaced by an
+    odd value: bools, floats, negatives, huge ints, non-lists, extra keys."""
+    small = st.integers(2, 5)
+    doc = {"center_multiplicity": draw(st.one_of(
+               small, st.integers(9_990, 10_010))),
+           "branches": [{"multiplicity": draw(small),
+                         "leaf_multiplicities": draw(st.lists(
+                             small, min_size=int(j < 2), max_size=2))}
+                        for j in range(draw(st.integers(2, 5)))]}
+    damage, value = draw(st.sampled_from(DAMAGE)), draw(ODD_VALUES)
+    first, last = doc["branches"][0], doc["branches"][-1]
+    if damage == "center":
+        doc["center_multiplicity"] = value
+    elif damage == "branches":
+        doc["branches"] = value
+    elif damage == "multiplicity":
+        first["multiplicity"] = value
+    elif damage == "leaf":
+        first["leaf_multiplicities"] = [2, value]
+    elif damage == "leaves":
+        last["leaf_multiplicities"] = value
+    elif damage == "extra keys":
+        doc["name"] = first["colour"] = value
+    elif damage == "document":
+        doc = value
+    return doc
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=documents())
+@example(doc={"center_multiplicity": float("inf"), "branches": []})
+@example(doc={"center_multiplicity": 20_000,
+              "branches": [{"multiplicity": m, "leaf_multiplicities": [2]}
+                           for m in (2, 2, 3)]})
+def test_classify_exit_code_on_any_document(tmp_path, capsys, doc):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert main(["classify", str(path)]) in (0, 1, 2)
+    capsys.readouterr()

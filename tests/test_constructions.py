@@ -1,10 +1,12 @@
 """Schedules, reductions, per-case recipes and the full pipeline."""
 
+import importlib
 import random
 from math import comb
 
 import pytest
 
+from orient4 import build
 from orient4.build import (ConstructionResult, build_base_orientation,
                            choose_split, construct_optimal, cyclic_half_sets,
                            make_schedule, reduce, relabel_orientation)
@@ -166,6 +168,17 @@ def test_submaximal_single_three_copy_variant_d1():
     assert_core_ok(d)
 
 
+@pytest.mark.parametrize("spec,case", [(mkspec(3, a2=2), "P43_D1"),
+                                       (mkspec(2, a2=3), "P35_D3")],
+                         ids=["P43_D1", "P35_D3"])
+def test_forced_recipe_short_of_schedule_rows(spec, case):
+    # P43_D1 needs its one 3-copy slot; at s=2 the level has only two
+    # half-sets for three 2-copy slots
+    with pytest.raises(ConstructionError, match=f"recipe {case}: the "
+                       f"schedule gives"):
+        build_case(spec, case)
+
+
 def test_unknown_case_rejected():
     spec = mkspec(5, a2=4)
     with pytest.raises(UsageError):
@@ -249,6 +262,22 @@ def test_construct_refuses_open_case():
     with pytest.raises(Refusal) as err:
         construct_optimal(mkspec(4, a2=4, a3=3))
     assert "open case" in err.value.reason
+
+
+def test_construct_classifies_once(monkeypatch):
+    # the package re-exports the function `classify` under the module's name
+    classify_module = importlib.import_module("orient4.classify")
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return classify(spec)
+
+    monkeypatch.setattr(build, "classify", counted)
+    monkeypatch.setattr(classify_module, "classify", counted)
+    res = construct_optimal(mkspec(4, a2=1, a3=3, a4=2))
+    assert res.case == "P312"
+    assert len(calls) == 1
 
 
 def test_construct_returns_user_labels():

@@ -156,3 +156,26 @@ def test_json_malformed(tmp_path):
     path.write_text('{"center_multiplicity": 2}')
     with pytest.raises(UsageError):
         load_spec(path)
+
+
+@pytest.mark.parametrize("value", [2.7, 2.0, True, "3", float("inf"), None])
+def test_spec_from_dict_rejects_non_integer_multiplicities(value):
+    def doc():
+        return spec_to_dict(TreeSpec(3, (BranchSpec(2, (2, 4)),
+                                         BranchSpec(5, (3,)))))
+    center, branch, leaf = doc(), doc(), doc()
+    center["center_multiplicity"] = value
+    branch["branches"][0]["multiplicity"] = value
+    leaf["branches"][1]["leaf_multiplicities"][0] = value
+    for bad in (center, branch, leaf):
+        with pytest.raises(UsageError, match="is not an integer"):
+            spec_from_dict(bad)
+
+
+def test_spec_from_dict_needs_lists():
+    doc = spec_to_dict(TreeSpec(3, (BranchSpec(2, (2,)), BranchSpec(2, (2,)))))
+    with pytest.raises(UsageError, match="leaf_multiplicities is not a list"):
+        spec_from_dict({**doc, "branches": [{"multiplicity": 2,
+                                             "leaf_multiplicities": 2}]})
+    with pytest.raises(UsageError, match="branches is not a list"):
+        spec_from_dict({**doc, "branches": {"multiplicity": 2}})
