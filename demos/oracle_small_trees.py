@@ -34,7 +34,7 @@ def main():
     report("degree-3 center, all doubled",
            TreeSpec(2, (BranchSpec(2, (2,)), BranchSpec(2, (2,)),
                         BranchSpec(2, ()))))
-    print("(the next one scans 2^25 representatives; give it ~20s)")
+    print("(the next one scans 2^25 representatives; give it a few seconds)")
     report("degree-3 center, tripled center",
            TreeSpec(3, (BranchSpec(2, (2,)), BranchSpec(2, (2,)),
                         BranchSpec(2, ()))), max_edges=26)

@@ -11,6 +11,7 @@ some ordered pair has no path, so non-strong orientations can be ranked.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -314,6 +315,7 @@ def to_edge_list(d: Orientation) -> str:
 
 def from_edge_list(spec: TreeSpec, text: str) -> Orientation:
     arcs = []
+    parse = functools.cache(VertexId.parse)   # each distinct name once
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -322,7 +324,7 @@ def from_edge_list(spec: TreeSpec, text: str) -> Orientation:
             tail, head = (part.strip() for part in line.split("->"))
         except ValueError:
             raise UsageError(f"line {lineno}: expected 'tail -> head'") from None
-        arcs.append((VertexId.parse(tail), VertexId.parse(head)))
+        arcs.append((parse(tail), parse(head)))
     return from_arcs(spec, arcs)
 
 

@@ -2,13 +2,15 @@
 
 Every one of the 2^|E| direction assignments is ranked by an integer whose
 bit j gives edge j's direction (0: as listed canonically, 1: reversed).
-Assignments are processed in rank order, vectorized with numpy bitmask
-reachability, so the reported witness is the numerically smallest optimal
-rank.  The rank space may be split into contiguous ranges and the partial
-results merged; the outcome is independent of the partitioning.
+Assignments are processed in rank order, vectorized with numpy, so the
+reported witness is the numerically smallest optimal rank.  The rank space
+may be split into contiguous ranges and the partial results merged; the
+outcome is independent of the partitioning.
 
-A cheap necessary filter (every vertex needs positive in- and out-degree to
-be strong) removes most assignments before the reachability iteration.
+A strong orientation has no source and no sink, and one compare of the
+rank bits per vertex finds them, so most ranks are rejected outright.  The
+survivors get uint32 reach sets, one per vertex (so at most 32 vertices),
+grown one step per round by pushing along each edge in its direction.
 """
 
 from __future__ import annotations
@@ -133,44 +135,40 @@ def find_bridge(n: int, edges):
 def _batch_diameters(graph: EnumGraph, ranks: np.ndarray) -> np.ndarray:
     """Exact diameter (math.inf if not strong) for each assignment rank."""
     n, edges = graph.n, graph.edges
-    a = len(ranks)
-    out = np.zeros((a, n), dtype=np.uint32)
-    inn = np.zeros((a, n), dtype=np.uint32)
-    for j, (u, v) in enumerate(edges):
-        rev = ((ranks >> j) & 1).astype(bool)
-        out[:, u] |= np.where(rev, 0, np.uint32(1) << np.uint32(v))
-        inn[:, v] |= np.where(rev, 0, np.uint32(1) << np.uint32(u))
-        out[:, v] |= np.where(rev, np.uint32(1) << np.uint32(u), 0)
-        inn[:, u] |= np.where(rev, np.uint32(1) << np.uint32(v), 0)
-
-    diam = np.full(a, math.inf)
-    alive = (out != 0).all(axis=1) & (inn != 0).all(axis=1)
+    diam = np.full(len(ranks), math.inf)
+    # v is a sink iff its edges' rank bits (mask M_v) equal S_v, every edge
+    # into v, and a source iff they equal S_v ^ M_v; M_v = 0 counts as both.
+    mask = [sum(1 << j for j, e in enumerate(edges) if v in e)
+            for v in range(n)]
+    into = [sum(1 << j for j, e in enumerate(edges) if e[0] == v)
+            for v in range(n)]
+    alive = np.ones(len(ranks), dtype=bool)
+    for m_v, s_v in zip(mask, into):
+        bits = ranks & m_v
+        alive &= (bits != s_v) & (bits != s_v ^ m_v)
     idx = np.flatnonzero(alive)
-    if idx.size == 0:
-        return diam
-
-    self_mask = (np.uint32(1) << np.arange(n, dtype=np.uint32))[None, :]
-    reach1 = out[idx] | self_mask          # reach within <= 1 step, closed
-    reach = reach1.copy()
+    # One column per surviving rank.  reach[v] holds the vertices within t
+    # steps of v; fwd[j] is all ones where edge j points u -> v (bit 0).
+    shifts = np.arange(len(edges))[:, None]
+    fwd = ((ranks[idx] >> shifts) & 1).astype(np.uint32) - np.uint32(1)
+    reach = np.repeat(np.uint32(1) << np.arange(n, dtype=np.uint32),
+                      idx.size).reshape(n, idx.size)
     full = np.uint32((1 << n) - 1)
-
-    done = (reach == full).all(axis=1)
-    diam[idx[done]] = 1.0
-    active = np.flatnonzero(~done)
-    t = 1
-    while active.size and t < n:
-        cur = reach[active]
-        step = reach1[active]
-        acc = cur.copy()
-        for x in range(n):
-            hasx = ((cur >> np.uint32(x)) & 1).astype(np.uint32)
-            acc |= hasx * step[:, x:x + 1]
+    t = 0
+    while idx.size:
+        nxt = reach.copy()
+        for (u, v), f in zip(edges, fwd):
+            nxt[u] |= reach[v] & f
+            nxt[v] |= reach[u] & ~f
         t += 1
-        reach[active] = acc
-        newly = (acc == full).all(axis=1)
-        grew = (acc != cur).any(axis=1)
-        diam[idx[active[newly]]] = float(t)
-        active = active[~newly & grew]
+        done = (nxt == full).all(axis=0)
+        diam[idx[done]] = t
+        keep = ~done & (nxt != reach).any(axis=0)
+        if not keep.all():
+            # compress keeps the rows contiguous, unlike nxt[:, keep]
+            idx = idx[keep]
+            nxt, fwd = nxt.compress(keep, axis=1), fwd.compress(keep, axis=1)
+        reach = nxt
     return diam
 
 
@@ -223,6 +221,8 @@ def _run(graph: EnumGraph, max_edges: int, symmetry: bool) -> RangeResult:
                       f"max_edges={max_edges}")
     if graph.n > 32:
         raise Refusal(f"too many vertices for the bitmask engine: {graph.n}")
+    if graph.m > 63:
+        raise Refusal(f"too many edges for int64 ranks: {graph.m}")
     bridge = find_bridge(graph.n, graph.edges)
     if bridge is not None:
         u, v = graph.edges[bridge]

@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-1. classifier-oracle agreement over every enumerable small instance
+1. classifier-oracle agreement over every enumerable small instance,
+   and on two s = 4 instances
 2. the two smallest headline instances reproduce orientation numbers 4 and 5
 3. construction regression over the reference parameter sets
 4. boundary fidelity of the threshold rules
@@ -83,6 +84,24 @@ def test_criterion_1_classifier_oracle_agreement():
     assert elapsed < 600
     print(f"\nACCEPTANCE 1 PASS: {len(specs)} instances, classifier and "
           f"oracle agree everywhere ({elapsed:.1f}s)")
+
+
+def test_criterion_1_even_center_ground_truth():
+    # the smallest s = 4 instances; the sweep above has s in {2, 3} only
+    t0 = time.perf_counter()
+    checked = []
+    for leaves, edges, strong in (((2,), 24, 531_812),
+                                  ((3,), 26, 1_094_196)):
+        spec = TreeSpec(4, (BranchSpec(2, (2,)), BranchSpec(2, leaves)))
+        assert edge_count(spec) == edges
+        assert classify(spec).verdict == "C0"
+        got = orientation_number(spec, max_edges=26, symmetry=True)
+        assert got.orientation_number == 4
+        assert diameter(got.witness) == 4
+        assert got.strong_count == strong
+        checked.append((edges, got.orientation_number))
+    print(f"\nACCEPTANCE 1 PASS (s = 4): {checked}, classifier C0, oracle "
+          f"agrees ({time.perf_counter() - t0:.1f}s)")
 
 
 # ----------------------------------------------------------------------------
@@ -332,13 +351,13 @@ def test_criterion_6_property_suite():
 
 def test_criterion_7_bipartite_closed_form():
     checked = []
-    for p in range(2, 4):
-        for q in range(p, 7):
-            if p * q > 12:
+    for p in range(2, 5):
+        for q in range(p, 11):
+            if p * q > 20:
                 continue
             want = 3 if q <= comb(p, p // 2) else 4
             got = bipartite_orientation_number(p, q).orientation_number
             assert got == want, (p, q)
             checked.append((p, q, got))
-    assert len(checked) == 7
+    assert len(checked) == 15
     print(f"\nACCEPTANCE 7 PASS: {checked}")

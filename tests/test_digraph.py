@@ -370,6 +370,15 @@ def test_edge_list_parse_errors():
         from_edge_list(spec, "c.1 b1.1\n")
     with pytest.raises(UsageError):
         from_edge_list(spec, "c.1 -> c.2\n")
+    # names repeat across lines; the line or name at fault is still named
+    good = to_edge_list(built(spec))
+    with pytest.raises(UsageError) as err:
+        from_edge_list(spec, good + "c.1 b1.1\n")
+    assert str(err.value) == \
+        f"line {len(good.splitlines()) + 1}: expected 'tail -> head'"
+    with pytest.raises(UsageError) as err:
+        from_edge_list(spec, good + "c.1 -> x.1\n")
+    assert str(err.value) == "cannot parse vertex id 'x.1'"
 
 
 def test_dot_output():
