@@ -419,14 +419,9 @@ class ConstructionResult:
 def relabel_orientation(d: Orientation, slot_to_user: tuple,
                         user_spec: TreeSpec) -> Orientation:
     """Map branch slots back to the user's original branch indices."""
-    user_to_slot = {u: j for j, u in enumerate(slot_to_user, start=1)}
-
-    def to_slot(v):
-        if v.role == "c":
-            return v
-        return type(v)(v.role, v.copy, user_to_slot[v.i], v.alpha)
-
-    return pull_back(d, user_spec, to_slot)
+    slot = {0: 0}   # the center's `tree._blocks` key has branch index 0
+    slot.update((u, j) for j, u in enumerate(slot_to_user, start=1))
+    return pull_back(d, user_spec, lambda key: (key[0], slot[key[1]], key[2]))
 
 
 def construct_optimal(spec: TreeSpec) -> ConstructionResult:

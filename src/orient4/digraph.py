@@ -4,9 +4,14 @@ An `Orientation` stores one direction bit per canonical edge of the
 multiplied graph (bit 0: as listed by `multiplied_edges`, bit 1: reversed)
 plus adjacency built from the integer index pairs of `tree.edge_pairs`;
 VertexIds are made only when a caller asks for them.  Distances count
-arcs, from int-bitset reach sets.
-`diameter` returns the distinguished value `UNREACHABLE` (math.inf) when
-some ordered pair has no path, so non-strong orientations can be ranked.
+arcs, from int-bitset reach sets.  Each orientation is swept once, on its
+twin quotient: vertices with equal out- and in-sets, read from its own
+arcs, collapse to one, and the answers expand back exactly.  Every copy
+a mimic extension adds is a false twin of its donor (Koh and Tay's
+lemma), so a lifted witness sweeps about as many classes as its core has
+vertices.  `diameter` returns the distinguished value `UNREACHABLE`
+(math.inf) when some ordered pair has no path, so non-strong orientations
+can be ranked.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import UsageError
-from .tree import (TreeSpec, VertexId, edge_count, edge_pairs, indexer,
-                   multiplied_vertices, require_valid)
+from .tree import (TreeSpec, VertexId, _blocks, edge_count, edge_pairs,
+                   indexer, multiplied_vertices, require_valid)
 
 UNREACHABLE = math.inf
 
@@ -59,6 +64,16 @@ class Orientation:
             object.__setattr__(self, "_layout_cache", cache)
         return cache
 
+    def _distances(self):
+        """(eccentricity, shortest-cycle length) lists over the vertices,
+        from one sweep of the twin quotient."""
+        cache = getattr(self, "_distance_cache", None)
+        if cache is None:
+            _, out, inn = self._layout()
+            cache = _twin_sweep(out, inn)
+            object.__setattr__(self, "_distance_cache", cache)
+        return cache
+
     @property
     def vertices(self):
         return multiplied_vertices(self.spec)
@@ -82,19 +97,25 @@ class Orientation:
 
 def from_arcs(spec: TreeSpec, arcs) -> Orientation:
     """Build an orientation from (tail, head) pairs covering every edge once."""
+    return _orient(spec, arcs, indexer(spec), lambda v: v)
+
+
+def _orient(spec: TreeSpec, arcs, index, vertex) -> Orientation:
+    """`from_arcs` on arcs whose ends are tokens: `index` maps a token to
+    its vertex index, raising UsageError for none, and `vertex` maps it to
+    the VertexId that error messages name."""
     pairs, n = edge_pairs(spec)
     pos = {}
     for j, (u, v) in enumerate(pairs):
         pos[u * n + v] = (j, 0)
         pos[v * n + u] = (j, 1)
-    index = indexer(spec)
     bits = [None] * len(pairs)
     for (t, h) in arcs:
         try:
             j, b = pos[index(t) * n + index(h)]
         except (UsageError, KeyError):
-            raise UsageError(f"arc {t}->{h} is not an edge of the multiplied "
-                             f"graph") from None
+            raise UsageError(f"arc {vertex(t)}->{vertex(h)} is not an edge of "
+                             f"the multiplied graph") from None
         if bits[j] is not None:
             verts = multiplied_vertices(spec)
             u, v = pairs[j]
@@ -158,9 +179,29 @@ def _balls(adj, src):
                     frontier.append(w)
 
 
+def _twin_sweep(out, inn):
+    """`_sweep`'s answers for every vertex, from a sweep of the quotient Q
+    whose classes are the vertices with equal (ascending) out- and in-sets.
+
+    No arc joins two twins, and two classes are joined by all arcs one way
+    or none, so x in X is d_Q(X, Y) from every y in another class Y and
+    cyc_Q(X) from its twins:  ecc(x) = max(ecc_Q(X), cyc_Q(X) if |X| >= 2),
+    and cyc(x) = cyc_Q(X)."""
+    classes = {}
+    of = [classes.setdefault(key, len(classes)) for key in zip(out, inn)]
+    size, adj = [0] * len(classes), [None] * len(classes)
+    for v, x in enumerate(of):
+        size[x] += 1
+        if adj[x] is None:
+            adj[x] = {of[w] for w in out[v]}
+    ecc_q, cyc_q = _sweep(adj)
+    ecc_x = [max(e, c) if k > 1 else e for e, c, k in zip(ecc_q, cyc_q, size)]
+    return [ecc_x[x] for x in of], [cyc_q[x] for x in of]
+
+
 def eccentricities(d: Orientation):
     """Out-eccentricity per vertex; UNREACHABLE where some vertex is missed."""
-    return _sweep(d._layout()[1])[0]
+    return list(d._distances()[0])
 
 
 def diameter(d: Orientation):
@@ -175,11 +216,8 @@ def distance(d: Orientation, u: VertexId, v: VertexId):
 
 
 def is_strong(d: Orientation) -> bool:
-    """Vertex 0 reaches everything along `out` and along `inn`: the last,
-    largest ball is full."""
-    _, out, inn = d._layout()
-    full = (1 << len(out)) - 1
-    return not out or all(max(_balls(adj, 0)) == full for adj in (out, inn))
+    """Every vertex reaches every other: no eccentricity is UNREACHABLE."""
+    return UNREACHABLE not in d._distances()[0]
 
 
 def reverse(d: Orientation) -> Orientation:
@@ -190,7 +228,7 @@ def reverse(d: Orientation) -> Orientation:
 def shortest_cycle_lengths(d: Orientation):
     """For each vertex, the length of a shortest directed cycle through it
     (UNREACHABLE if none)."""
-    return _sweep(d._layout()[1])[1]
+    return list(d._distances()[1])
 
 
 # ============================================================================
@@ -232,27 +270,19 @@ def extend_orientation(d: Orientation, target: TreeSpec, m: int) -> Orientation:
         raise ExtensionError(
             f"extension lemma inapplicable: a vertex's shortest cycle is "
             f"{worst}, exceeds {m}")
-
-    small = d.spec
-
-    def donor(v: VertexId) -> VertexId:
-        if v.role == "c":
-            old = small.s
-        elif v.role == "b":
-            old = small.branch(v.i).multiplicity
-        else:
-            old = small.branch(v.i).leaf_multiplicities[v.alpha - 1]
-        if v.copy <= old:
-            return v
-        return VertexId(v.role, (v.copy - 1) % old + 1, v.i, v.alpha)
-
-    return pull_back(d, target, donor)
+    return pull_back(d, target, lambda key: key)
 
 
-def pull_back(d: Orientation, target: TreeSpec, to_d) -> Orientation:
-    """Orient each edge (u, v) of `target` like (to_d(u), to_d(v)) in `d`."""
-    index = indexer(d.spec)
-    where = [index(to_d(v)) for v in multiplied_vertices(target)]
+def pull_back(d: Orientation, target: TreeSpec, block_of) -> Orientation:
+    """Orient each edge of `target` like its image in `d`.  `block_of` maps
+    each tree vertex of `target`, as its `tree._blocks` key, to one of
+    `d.spec`; copy x of it (counted from 0) goes to copy x mod the size of
+    that block."""
+    blocks = _blocks(d.spec)
+    where = []
+    for key, (_, size) in _blocks(target).items():
+        start, old = blocks[block_of(key)]
+        where.extend(start + x % old for x in range(size))
     n = len(d._layout()[1])
     arcs = {t * n + h for t, h in d._layout()[0]}
     return Orientation(target, tuple(int(where[u] * n + where[v] not in arcs)
@@ -324,8 +354,11 @@ def from_edge_list(spec: TreeSpec, text: str) -> Orientation:
             tail, head = (part.strip() for part in line.split("->"))
         except ValueError:
             raise UsageError(f"line {lineno}: expected 'tail -> head'") from None
-        arcs.append((parse(tail), parse(head)))
-    return from_arcs(spec, arcs)
+        parse(tail), parse(head)     # a bad name fails on its own line
+        arcs.append((tail, head))
+    index = indexer(spec)           # and each distinct name resolves once
+    return _orient(spec, arcs, functools.cache(lambda name: index(parse(name))),
+                   parse)
 
 
 def to_dot(d: Orientation) -> str:

@@ -4,14 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orient4 import digraph
 from orient4.build import construct_optimal, make_schedule, reduce, \
-    build_base_orientation
+    build_base_orientation, relabel_orientation
 from orient4.classify import classify
 from orient4.digraph import (UNREACHABLE, ExtensionError, Orientation,
                              center_in_set, center_out_set, diameter,
                              distance, eccentricities, extend_orientation,
                              from_arcs, from_edge_list, in_projection,
-                             is_strong, out_projection, reverse,
+                             is_strong, out_projection, pull_back, reverse,
                              shortest_cycle_lengths, to_dot, to_edge_list)
 from orient4.errors import UsageError
 from orient4.tree import (BranchSpec, TreeSpec, VertexId, branch_copy,
@@ -250,6 +251,108 @@ def test_reach_sets_match_reference_bfs(d):
     assert diameter(reverse(d)) == diameter(d)
 
 
+def full_sweep(adj):
+    """The sweep over every vertex that the twin quotient replaced:
+    reach[v] = {v} | S_k(v), ecc(v) the first k with reach[v] full, the
+    shortest cycle the first k with v in S_k(v)."""
+    n = len(adj)
+    full = (1 << n) - 1
+    reach = [1 << v for v in range(n)]
+    ecc, cyc = [UNREACHABLE] * n, [UNREACHABLE] * n
+    todo, k = range(n), 0
+    while todo:
+        k += 1
+        prev, left = reach[:], []
+        for v in todo:
+            walk = 0
+            for w in adj[v]:
+                walk |= prev[w]
+            if cyc[v] == UNREACHABLE and walk >> v & 1:
+                cyc[v] = k
+            reach[v] = walk | 1 << v
+            if ecc[v] == UNREACHABLE and reach[v] == full:
+                ecc[v] = k
+            if ecc[v] == UNREACHABLE or cyc[v] == UNREACHABLE:
+                left.append(v)
+        todo = left if reach != prev else ()
+    return ecc, cyc
+
+
+grown_leafy = st.builds(BranchSpec, st.integers(2, 4),
+                        st.lists(st.integers(2, 5), min_size=1, max_size=2))
+grown_bare = st.builds(BranchSpec, st.integers(2, 4))
+grown_specs = st.builds(lambda s, a, b, e: TreeSpec(s, (a, b, *e)),
+                        st.integers(2, 4), grown_leafy, grown_leafy,
+                        st.lists(grown_bare, max_size=1))
+
+
+@st.composite
+def twin_orientations(draw):
+    """A lifted diameter-4 witness, whose copies beyond the core are twins,
+    with up to three arcs flipped to split classes, or random bits; then
+    maybe every center edge of one branch turned one way, which can leave
+    every vertex on a cycle yet split the digraph into two components."""
+    spec = draw(grown_specs)
+    m = len(edge_pairs(spec)[0])
+    if classify(spec).verdict == "C0" and draw(st.booleans()):
+        bits = list(construct_optimal(spec).orientation.bits)
+        for j in draw(st.lists(st.integers(0, m - 1), max_size=3)):
+            bits[j] ^= 1
+    else:
+        bits = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, spec.deg_c - 1))
+        start = spec.s * sum(b.multiplicity for b in spec.branches[:i])
+        way = draw(st.integers(0, 1))
+        for j in range(start, start + spec.s * spec.branches[i].multiplicity):
+            bits[j] = way
+    return Orientation(spec, tuple(bits))
+
+
+@settings(max_examples=200, deadline=None)
+@given(twin_orientations())
+def test_quotient_sweep_matches_full_sweep(d):
+    ecc, cyc = full_sweep(d._layout()[1])
+    assert eccentricities(d) == ecc
+    assert shortest_cycle_lengths(d) == cyc
+    assert diameter(d) == max(ecc)
+    assert is_strong(d) == (UNREACHABLE not in ecc)
+
+
+def test_quotient_of_arc_free_and_one_vertex_graphs():
+    # two isolated vertices are one class; neither reaches the other
+    assert digraph._twin_sweep(((), ()), ((), ())) == full_sweep([(), ()])
+    assert digraph._twin_sweep(((),), ((),)) == full_sweep([()])
+
+
+def test_strong_needs_one_component_not_cycles_everywhere():
+    # c.1 -> b1.1 -> c.2 -> b1.2 -> c.1 and each branch with its leaf
+    # copies are 4-cycles, but every center edge of branch 2 points away
+    # from the center: two strong components
+    spec = p5_all2()
+    d = Orientation(spec, (0, 1, 1, 0) + (0, 0, 0, 0) + (0, 1, 1, 0) * 2)
+    assert shortest_cycle_lengths(d) == [4] * len(d.vertices)
+    assert not is_strong(d)
+    assert diameter(d) == UNREACHABLE == max(full_sweep(d._layout()[1])[0])
+
+
+def test_each_orientation_is_swept_once(monkeypatch):
+    bits = built(fig22_spec()).bits
+    calls = []
+    sweep = digraph._sweep
+    monkeypatch.setattr(digraph, "_sweep",
+                        lambda adj: calls.append(len(adj)) or sweep(adj))
+    d = Orientation(fig22_spec(), bits)
+    for _ in range(2):
+        eccentricities(d)
+        shortest_cycle_lengths(d)
+        diameter(d)
+        is_strong(d)
+    assert len(calls) == 1
+    again = Orientation(fig22_spec(), bits)
+    assert diameter(again) == diameter(d) and len(calls) == 2
+
+
 # ----------------------------------------------------------------------------
 # extension
 # ----------------------------------------------------------------------------
@@ -309,6 +412,85 @@ def test_extend_requires_short_cycles():
     # a generous bound accepts it again
     big = extend_orientation(found, spec, 16)
     assert big.bits == found.bits
+
+
+def reference_pull_back(d, target, to_d):
+    """Bits of `target` oriented like (to_d(u), to_d(v)) in `d`: the
+    VertexId pull-back that the integer one replaced."""
+    index = indexer(d.spec)
+    where = [index(to_d(v)) for v in multiplied_vertices(target)]
+    n = len(d.vertices)
+    arcs = {index(t) * n + index(h) for t, h in d.arcs()}
+    return tuple(int(where[u] * n + where[v] not in arcs)
+                 for u, v in edge_pairs(target)[0])
+
+
+def reference_donor(small):
+    """Copy y of a vertex mimics copy (y - 1) mod old + 1 in `small`."""
+    def donor(v):
+        if v.role == "c":
+            old = small.s
+        elif v.role == "b":
+            old = small.branch(v.i).multiplicity
+        else:
+            old = small.branch(v.i).leaf_multiplicities[v.alpha - 1]
+        if v.copy <= old:
+            return v
+        return VertexId(v.role, (v.copy - 1) % old + 1, v.i, v.alpha)
+    return donor
+
+
+def reference_to_slot(slot_to_user):
+    user_to_slot = {u: j for j, u in enumerate(slot_to_user, start=1)}
+
+    def to_slot(v):
+        if v.role == "c":
+            return v
+        return VertexId(v.role, v.copy, user_to_slot[v.i], v.alpha)
+    return to_slot
+
+
+@st.composite
+def grown(draw, spec):
+    more = st.integers(0, 3)
+    return TreeSpec(spec.s + draw(more), tuple(
+        BranchSpec(b.multiplicity + draw(more),
+                   tuple(lm + draw(more) for lm in b.leaf_multiplicities))
+        for b in spec.branches))
+
+
+@settings(max_examples=100, deadline=None)
+@given(orientations(), st.data())
+def test_pull_back_matches_vertex_id_donors(d, data):
+    target = data.draw(grown(d.spec))
+    expected = reference_pull_back(d, target, reference_donor(d.spec))
+    assert pull_back(d, target, lambda key: key).bits == expected
+    if is_strong(d) and max(shortest_cycle_lengths(d)) <= 4:
+        assert extend_orientation(d, target, 4).bits == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_specs.filter(lambda spec: classify(spec).verdict == "C0"),
+       st.data())
+def test_extend_matches_vertex_id_donors_on_witnesses(spec, data):
+    d = built(spec)
+    target = data.draw(grown(spec))
+    assert extend_orientation(d, target, 4).bits == \
+        reference_pull_back(d, target, reference_donor(spec))
+
+
+@settings(max_examples=50, deadline=None)
+@given(valid_specs, st.data())
+def test_relabel_matches_vertex_id_slots(spec, data):
+    m = len(edge_pairs(spec)[0])
+    d = Orientation(spec, tuple(data.draw(
+        st.lists(st.integers(0, 1), min_size=m, max_size=m))))
+    slot_to_user = tuple(data.draw(st.permutations(
+        range(1, spec.deg_c + 1))))
+    by_user = sorted(zip(slot_to_user, spec.branches), key=lambda p: p[0])
+    user_spec = TreeSpec(spec.s, tuple(b for _, b in by_user))
+    assert relabel_orientation(d, slot_to_user, user_spec).bits == \
+        reference_pull_back(d, user_spec, reference_to_slot(slot_to_user))
 
 
 # ----------------------------------------------------------------------------
