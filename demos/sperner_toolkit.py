@@ -11,19 +11,18 @@ Run:  python demos/sperner_toolkit.py
 
 from math import comb
 
-from orient4 import (first_m, kappa, kappa_star, last_m, shade, shadow,
-                     shadow_size_kkt, squashed_level)
+from orient4 import (first_m, kappa, kappa_star, last_m, members, shade,
+                     shadow, shadow_size_kkt, squashed_level)
 
 
 def show(family):
-    return " ".join("".join(str(x) for x in s.sorted_members())
-                    for s in family)
+    """Sets are int masks (bit i-1 for member i); print each as digits."""
+    return " ".join("".join(map(str, members(s))) for s in family)
 
 
 def main():
     print("== The 3-subsets of {1..5} in squashed order ==")
-    level = squashed_level(5, 3)
-    print(" ".join("".join(map(str, sorted(f))) for f in level))
+    print(show(squashed_level(5, 3)))
     print()
 
     print("== Initial segments minimize the shadow ==")
@@ -36,10 +35,9 @@ def main():
     print("== Final segments mirror that for the shade ==")
     tail = last_m(6, 3, 13)
     print(f"last 13 sets of the (6,3) level: {show(tail)}")
-    grown = {s.members for s in shade(tail)}
+    grown = set(shade(tail, 6))
     missing = [f for f in squashed_level(6, 4) if f not in grown]
-    print("4-sets their shade misses:",
-          " ".join("".join(map(str, sorted(f))) for f in missing))
+    print("4-sets their shade misses:", show(missing))
     print()
 
     print("== Deficiency kappa = |shadow| - family size ==")

@@ -15,16 +15,13 @@ from .classify import (Classification, GapDetail, classify, half_binom,
 from .digraph import (UNREACHABLE, Orientation, center_in_set,
                       center_out_set, diameter, distance, eccentricities,
                       extend_orientation, from_arcs, from_edge_list,
-                      in_projection, is_strong, out_projection, reverse,
-                      to_dot, to_edge_list)
+                      is_strong, reverse, to_dot, to_edge_list)
 from .errors import ConstructionError, Refusal, UsageError
 from .oracle import (OracleResult, bipartite_orientation_number,
                      orientation_number)
-from .sperner import (Family, KSubset, family_of, first_m, is_antichain,
-                      is_cross_intersecting, disjoint_pair_matching, kappa,
-                      kappa_star, last_m, shade, shadow, shadow_size_kkt,
-                      squashed_compare, squashed_level, squashed_rank,
-                      squashed_unrank)
+from .sperner import (first_m, is_antichain, kappa, kappa_star, last_m,
+                      level_size, members, shade, shadow, shadow_size_kkt,
+                      squashed_level)
 from .tree import (BranchSpec, NeighborPartition, TreeSpec, VertexId,
                    branch_copy, center, leaf_copy, load_spec,
                    multiplied_edges, multiplied_vertices, partition,

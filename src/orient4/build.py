@@ -14,11 +14,17 @@ block a leaf pattern and one row per slot, the center in-set of every
 branch copy, read off one level of the set schedule in order;
 `build_base_orientation` walks the rows once, numbering the slots.
 Outputs are relabelled to the caller's original branch indices.
+
+Center sets are int masks (bit x-1 for copy x), so squashed order is
+integer order and complement, which reverses it, is one xor.  Each
+schedule sequence is a generator that a recipe reads only as far as it
+needs, so a core costs O(deg_c + s) sets, not a whole half-set level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import comb
 
 from .classify import (C0, Classification, case_for, classify, half_binom,
@@ -35,83 +41,108 @@ from .tree import (BranchSpec, TreeSpec, branch_copy, center, leaf_copy,
 # Set schedules
 # ============================================================================
 
+def cyclic_half_sets(s: int) -> list:
+    """The s consecutive-cyclic ceil(s/2)-subsets of {1..s}; set i starts
+    at copy i+1."""
+    h, full = (s + 1) // 2, (1 << s) - 1
+    low = (1 << h) - 1
+    return [(low << i | low >> (s - i)) & full for i in range(s)]
+
+
+def _without(level, skip):
+    skip = set(skip)
+    return (x for x in level if x not in skip)
+
+
 @dataclass(frozen=True)
 class SetSchedule:
     """Ordered center-subset sequences consumed by the slot recipes.
 
-    `lam` lists ceil(s/2)-subsets of {1..s}: the first s are the
-    consecutive-cyclic ones (lam[i] starts at copy i+1), the rest are the
-    remaining level in squashed order.  `mu`, `gamma` and `psi` are only
-    populated for the recipes that need them.
+    Each sequence orders one whole level of subsets of {1..s} (masks, as
+    in `sperner`) and is generated lazily, so a recipe pays only for the
+    prefix it reads.  A case that does not use a sequence reads it empty.
+    `lam` is defined for every case; `psi` for P39 and P312, `mu` for
+    P312 and P43_D3, `gamma` for P43_D3.
     """
 
     s: int
-    lam: tuple = ()
-    psi: tuple = ()
-    mu: tuple = ()
-    gamma: tuple = ()
+    case: str
 
+    def lam(self):
+        """The ceil(s/2)-sets: the s consecutive-cyclic ones (lam[i] starts
+        at copy i+1), then the rest of the level in squashed order."""
+        cyc = cyclic_half_sets(self.s)
+        yield from cyc
+        yield from _without(squashed_level(self.s, (self.s + 1) // 2), cyc)
 
-def cyclic_half_sets(s: int) -> list:
-    """The s consecutive-cyclic ceil(s/2)-subsets of {1..s}."""
-    h = (s + 1) // 2
-    return [frozenset((i + j) % s + 1 for j in range(h)) for i in range(s)]
+    def lam_last(self) -> int:
+        """The last set of `lam`.  Complement reverses squashed order, so
+        the level read backwards is the complements of level
+        (s, floor(s/2)) in order; the first that is not cyclic (for s <= 3
+        every set is)."""
+        cyc = cyclic_half_sets(self.s)
+        full = (1 << self.s) - 1
+        back = (full ^ x for x in squashed_level(self.s, self.s // 2))
+        return next(_without(back, cyc), cyc[-1])
 
+    def psi(self):
+        """P39 and P312: the (floor(s/2)+1)-sets in squashed order.  For
+        P312 the outlets must avoid the shade of the last k half-sets; that
+        shade is a final segment of this level (complement turns it into
+        the shadow of an initial segment, Kruskal-Katona), so the sets
+        outside it come first and `_feasible_split` keeps the outlets
+        among them."""
+        if self.case in ("P39", "P312"):
+            yield from squashed_level(self.s, self.s // 2 + 1)
 
-def _lam_sequence(s: int) -> tuple:
-    cyc = cyclic_half_sets(s)
-    used = set(cyc)
-    rest = [f for f in squashed_level(s, (s + 1) // 2) if f not in used]
-    return tuple(cyc + rest)
+    def mu(self):
+        """P312: the half-sets in squashed order.  P43_D3: the supersets
+        of the pivot {1..floor(s/2)}, then the rest of the level."""
+        s = self.s
+        if self.case == "P312":
+            yield from squashed_level(s, s // 2)
+        elif self.case == "P43_D3":
+            low = (1 << s // 2) - 1
+            supersets = [low | 1 << x for x in range(s // 2, s)]
+            yield from supersets
+            yield from _without(squashed_level(s, (s + 1) // 2), supersets)
+
+    def gamma(self):
+        """P43_D3: the ceil(s/2)-sets meeting the pivot {1..floor(s/2)} in
+        one copy a, in squashed order (the missing high copy b from s
+        down, then a upwards), then the rest of the level; the last set
+        is the complement of the pivot."""
+        if self.case != "P43_D3":
+            return
+        s, lo = self.s, self.s // 2
+        low, high = (1 << lo) - 1, (1 << s) - (1 << lo)
+        yield from (high ^ 1 << b | 1 << a
+                    for b in range(s - 1, lo - 1, -1) for a in range(lo))
+        yield from (f for f in squashed_level(s, (s + 1) // 2)
+                    if (f & low).bit_count() != 1)
 
 
 def make_schedule(s: int, case: str, k: int | None = None) -> SetSchedule:
     """Deterministic schedule for a construction case.
 
-    `k` is accepted only for the mixed even-multiplicity recipe (P312), where
-    it fixes how many half-sets are reserved for the 2-copy block.
+    `k` is required exactly for the mixed even-multiplicity recipe (P312),
+    where it fixes how many half-sets are reserved for the 2-copy block.
+    It is range-checked here; the order of the sets does not depend on it
+    (see `SetSchedule.psi`).
     """
     if s < 2:
         raise UsageError(f"center multiplicity {s} < 2")
     if (k is not None) != (case == "P312"):
         raise UsageError("k must be supplied exactly for case P312")
-
     if case == "P312":
         if s % 2 != 0 or s < 4:
             raise UsageError("P312 schedule needs even s >= 4")
         c = comb(s, s // 2)
         if not 1 <= k <= c - 1:
             raise UsageError(f"k={k} outside 1..{c - 1}")
-        mu = tuple(squashed_level(s, s // 2))
-        # the last k half-sets; supersets of any of them are unusable outlets
-        tail = set(mu[c - k:])
-        shade_of_tail = {y for y in squashed_level(s, s // 2 + 1)
-                         if any(x <= y for x in tail)}
-        level_up = squashed_level(s, s // 2 + 1)
-        psi = tuple([y for y in level_up if y not in shade_of_tail]
-                    + [y for y in level_up if y in shade_of_tail])
-        return SetSchedule(s, lam=_lam_sequence(s), psi=psi, mu=mu)
-
-    if case == "P43_D3":
-        if s % 2 == 0 or s < 5:
-            raise UsageError("P43_D3 schedule needs odd s >= 5")
-        low = frozenset(range(1, s // 2 + 1))
-        level = squashed_level(s, (s + 1) // 2)
-        touch_one = [f for f in level if len(f & low) == 1]
-        supersets = [f for f in level if low < f]
-        low_bar = frozenset(range(1, s + 1)) - low
-        gamma_mid = [f for f in level
-                     if f not in set(touch_one) and f != low_bar]
-        gamma = tuple(touch_one + gamma_mid + [low_bar])
-        mu_rest = [f for f in level if f not in set(supersets)]
-        mu = tuple(supersets + mu_rest)
-        return SetSchedule(s, lam=_lam_sequence(s), mu=mu, gamma=gamma)
-
-    if case == "P39":
-        psi = tuple(squashed_level(s, s // 2 + 1))
-        return SetSchedule(s, lam=_lam_sequence(s), psi=psi)
-
-    return SetSchedule(s, lam=_lam_sequence(s))
+    if case == "P43_D3" and (s % 2 == 0 or s < 5):
+        raise UsageError("P43_D3 schedule needs odd s >= 5")
+    return SetSchedule(s, case)
 
 
 # ============================================================================
@@ -274,16 +305,16 @@ def _slot_blocks(case, rspec, sched):
     """The case's core as (leaf pattern, rows) blocks in slot order.  A row
     is one slot: the center in-set of each of its branch copies."""
     s = rspec.h_spec.s
-    ground = frozenset(range(1, s + 1))
+    full = (1 << s) - 1
 
     def comp(f):
-        return ground - f
+        return full & ~f
 
     n2, n_e = rspec.n_a2, rspec.n_e
 
     if case == "P34":
-        return [(FOUR_C4_P34, [({2}, {2}, {1}, {1})] * rspec.n_a4),
-                (LEAFLESS, [({2}, {2})] * n_e)]
+        return [(FOUR_C4_P34, [(0b10, 0b10, 0b01, 0b01)] * rspec.n_a4),
+                (LEAFLESS, [(0b10, 0b10)] * n_e)]
 
     if case in P35_FAMILY:
         if case == "Thm16a":
@@ -298,46 +329,49 @@ def _slot_blocks(case, rspec, sched):
         if variant == "D1":
             # each of the first n2-1 slots drains into its own center copy;
             # the last slot drains into all remaining copies
-            ins = ([comp({j}) for j in range(1, n2)]
-                   + [ground - set(range(n2, s + 1))])
+            ins = ([comp(1 << j) for j in range(n2 - 1)]
+                   + [full >> max(s + 1 - n2, 0)])   # copies 1..n2-1
         elif variant == "D2":
-            ins = [comp({j}) for j in range(1, n2 + 1)]
+            ins = [comp(1 << j) for j in range(n2)]
         else:  # D3 / D4
-            ins = sched.lam[:n2]
-        e_in = (frozenset(range(1, n2 + 1)) if variant == "D2"
-                else sched.lam[-1])
+            ins = list(islice(sched.lam(), n2))
+        e_in = (full & (1 << n2) - 1 if variant == "D2"
+                else sched.lam_last())
         return [(C4_WITHIN, [(x, x) for x in ins]),
                 (LEAFLESS, [(e_in, e_in)] * n_e)]
 
     if case == "P43_D3":
-        mu, gamma = sched.mu, sched.gamma
-        hub = gamma[-1]  # the copies outside the pivot {1..floor(s/2)}
-        n_bo = rspec.n_bo
+        n_bo, n_bi = rspec.n_bo, rspec.n_bi
+        mu = list(islice(sched.mu(), n2 + n_bo))
+        gamma = list(islice(sched.gamma(), n2 + n_bi))
+        hub = comp((1 << s // 2) - 1)  # gamma's last set: outside the pivot
         return [(TWO_IN_ONE_OUT, [(comp(m), g) for m, g in
                                   zip(mu[:n2], gamma[:n2])]),
                 (THREE_SPLIT_OUT, [(hub, comp(m), comp(m))
-                                   for m in mu[n2:n2 + n_bo]]),
-                (THREE_SPLIT_IN, [(hub, g, g)
-                                  for g in gamma[n2:n2 + rspec.n_bi]]),
+                                   for m in mu[n2:]]),
+                (THREE_SPLIT_IN, [(hub, g, g) for g in gamma[n2:]]),
                 (LEAFLESS, [(hub, hub)] * n_e)]
 
     if case == "P43_D1":  # exactly one 3-copy slot, an outlet
-        first = sched.lam[0]
+        first, *rest = islice(sched.lam(), n2 + 1)
         return [(THREE_SPLIT_OUT, [(first, comp(first), comp(first))]),
-                (TWO_IN_ONE_OUT, [(comp(x), x) for x in sched.lam[1:n2 + 1]]),
+                (TWO_IN_ONE_OUT, [(comp(x), x) for x in rest]),
                 (LEAFLESS, [(first, first)] * n_e)]
 
     if case not in MIXED:
         raise UsageError(f"unknown construction case {case!r}")
     # One level of half-sets read in order (P312: mu; the others: lam).
-    # `first` and its complement orient the 3- and 4-copy slots; the 2-copy
-    # slots take the next sets of the level, then the inlets.
-    level = sched.mu if case == "P312" else sched.lam
-    first, second = level[0], comp(level[0])
-    rest = [f for f in level if f not in (first, second)]
-    even = s % 2 == 0
-    outlet_in = sched.psi if even else rest[n2:]
+    # `first` and its complement orient the 3- and 4-copy slots; the rest
+    # of the level goes to the 2-copy slots, then the inlets.  For odd s
+    # the outlets read the sets the inlets read; for even s, `psi`.
+    level = sched.mu() if case == "P312" else sched.lam()
+    first = next(level)
+    second = comp(first)
     n_bi, n_bo = rspec.n_bi, rspec.n_bo
+    rest = list(islice((f for f in level if f != second),
+                       n2 + max(n_bi, n_bo)))
+    even = s % 2 == 0
+    outlet_in = list(islice(sched.psi(), n_bo)) if even else rest[n2:]
     return [(C4_WITHIN if even else TWO_IN_ONE_OUT,
              [(x, x) if even else (comp(x), x) for x in rest[:n2]]),
             (THREE_SINK, [(second, first, x) for x in rest[n2:n2 + n_bi]]),
@@ -352,7 +386,7 @@ def _center_split(arcs, s, slot, copy, in_set):
     out to its complement."""
     b = branch_copy(slot, copy)
     for x in range(1, s + 1):
-        if x in in_set:
+        if in_set >> x - 1 & 1:
             arcs.append((center(x), b))
         else:
             arcs.append((b, center(x)))

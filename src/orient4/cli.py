@@ -12,6 +12,8 @@ import functools
 import json
 import sys
 import time
+from itertools import islice
+from math import comb
 
 from . import build, digraph, oracle, sperner, tree
 from .classify import classify as classify_spec
@@ -28,6 +30,9 @@ MAX_EDGES = 100_000
 # center multiplicity every spec command accepts: threshold notes print
 # C(s, ceil(s/2)), which stays under Python's 4,300-digit int-to-str limit
 MAX_CENTER = 10_000
+# sets a `sperner` tool enumerates, and sets `--explain` prints per
+# schedule sequence: every level up to s = 19 fits
+MAX_SETS = 100_000
 
 
 def _print_json(doc):
@@ -123,12 +128,17 @@ def cmd_construct(args):
 
 
 def _fmt_set(f):
-    return "{" + ",".join(str(x) for x in sorted(f)) + "}"
+    return "{" + ",".join(map(str, sperner.members(f))) + "}"
+
+
+# --explain keys of the schedule sequences, each read by name
+EXPLAINED = (("half_sets", "lam"), ("up_sets", "psi"), ("mu_sets", "mu"),
+             ("gamma_sets", "gamma"))
 
 
 def _explain_doc(result):
     sched = result.schedule
-    return {
+    doc = {
         "case": result.case,
         "slot_to_user_branch": list(result.reduced.slot_to_user),
         "core_multiplicities": {
@@ -144,11 +154,16 @@ def _explain_doc(result):
             "leafless": result.reduced.n_e,
         },
         "k": result.reduced.k,
-        "half_sets": [_fmt_set(f) for f in sched.lam],
-        "up_sets": [_fmt_set(f) for f in sched.psi],
-        "mu_sets": [_fmt_set(f) for f in sched.mu],
-        "gamma_sets": [_fmt_set(f) for f in sched.gamma],
     }
+    for key, name in EXPLAINED:
+        # each sequence orders a whole level, so its length is a binomial
+        head = list(islice(getattr(sched, name)(), MAX_SETS))
+        doc[key] = [_fmt_set(f) for f in head]
+        if len(head) == MAX_SETS:
+            more = comb(sched.s, head[0].bit_count()) - MAX_SETS
+            if more:
+                doc[f"{key}_more"] = more
+    return doc
 
 
 def _print_explain(result):
@@ -161,9 +176,11 @@ def _print_explain(result):
     print(f"# blocks: {doc['block_sizes']}")
     if doc["k"] is not None:
         print(f"# split k: {doc['k']}")
-    for key in ("half_sets", "up_sets", "mu_sets", "gamma_sets"):
+    for key, _ in EXPLAINED:
         if doc[key]:
-            print(f"# {key}: {' '.join(doc[key])}")
+            more = doc.get(f"{key}_more")
+            tail = f" ... and {more} more" if more else ""
+            print(f"# {key}: {' '.join(doc[key])}{tail}")
 
 
 # ============================================================================
@@ -228,8 +245,20 @@ def cmd_oracle(args):
 # sperner
 # ============================================================================
 
+def _digits(f):
+    return "".join(map(str, sperner.members(f)))
+
+
+def _enumerable(count):
+    """Refuse, before anything is enumerated, more than MAX_SETS sets."""
+    if count > MAX_SETS:
+        raise Refusal(f"{count} sets exceed the bound {MAX_SETS}")
+
+
 def cmd_sperner(args):
     if args.tool == "kappa":
+        sperner.level_size(args.n, args.r, args.m)
+        _enumerable(args.m)
         value = sperner.kappa(args.n, args.r, args.m)
         if args.json:
             _print_json({"kappa": value,
@@ -238,22 +267,23 @@ def cmd_sperner(args):
         else:
             print(value)
     elif args.tool == "shadow":
-        fam = sperner.first_m(args.n, args.k, args.m)
-        sh = sperner.shadow(fam)
+        sperner.level_size(args.n, args.k, args.m)
+        _enumerable(args.m)
+        sh = sperner.shadow(sperner.first_m(args.n, args.k, args.m))
         cascade = sperner.shadow_size_kkt(args.n, args.k, args.m)
         if args.json:
             _print_json({"shadow_size": len(sh), "cascade_size": cascade,
-                         "shadow": [sorted(s.members) for s in sh]})
+                         "shadow": [list(sperner.members(s)) for s in sh]})
         else:
             print(f"|shadow| = {len(sh)} (cascade formula: {cascade})")
-            print(" ".join("".join(map(str, s.sorted_members())) for s in sh))
+            print(" ".join(map(_digits, sh)))
     elif args.tool == "squashed":
+        _enumerable(sperner.level_size(args.n, args.k))
         level = sperner.squashed_level(args.n, args.k)
         if args.json:
-            _print_json({"level": [sorted(s) for s in level]})
+            _print_json({"level": [list(sperner.members(s)) for s in level]})
         else:
-            print(" ".join("".join(str(x) for x in sorted(s))
-                           for s in level))
+            print(" ".join(map(_digits, level)))
     return EXIT_OK
 
 

@@ -86,14 +86,6 @@ class Orientation:
         verts = self.vertices
         return [(verts[t], verts[h]) for t, h in self._layout()[0]]
 
-    def out_neighbors(self, v: VertexId):
-        verts = self.vertices
-        return [verts[i] for i in self._layout()[1][self.vertex_index(v)]]
-
-    def in_neighbors(self, v: VertexId):
-        verts = self.vertices
-        return [verts[i] for i in self._layout()[2][self.vertex_index(v)]]
-
 
 def from_arcs(spec: TreeSpec, arcs) -> Orientation:
     """Build an orientation from (tail, head) pairs covering every edge once."""
@@ -290,46 +282,25 @@ def pull_back(d: Orientation, target: TreeSpec, block_of) -> Orientation:
 
 
 # ============================================================================
-# Projections toward an adjacent role class
+# Center in- and out-sets
 # ============================================================================
 
-def _toward_vertices(d: Orientation, v: VertexId, toward: VertexId):
-    """All copies of the `toward` role if it is adjacent to v's role."""
-    spec = d.spec
-    if v.role == "b" and toward.role == "c":
-        return [VertexId("c", x) for x in range(1, spec.s + 1)]
-    if v.role == "c" and toward.role == "b":
-        mult = spec.branch(toward.i).multiplicity
-        return [VertexId("b", x, toward.i) for x in range(1, mult + 1)]
-    if v.role == "l" and toward.role == "b" and toward.i == v.i:
-        mult = spec.branch(v.i).multiplicity
-        return [VertexId("b", x, v.i) for x in range(1, mult + 1)]
-    if v.role == "b" and toward.role == "l" and toward.i == v.i:
-        lm = spec.branch(v.i).leaf_multiplicities[toward.alpha - 1]
-        return [VertexId("l", x, v.i, toward.alpha) for x in range(1, lm + 1)]
-    raise UsageError(f"roles of {v} and {toward} are not adjacent")
+def center_out_set(d: Orientation, v: VertexId) -> int:
+    """The center copies branch copy v points to, as a mask (bit x-1 for
+    copy x, as in `sperner`)."""
+    return _center_mask(d, v, d._layout()[1])
 
 
-def out_projection(d: Orientation, v: VertexId, toward: VertexId) -> frozenset:
-    """Out-neighbors of v among the copies of the `toward` role."""
-    cand = set(_toward_vertices(d, v, toward))
-    return frozenset(w for w in d.out_neighbors(v) if w in cand)
+def center_in_set(d: Orientation, v: VertexId) -> int:
+    """The center copies that point to branch copy v, as a mask."""
+    return _center_mask(d, v, d._layout()[2])
 
 
-def in_projection(d: Orientation, v: VertexId, toward: VertexId) -> frozenset:
-    """In-neighbors of v among the copies of the `toward` role."""
-    cand = set(_toward_vertices(d, v, toward))
-    return frozenset(w for w in d.in_neighbors(v) if w in cand)
-
-
-def center_out_set(d: Orientation, v: VertexId) -> frozenset:
-    """Center copy indices that v points to."""
-    return frozenset(w.copy for w in out_projection(d, v, VertexId("c", 1)))
-
-
-def center_in_set(d: Orientation, v: VertexId) -> frozenset:
-    """Center copy indices that point to v."""
-    return frozenset(w.copy for w in in_projection(d, v, VertexId("c", 1)))
+def _center_mask(d, v, adjacency):
+    if v.role != "b":
+        raise UsageError(f"{v} is not a branch copy")
+    s = d.spec.s   # the center copies are vertices 0..s-1 of the layout
+    return sum(1 << w for w in adjacency[d.vertex_index(v)] if w < s)
 
 
 # ============================================================================

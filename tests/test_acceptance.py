@@ -22,7 +22,8 @@ from orient4.digraph import (diameter, distance, extend_orientation,
                              is_strong, reverse, shortest_cycle_lengths)
 from orient4.errors import ConstructionError
 from orient4.oracle import bipartite_orientation_number, orientation_number
-from orient4.sperner import first_m, kappa, last_m, shade, shadow_size_kkt
+from orient4.sperner import (first_m, kappa, last_m, members, shade,
+                             shadow_size_kkt)
 from orient4.tree import (BranchSpec, TreeSpec, branch_copy, center,
                           edge_count, leaf_copy, validate)
 
@@ -215,11 +216,11 @@ def test_criterion_5_sperner_toolkit():
     t0 = time.perf_counter()
     # pinned values around the reordered-up-set reference point
     assert kappa(6, 3, 13) == 0
-    tail = [s.sorted_members() for s in last_m(6, 3, 13)]
+    tail = [members(s) for s in last_m(6, 3, 13)]
     assert tail == [(1, 4, 5), (2, 4, 5), (3, 4, 5), (1, 2, 6), (1, 3, 6),
                     (2, 3, 6), (1, 4, 6), (2, 4, 6), (3, 4, 6), (1, 5, 6),
                     (2, 5, 6), (3, 5, 6), (4, 5, 6)]
-    grown = {s.members for s in shade(last_m(6, 3, 13))}
+    grown = {frozenset(members(s)) for s in shade(last_m(6, 3, 13), 6)}
     level4 = {frozenset(c) for c in itertools.combinations(range(1, 7), 4)}
     assert level4 - grown == {frozenset({1, 2, 3, 4}), frozenset({1, 2, 3, 5})}
 
@@ -227,7 +228,7 @@ def test_criterion_5_sperner_toolkit():
     for n in range(1, 8):
         for k in range(1, n + 1):
             for m in range(comb(n, k) + 1):
-                fam = [s.members for s in first_m(n, k, m)]
+                fam = [members(s) for s in first_m(n, k, m)]
                 assert shadow_size_kkt(n, k, m) == len(brute_shadow(fam))
 
     # maximum |A|+|B| over cross-intersecting antichain pairs by exhaustion

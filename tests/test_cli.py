@@ -1,6 +1,11 @@
 """CLI surface: exit codes, formats, and round trips."""
 
+import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -226,6 +231,83 @@ def test_sperner_subcommands(capsys):
     assert out[:4] == ["123", "124", "134", "234"]
     assert main(["sperner", "shadow", "--n", "5", "--k", "3", "--m", "4"]) == 0
     assert "|shadow| = 6" in capsys.readouterr().out
+
+
+def _json_text(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+LEVEL_5_3 = [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4], [1, 2, 5],
+             [1, 3, 5], [2, 3, 5], [1, 4, 5], [2, 4, 5], [3, 4, 5]]
+SHADOW_OF_FIRST_4 = [[1, 2], [1, 3], [2, 3], [1, 4], [2, 4], [3, 4]]
+
+SPERNER_STDOUT = [
+    ("kappa --n 6 --r 3 --m 13", "0\n"),
+    ("kappa --n 6 --r 3 --m 13 --json",
+     _json_text({"kappa": 0, "kappa_star": 0})),
+    ("kappa --n 6 --r 3 --m 17 --json",
+     _json_text({"kappa": -2, "kappa_star": -2})),
+    ("squashed --n 5 --k 3",
+     "123 124 134 234 125 135 235 145 245 345\n"),
+    ("squashed --n 5 --k 3 --json", _json_text({"level": LEVEL_5_3})),
+    ("shadow --n 5 --k 3 --m 4",
+     "|shadow| = 6 (cascade formula: 6)\n12 13 23 14 24 34\n"),
+    ("shadow --n 5 --k 3 --m 4 --json",
+     _json_text({"cascade_size": 6, "shadow": SHADOW_OF_FIRST_4,
+                 "shadow_size": 6})),
+]
+
+
+@pytest.mark.parametrize("argv,stdout", SPERNER_STDOUT,
+                         ids=[a for a, _ in SPERNER_STDOUT])
+def test_sperner_stdout_is_pinned(capsys, argv, stdout):
+    assert main(["sperner"] + argv.split()) == 0
+    assert capsys.readouterr().out == stdout
+
+
+@pytest.mark.parametrize("argv", ["squashed --n -1 --k 0",
+                                  "squashed --n 3 --k 5",
+                                  "shadow --n 3 --k 5 --m 1",
+                                  "kappa --n -2 --r 1 --m 0"])
+def test_sperner_invalid_level_exits_two(capsys, argv):
+    n, k = argv.split()[2], argv.split()[4]
+    assert main(["sperner"] + argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: invalid level n={n}, k={k}\n"
+
+
+def _no_enumeration(*args):
+    raise AssertionError("enumeration started")
+
+
+@pytest.mark.parametrize("argv", [
+    "squashed --n 30 --k 15",
+    "squashed --n 30 --k 15 --json",
+    "kappa --n 40 --r 20 --m 1000000000 --json",
+    "kappa --n 40 --r 20 --m 100001",
+    "shadow --n 40 --k 20 --m 100001",
+])
+def test_sperner_refuses_more_than_max_sets(capsys, monkeypatch, argv):
+    for name in ("squashed_level", "first_m", "kappa", "kappa_star",
+                 "shadow", "shadow_size_kkt"):
+        monkeypatch.setattr(cli.sperner, name, _no_enumeration)
+    assert main(["sperner"] + argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("refused: ")
+    assert captured.err.endswith(f"sets exceed the bound {cli.MAX_SETS}\n")
+    assert captured.err.count("\n") == 1
+
+
+def test_sperner_toolkit_demo_stdout_is_pinned():
+    demo = pathlib.Path(__file__).parents[1] / "demos" / "sperner_toolkit.py"
+    src = pathlib.Path(cli.__file__).parents[1]
+    out = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)},
+                         ).stdout
+    assert hashlib.sha256(out).hexdigest() == \
+        "cc4b5ebe8569d20cec752f7666e0d13d7b6e2c18f88fe09937996d7d0bb7ab29"
 
 
 def test_parser_is_built_once_and_commands_are_looked_up_per_call(

@@ -1,22 +1,30 @@
 """Schedules, reductions, per-case recipes and the full pipeline."""
 
 import importlib
+import itertools
 import random
+import tracemalloc
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orient4 import build
 from orient4.build import (ConstructionResult, build_base_orientation,
                            choose_split, construct_optimal, cyclic_half_sets,
                            make_schedule, reduce, relabel_orientation)
-from orient4.classify import classify
+from orient4.classify import CASE_IDS, classify
 from orient4.digraph import (center_in_set, center_out_set, diameter,
                              distance, is_strong, reverse,
                              shortest_cycle_lengths)
 from orient4.errors import ConstructionError, Refusal, UsageError
-from orient4.sperner import family_of, is_antichain
+from orient4.sperner import is_antichain, members
 from orient4.tree import BranchSpec, TreeSpec, branch_copy, center, leaf_copy
+
+
+def mask(f):
+    return sum(1 << (x - 1) for x in f)
 
 
 def mkspec(s, a2=0, a3=0, a4=0, e=0, first_two_leaves=True):
@@ -43,42 +51,123 @@ def build_case(spec, case, k=None):
 # ----------------------------------------------------------------------------
 
 def test_cyclic_half_sets():
-    assert cyclic_half_sets(5)[1] == frozenset({2, 3, 4})
-    assert cyclic_half_sets(4) == [frozenset({1, 2}), frozenset({2, 3}),
-                                   frozenset({3, 4}), frozenset({4, 1})]
+    assert cyclic_half_sets(5)[1] == mask({2, 3, 4})
+    assert cyclic_half_sets(4) == [mask({1, 2}), mask({2, 3}),
+                                   mask({3, 4}), mask({4, 1})]
 
 
 def test_lam_sequence_covers_level_once():
     for s in (3, 4, 5, 6):
-        lam = make_schedule(s, "P41" if s % 2 else "P310").lam
+        lam = list(make_schedule(s, "P41" if s % 2 else "P310").lam())
         assert len(lam) == comb(s, (s + 1) // 2)
         assert len(set(lam)) == len(lam)
-        assert all(len(f) == (s + 1) // 2 for f in lam)
+        assert all(f.bit_count() == (s + 1) // 2 for f in lam)
 
 
 def test_lam_s3_is_exactly_the_cyclic_triples():
-    lam = make_schedule(3, "P41").lam
-    assert lam == (frozenset({1, 2}), frozenset({2, 3}), frozenset({3, 1}))
+    sched = make_schedule(3, "P41")
+    assert tuple(sched.lam()) == (mask({1, 2}), mask({2, 3}), mask({3, 1}))
+    assert sched.lam_last() == mask({3, 1})
 
 
 def test_p312_up_set_order_avoids_tail_supersets_first():
     sched = make_schedule(6, "P312", 13)
-    assert sorted(sched.psi[0]) == [1, 2, 3, 4]
-    assert sorted(sched.psi[1]) == [1, 2, 3, 5]
-    assert len(sched.psi) == comb(6, 4)
-    assert len(sched.mu) == comb(6, 3)
+    psi = list(sched.psi())
+    assert members(psi[0]) == (1, 2, 3, 4)
+    assert members(psi[1]) == (1, 2, 3, 5)
+    assert len(psi) == comb(6, 4)
+    assert len(list(sched.mu())) == comb(6, 3)
 
 
 def test_p43_d3_schedule_blocks():
     s = 5
     sched = make_schedule(s, "P43_D3")
-    low = frozenset({1, 2})
+    gamma, mu = list(sched.gamma()), list(sched.mu())
+    low = mask({1, 2})
     hi, lo = (s + 1) // 2, s // 2
-    assert sched.gamma[-1] == frozenset({3, 4, 5})
-    assert all(len(g & low) == 1 for g in sched.gamma[:hi * lo])
-    assert len({g for g in sched.gamma}) == comb(s, hi)
-    assert all(low < m for m in sched.mu[:hi])
-    assert len({m for m in sched.mu}) == comb(s, hi)
+    assert gamma[-1] == mask({3, 4, 5})
+    assert all((g & low).bit_count() == 1 for g in gamma[:hi * lo])
+    assert len(set(gamma)) == len(gamma) == comb(s, hi)
+    assert all(m & low == low for m in mu[:hi])
+    assert len(set(mu)) == len(mu) == comb(s, hi)
+
+
+# Reference: the schedule as whole frozenset levels, kept verbatim from the
+# implementation the lazy mask readers replaced (only `squashed_level` is
+# a brute-force colex sort).
+
+def ref_squashed_level(n, k):
+    return sorted((frozenset(c) for c in
+                   itertools.combinations(range(1, n + 1), k)),
+                  key=lambda f: sorted(f, reverse=True))
+
+
+def ref_cyclic_half_sets(s):
+    h = (s + 1) // 2
+    return [frozenset((i + j) % s + 1 for j in range(h)) for i in range(s)]
+
+
+def ref_lam_sequence(s):
+    cyc = ref_cyclic_half_sets(s)
+    used = set(cyc)
+    rest = [f for f in ref_squashed_level(s, (s + 1) // 2) if f not in used]
+    return tuple(cyc + rest)
+
+
+def ref_make_schedule(s, case, k=None):
+    """lam, psi, mu, gamma as tuples of frozensets."""
+    if case == "P312":
+        c = comb(s, s // 2)
+        mu = tuple(ref_squashed_level(s, s // 2))
+        tail = set(mu[c - k:])
+        shade_of_tail = {y for y in ref_squashed_level(s, s // 2 + 1)
+                         if any(x <= y for x in tail)}
+        level_up = ref_squashed_level(s, s // 2 + 1)
+        psi = tuple([y for y in level_up if y not in shade_of_tail]
+                    + [y for y in level_up if y in shade_of_tail])
+        return ref_lam_sequence(s), psi, mu, ()
+    if case == "P43_D3":
+        low = frozenset(range(1, s // 2 + 1))
+        level = ref_squashed_level(s, (s + 1) // 2)
+        touch_one = [f for f in level if len(f & low) == 1]
+        supersets = [f for f in level if low < f]
+        low_bar = frozenset(range(1, s + 1)) - low
+        gamma_mid = [f for f in level
+                     if f not in set(touch_one) and f != low_bar]
+        gamma = tuple(touch_one + gamma_mid + [low_bar])
+        mu_rest = [f for f in level if f not in set(supersets)]
+        mu = tuple(supersets + mu_rest)
+        return ref_lam_sequence(s), (), mu, gamma
+    if case == "P39":
+        psi = tuple(ref_squashed_level(s, s // 2 + 1))
+        return ref_lam_sequence(s), psi, (), ()
+    return ref_lam_sequence(s), (), (), ()
+
+
+def assert_schedule_matches_reference(s, case, k=None):
+    sched = make_schedule(s, case, k)
+    ref = ref_make_schedule(s, case, k)
+    got = (sched.lam(), sched.psi(), sched.mu(), sched.gamma())
+    for name, g, r in zip(("lam", "psi", "mu", "gamma"), got, ref):
+        assert tuple(g) == tuple(map(mask, r)), (s, case, k, name)
+    assert sched.lam_last() == mask(ref[0][-1]), (s, case, k)
+
+
+def test_schedule_matches_reference_exhaustively():
+    for s in range(2, 11):
+        for case in CASE_IDS:
+            if case == "P312":
+                if s % 2 == 0 and s >= 4:
+                    for k in range(1, comb(s, s // 2)):
+                        assert_schedule_matches_reference(s, case, k)
+            elif case != "P43_D3" or (s % 2 and s >= 5):
+                assert_schedule_matches_reference(s, case)
+
+
+@given(st.integers(1, comb(12, 6) - 1))
+@settings(max_examples=12, deadline=None)
+def test_p312_schedule_matches_reference_at_s12(k):
+    assert_schedule_matches_reference(12, "P312", k)
 
 
 def test_make_schedule_argument_checks():
@@ -242,10 +331,10 @@ def test_outlet_projections_form_an_antichain():
     d, rspec = build_case(mkspec(5, a2=9, e=2), "P35_D4")
     outs = [center_out_set(d, branch_copy(i, 1))
             for i in range(1, rspec.n_a2 + 1)]
-    assert is_antichain(family_of(5, outs))
+    assert is_antichain(outs)
     ins = [center_in_set(d, branch_copy(i, 2))
            for i in range(1, rspec.n_a2 + 1)]
-    assert is_antichain(family_of(5, ins))
+    assert is_antichain(ins)
 
 
 # ----------------------------------------------------------------------------
@@ -327,3 +416,23 @@ def test_duality_across_constructions():
     for spec, case in rng.sample(CORE_CASES, 6):
         res = construct_optimal(spec)
         assert diameter(reverse(res.orientation)) == 4
+
+
+@pytest.mark.parametrize("spec,case", [
+    (mkspec(20, a2=21), "P35_D3"),
+    (TreeSpec(21, (BranchSpec(2, (2,)), BranchSpec(3, (2,)))
+              + (BranchSpec(4, (2,)),) * 19), "P411"),
+    (mkspec(30, a2=31), "P35_D3"),
+], ids=["s20-P35_D3", "s21-P411", "s30-P35_D3"])
+def test_construct_cost_is_bounded_at_a_large_center(spec, case):
+    # a recipe reads only the sets it uses; building a whole half-set
+    # level would take C(30, 15) sets here
+    tracemalloc.start()
+    try:
+        res = construct_optimal(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.case == case
+    assert diameter(res.orientation) == 4
+    assert peak < 4 * 2 ** 20, peak

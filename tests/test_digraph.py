@@ -1,4 +1,4 @@
-"""Orientation metrics, duality, the extension step, and projections."""
+"""Orientation metrics, duality, the extension step, and center sets."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +11,9 @@ from orient4.classify import classify
 from orient4.digraph import (UNREACHABLE, ExtensionError, Orientation,
                              center_in_set, center_out_set, diameter,
                              distance, eccentricities, extend_orientation,
-                             from_arcs, from_edge_list, in_projection,
-                             is_strong, out_projection, pull_back, reverse,
-                             shortest_cycle_lengths, to_dot, to_edge_list)
+                             from_arcs, from_edge_list, is_strong,
+                             pull_back, reverse, shortest_cycle_lengths,
+                             to_dot, to_edge_list)
 from orient4.errors import UsageError
 from orient4.tree import (BranchSpec, TreeSpec, VertexId, branch_copy,
                           center, edge_pairs, indexer, leaf_copy,
@@ -494,7 +494,7 @@ def test_relabel_matches_vertex_id_slots(spec, data):
 
 
 # ----------------------------------------------------------------------------
-# projections
+# center in- and out-sets
 # ----------------------------------------------------------------------------
 
 def p39_fig_orientation():
@@ -508,8 +508,8 @@ def p39_fig_orientation():
 
 def test_center_projections_on_p39_figure():
     d = p39_fig_orientation()
-    assert center_out_set(d, branch_copy(5, 3)) == frozenset({1, 2, 3})
-    assert center_out_set(d, branch_copy(1, 1)) == frozenset({1, 2})
+    assert center_out_set(d, branch_copy(5, 3)) == 0b0111   # {1, 2, 3}
+    assert center_out_set(d, branch_copy(1, 1)) == 0b0011   # {1, 2}
 
 
 def test_projections_partition_center_copies():
@@ -519,19 +519,16 @@ def test_projections_partition_center_copies():
             v = branch_copy(i, y)
             outs = center_out_set(d, v)
             ins = center_in_set(d, v)
-            assert outs | ins == frozenset(range(1, d.spec.s + 1))
+            assert outs | ins == (1 << d.spec.s) - 1
             assert not outs & ins
 
 
 def test_projection_role_checks():
     d = built(p5_all2())
     with pytest.raises(UsageError):
-        out_projection(d, center(1), center(2))
+        center_out_set(d, center(1))
     with pytest.raises(UsageError):
-        out_projection(d, leaf_copy(1, 1, 1), center(1))
-    got = out_projection(d, leaf_copy(1, 1, 1), branch_copy(1, 1))
-    back = in_projection(d, leaf_copy(1, 1, 1), branch_copy(1, 1))
-    assert len(got) + len(back) == d.spec.branch(1).multiplicity
+        center_in_set(d, leaf_copy(1, 1, 1))
 
 
 # ----------------------------------------------------------------------------

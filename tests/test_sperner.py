@@ -4,16 +4,11 @@ import itertools
 from math import comb
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from orient4.errors import UsageError
-from orient4.sperner import (KSubset, disjoint_pair_matching,
-                             family_of, first_m, is_antichain,
-                             is_cross_intersecting, kappa, kappa_star,
-                             kappa_star_threshold, last_m, shade, shadow,
-                             shadow_size_kkt, squashed_compare, squashed_level,
-                             squashed_rank, squashed_unrank)
+from orient4.sperner import (first_m, is_antichain, kappa, kappa_star, last_m,
+                             level_size, members, shade, shadow,
+                             shadow_size_kkt, squashed_level)
 
 
 # ----------------------------------------------------------------------------
@@ -42,8 +37,18 @@ def all_subfamilies(level):
         yield from itertools.combinations(level, r)
 
 
+def mask(f):
+    return sum(1 << (x - 1) for x in f)
+
+
 def sets_of(fam):
-    return [set(s.members) for s in fam]
+    return [frozenset(members(x)) for x in fam]
+
+
+def squash_key(f):
+    """Brute-force squashed order: a <_s b iff the largest element of the
+    symmetric difference lies in b, i.e. compare the members from the top."""
+    return sorted(members(f) if isinstance(f, int) else f, reverse=True)
 
 
 # ----------------------------------------------------------------------------
@@ -51,49 +56,28 @@ def sets_of(fam):
 # ----------------------------------------------------------------------------
 
 def test_squashed_listing_n5_k3():
-    listing = [tuple(sorted(f)) for f in squashed_level(5, 3)]
+    listing = [members(f) for f in squashed_level(5, 3)]
     assert listing == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 5),
                        (1, 3, 5), (2, 3, 5), (1, 4, 5), (2, 4, 5), (3, 4, 5)]
 
 
 def test_squashed_compare_examples():
-    a = KSubset(5, frozenset({1, 2, 3}))
-    b = KSubset(5, frozenset({1, 2, 4}))
-    assert squashed_compare(a, b) == -1
-    c = KSubset(5, frozenset({2, 3, 5}))
-    assert squashed_compare(c, c) == 0
-    d = KSubset(5, frozenset({1, 4, 5}))
-    e = KSubset(5, frozenset({2, 3, 4}))
-    assert squashed_compare(d, e) == 1
+    # the squash relation is the integer order of the masks
+    assert mask({1, 2, 3}) < mask({1, 2, 4})
+    assert mask({1, 4, 5}) > mask({2, 3, 4})
+    assert mask({2, 3, 5}) == mask({5, 3, 2})
 
 
-def test_squashed_compare_preconditions():
-    with pytest.raises(UsageError):
-        squashed_compare(KSubset(5, frozenset({1})), KSubset(4, frozenset({1})))
-    with pytest.raises(UsageError):
-        squashed_compare(KSubset(5, frozenset({1})),
-                         KSubset(5, frozenset({1, 2})))
-
-
-@given(st.integers(1, 7), st.data())
-@settings(max_examples=80, deadline=None)
-def test_rank_unrank_roundtrip(n, data):
-    k = data.draw(st.integers(0, n))
-    r = data.draw(st.integers(0, comb(n, k) - 1))
-    members = squashed_unrank(r, k)
-    assert len(members) == k
-    assert squashed_rank(members) == r
-
-
-@given(st.integers(2, 6), st.data())
-@settings(max_examples=80, deadline=None)
-def test_compare_matches_rank_order(n, data):
-    k = data.draw(st.integers(1, n))
-    level = squashed_level(n, k)
-    i = data.draw(st.integers(0, len(level) - 1))
-    j = data.draw(st.integers(0, len(level) - 1))
-    cmp = squashed_compare(KSubset(n, level[i]), KSubset(n, level[j]))
-    assert cmp == (i > j) - (i < j)
+def test_compare_matches_rank_order():
+    # on every level with n <= 12, the generated (rank) order is both the
+    # integer order of the masks and the brute-force squash relation
+    for n in range(13):
+        for k in range(n + 1):
+            level = list(squashed_level(n, k))
+            assert level == sorted(level)
+            brute = sorted(itertools.combinations(range(1, n + 1), k),
+                           key=squash_key)
+            assert [members(f) for f in level] == brute
 
 
 # ----------------------------------------------------------------------------
@@ -102,14 +86,14 @@ def test_compare_matches_rank_order(n, data):
 
 def test_first_m_examples():
     fam = first_m(5, 3, 4)
-    assert [s.sorted_members() for s in fam] == \
+    assert [members(s) for s in fam] == \
         [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
     assert len(first_m(6, 2, 0)) == 0
 
 
 def test_last_m_example():
     fam = last_m(6, 3, 13)
-    listing = [s.sorted_members() for s in fam]
+    listing = [members(s) for s in fam]
     assert listing[0] == (1, 4, 5)
     assert listing[1] == (2, 4, 5)
     assert listing[-1] == (4, 5, 6)
@@ -121,8 +105,8 @@ def test_first_last_partition_level():
         for k in range(n + 1):
             total = comb(n, k)
             for m in range(total + 1):
-                f = {s.members for s in first_m(n, k, m)}
-                l = {s.members for s in last_m(n, k, total - m)}
+                f = set(first_m(n, k, m))
+                l = set(last_m(n, k, total - m))
                 assert not (f & l)
                 assert len(f | l) == total
 
@@ -132,6 +116,11 @@ def test_segment_range_check():
         first_m(5, 2, 11)
     with pytest.raises(UsageError):
         last_m(5, 2, -1)
+    # a level is checked when asked for, before anything is generated
+    for n, k in ((-1, 0), (3, 5), (3, -1)):
+        with pytest.raises(UsageError, match=f"invalid level n={n}, k={k}"):
+            squashed_level(n, k)
+    assert level_size(40, 20) == comb(40, 20)
 
 
 # ----------------------------------------------------------------------------
@@ -139,32 +128,33 @@ def test_segment_range_check():
 # ----------------------------------------------------------------------------
 
 def test_shadow_single_set():
-    fam = family_of(5, [{1, 2, 3}])
-    assert {s.members for s in shadow(fam)} == \
-        {frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 3})}
+    assert set(shadow([mask({1, 2, 3})])) == \
+        {mask({1, 2}), mask({1, 3}), mask({2, 3})}
 
 
 def test_shadow_of_first_four():
-    got = {s.members for s in shadow(first_m(5, 3, 4))}
-    assert got == brute_shadow([f.members for f in first_m(5, 3, 4)])
+    got = set(sets_of(shadow(first_m(5, 3, 4))))
+    assert got == brute_shadow(sets_of(first_m(5, 3, 4)))
     assert got == {frozenset(c) for c in itertools.combinations(range(1, 5), 2)}
 
 
 def test_shade_complement_of_last13():
-    grown = {s.members for s in shade(last_m(6, 3, 13))}
+    grown = set(sets_of(shade(last_m(6, 3, 13), 6)))
     level4 = {frozenset(c) for c in itertools.combinations(range(1, 7), 4)}
     assert level4 - grown == {frozenset({1, 2, 3, 4}), frozenset({1, 2, 3, 5})}
 
 
 def test_shadow_rejects_mixed_family():
     with pytest.raises(UsageError):
-        shadow(family_of(4, [{1}, {1, 2}]))
+        shadow([mask({1}), mask({1, 2})])
+    with pytest.raises(UsageError):
+        shade([mask({1}), mask({1, 2})], 4)
 
 
 def test_shadow_output_sorted_squashed():
-    sh = shadow(last_m(6, 3, 7))
-    ranks = [squashed_rank(s.members) for s in sh]
-    assert ranks == sorted(ranks)
+    for sh in (shadow(last_m(6, 3, 7)), shade(first_m(6, 3, 7), 6)):
+        assert list(sh) == sorted(sh, key=squash_key)
+        assert len(set(sh)) == len(sh)
 
 
 # ----------------------------------------------------------------------------
@@ -183,14 +173,14 @@ def test_cascade_matches_brute_small():
             for m in range(comb(n, k) + 1):
                 fam = first_m(n, k, m)
                 assert shadow_size_kkt(n, k, m) == \
-                    len(brute_shadow([s.members for s in fam]))
+                    len(brute_shadow(sets_of(fam)))
 
 
 def test_kkt_is_a_lower_bound_exhaustively():
     # every uniform family on a ground set of size <= 5
     for n in range(2, 6):
         for k in range(1, n + 1):
-            level = squashed_level(n, k)
+            level = sets_of(squashed_level(n, k))
             for fam in all_subfamilies(level):
                 assert len(brute_shadow(fam)) >= shadow_size_kkt(n, k, len(fam))
 
@@ -200,7 +190,7 @@ def test_shadow_equals_shade_of_reversed_segment():
         for k in range(1, n):
             for m in range(comb(n, k) + 1):
                 lhs = len(shadow(first_m(n, k, m))) if m else 0
-                rhs = len(shade(last_m(n, n - k, m))) if m else 0
+                rhs = len(shade(last_m(n, n - k, m), n)) if m else 0
                 assert lhs == rhs
 
 
@@ -213,7 +203,8 @@ def test_kappa_values():
 def test_kappa_star_threshold_and_monotone():
     for n in (4, 6):
         r = n // 2
-        thresh = kappa_star_threshold(n)
+        # smallest m at which kappa*_{n,n/2} can go negative
+        thresh = 1 + sum(comb(2 * i - 1, i) for i in range(1, r + 1))
         prev = 0
         for m in range(comb(n, r) + 1):
             ks = kappa_star(n, r, m)
@@ -228,7 +219,7 @@ def test_kappa_star_threshold_and_monotone():
 
 
 # ----------------------------------------------------------------------------
-# antichains / cross-intersecting families
+# antichains
 # ----------------------------------------------------------------------------
 
 def all_antichains(n):
@@ -244,14 +235,13 @@ def all_antichains(n):
 
 
 def test_antichain_predicate():
-    assert is_antichain(family_of(4, itertools.combinations(range(1, 5), 2)))
-    assert not is_antichain(family_of(4, [{1}, {1, 2}]))
-    assert is_antichain(family_of(4, []))
-
-
-def test_cross_intersecting_middle_levels_n3():
-    mid = family_of(3, itertools.combinations(range(1, 4), 2))
-    assert is_cross_intersecting(mid, mid)
+    assert is_antichain(list(squashed_level(4, 2)))
+    assert not is_antichain([mask({1}), mask({1, 2})])
+    assert not is_antichain([mask({2, 3}), mask({2, 3})])
+    assert is_antichain([])
+    for n in (2, 3):
+        for fam in all_antichains(n):
+            assert is_antichain([mask(f) for f in fam])
 
 
 def test_sperner_bound_exhaustive():
@@ -272,23 +262,3 @@ def test_cross_intersecting_maximum_exhaustive():
                     best = max(best, len(fa) + len(fb))
         assert best == comb(n, (n + 1) // 2) + comb(n, (n + 2) // 2)
         assert best == expected
-
-
-def test_disjoint_pair_matching():
-    a = family_of(4, [{1, 2}])
-    b = family_of(4, [{3, 4}])
-    assert disjoint_pair_matching(a, b) == 1
-
-    a = family_of(4, itertools.combinations(range(1, 5), 2))
-    b = family_of(4, itertools.combinations(range(1, 5), 3))
-    assert disjoint_pair_matching(a, b) == 0
-
-    # {1,3} meets {3,4}, so this pair still forms a matching of size 1
-    a = family_of(4, [{1, 2}, {1, 3}])
-    b = family_of(4, [{3, 4}])
-    assert disjoint_pair_matching(a, b) == 1
-
-    # two left sets disjoint from the same right set: not a matching
-    a = family_of(4, [{1, 2}, {2}])
-    b = family_of(4, [{3, 4}])
-    assert disjoint_pair_matching(a, b) is None
