@@ -4,7 +4,7 @@ The pipeline mirrors the sufficiency recipes behind the classifier: shrink
 the instance to a small core `H` (multiplicities in {2,3,4} plus the center),
 orient `H` from a deterministic schedule of half-sized center subsets, check
 the result, then lift to the full multiplicities by letting new copies mimic
-old ones.
+old ones (Koh and Tay's extension lemma).
 
 Each construction case is data: an ordered list of *slot blocks*.  `reduce`
 lists the user branches of each block (2-copy, inlet-style and outlet-style
@@ -12,8 +12,9 @@ lists the user branches of each block (2-copy, inlet-style and outlet-style
 slot order and the slot-to-user permutation.  `_slot_blocks` gives each
 block a leaf pattern and one row per slot, the center in-set of every
 branch copy, read off one level of the set schedule in order;
-`build_base_orientation` walks the rows once, numbering the slots.
-Outputs are relabelled to the caller's original branch indices.
+`build_base_orientation` walks the rows once, writing the core's direction
+bits in the edge order `tree.edge_pairs` states.  One pull-back then
+relabels slots to the caller's branch indices and lifts in the same pass.
 
 Center sets are int masks (bit x-1 for copy x), so squashed order is
 integer order and complement, which reverses it, is one xor.  Each
@@ -29,12 +30,11 @@ from math import comb
 
 from .classify import (C0, Classification, case_for, classify, half_binom,
                        p35_variant)
-from .digraph import (Orientation, diameter, extend_orientation, from_arcs,
-                      is_strong, pull_back, shortest_cycle_lengths)
+from .digraph import (Orientation, diameter, is_strong, pull_back,
+                      shortest_cycle_lengths)
 from .errors import ConstructionError, Refusal, UsageError
 from .sperner import kappa, squashed_level
-from .tree import (BranchSpec, TreeSpec, branch_copy, center, leaf_copy,
-                   partition, require_valid)
+from .tree import BranchSpec, TreeSpec, partition
 
 
 # ============================================================================
@@ -223,7 +223,6 @@ def reduce(spec: TreeSpec, case: str, k: int | None = None) -> ReducedSpec:
     into a smaller class to fill a block quota") always pick the lowest
     user indices, and a branch is `demoted` when its t is below its class.
     """
-    require_valid(spec)
     part = partition(spec)
     s = spec.s
     a2, a3, a4 = sorted(part.a2), sorted(part.a3), sorted(part.a4plus)
@@ -381,49 +380,39 @@ def _slot_blocks(case, rspec, sched):
             (LEAFLESS, [(first, first)] * n_e)]
 
 
-def _center_split(arcs, s, slot, copy, in_set):
-    """Orient every center edge of one branch copy: arcs in from `in_set`,
-    out to its complement."""
-    b = branch_copy(slot, copy)
-    for x in range(1, s + 1):
-        if in_set >> x - 1 & 1:
-            arcs.append((center(x), b))
-        else:
-            arcs.append((b, center(x)))
-
-
-def _leaf_pattern(arcs, spec_h, slot, pattern):
-    """Orient every leaf edge of one slot by `pattern`."""
-    for a in range(1, spec_h.branch(slot).leaf_count + 1):
-        for z, row in enumerate(pattern, start=1):
-            for y, way in enumerate(row, start=1):
-                arc = (branch_copy(slot, y), leaf_copy(slot, a, z))
-                arcs.append(arc if way == "i" else arc[::-1])
+def _core_bits(case, h, rows):
+    """The core's direction bits in `tree.edge_pairs` order, straight from
+    the slot rows: a center edge points into branch copy y exactly when
+    center copy x is in the row's in-set, and a leaf edge by its pattern
+    ("o": leaf copy z drains into branch copy y)."""
+    center_bits, leaf_bits = [], []
+    for slot, (pattern, row) in enumerate(rows, start=1):
+        b = h.branch(slot)
+        t = b.multiplicity
+        if {len(row), *map(len, pattern)} != {t} or any(
+                lm != len(pattern) for lm in b.leaf_multiplicities):
+            raise ConstructionError(f"recipe {case}: slot {slot} does not "
+                                    f"fit its multiplicity {t}")
+        center_bits += [1 - (in_set >> x & 1) for x in range(h.s)
+                        for in_set in row]
+        leaf_bits += [int(ways[y] == "o") for _ in b.leaf_multiplicities
+                      for y in range(t) for ways in pattern]
+    return center_bits + leaf_bits
 
 
 def build_base_orientation(case: str, rspec: ReducedSpec,
                            sched: SetSchedule) -> Orientation:
     """Orient every edge of the core instance by walking the case's slot
-    blocks, then check the two structural guarantees: a directed 4-cycle
-    through every vertex, and diameter exactly 4."""
+    blocks, then check the extension lemma's hypothesis: a directed cycle
+    of length at most 4 through every vertex, and diameter exactly 4
+    (which implies strong)."""
     h = rspec.h_spec
-    blocks = _slot_blocks(case, rspec, sched)
-    rows = [(pattern, row) for pattern, block_rows in blocks
-            for row in block_rows]
+    rows = [(pattern, row) for pattern, block_rows
+            in _slot_blocks(case, rspec, sched) for row in block_rows]
     if len(rows) != h.deg_c:
         raise ConstructionError(f"recipe {case}: the schedule gives "
                                 f"{len(rows)} rows for {h.deg_c} slots")
-    arcs = []
-    for slot, (pattern, row) in enumerate(rows, start=1):
-        _leaf_pattern(arcs, h, slot, pattern)
-        for copy, in_set in enumerate(row, start=1):
-            _center_split(arcs, h.s, slot, copy, in_set)
-
-    try:
-        d = from_arcs(h, arcs)
-    except UsageError as exc:
-        raise ConstructionError(f"recipe {case} left the edge set "
-                                f"inconsistent: {exc}") from exc
+    d = Orientation(h, _core_bits(case, h, rows))
 
     worst_cycle = max(shortest_cycle_lengths(d))
     if worst_cycle > 4:
@@ -452,24 +441,27 @@ class ConstructionResult:
 
 def relabel_orientation(d: Orientation, slot_to_user: tuple,
                         user_spec: TreeSpec) -> Orientation:
-    """Map branch slots back to the user's original branch indices."""
+    """Map branch slots back to the user's original branch indices, and
+    lift to `user_spec`'s multiplicities in the same pull-back: copy x of
+    each vertex mimics copy x mod the core's multiplicity there."""
     slot = {0: 0}   # the center's `tree._blocks` key has branch index 0
     slot.update((u, j) for j, u in enumerate(slot_to_user, start=1))
     return pull_back(d, user_spec, lambda key: (key[0], slot[key[1]], key[2]))
 
 
 def construct_optimal(spec: TreeSpec) -> ConstructionResult:
-    """Classify, pick the recipe, build the core, relabel, lift, verify.
+    """Classify, pick the recipe, build and check the core, relabel and
+    lift it, verify.
 
-    The core is relabelled to user branch order before the lift: relabelling
-    changes only branch indices and the mimic step only copies, so the two
-    commute, and only the small core is relabelled.
+    Relabelling slots to user branches is an isomorphism and the mimic step
+    only copies, so the two are one pull-back (`relabel_orientation`).  The
+    extension lemma's hypothesis is checked once, on the core, by
+    `build_base_orientation`.
 
     Raises `Refusal` for orientation-number-5 instances and for the open
     regime; raises `ConstructionError` (an internal failure, never a normal
     outcome) if the verified result were not a strong diameter-4 orientation.
     """
-    require_valid(spec)
     cls = classify(spec)
     if cls.verdict == "C1":
         raise Refusal("orientation number is 5, no diameter-4 orientation "
@@ -479,16 +471,10 @@ def construct_optimal(spec: TreeSpec) -> ConstructionResult:
                       rule=cls.rule)
 
     case = case_for(spec, cls)
-    k = cls.k_witness if case == "P312" else None
-    rspec = reduce(spec, case, k)
-    sched = make_schedule(rspec.h_spec.s, case,
-                          rspec.k if case == "P312" else None)
+    rspec = reduce(spec, case, cls.k_witness)   # k is read only by P312
+    sched = make_schedule(rspec.h_spec.s, case, rspec.k)
     base = build_base_orientation(case, rspec, sched)
-    h = rspec.h_spec
-    by_user = sorted(zip(rspec.slot_to_user, h.branches), key=lambda p: p[0])
-    h_user = TreeSpec(h.s, tuple(b for _, b in by_user))
-    base_user = relabel_orientation(base, rspec.slot_to_user, h_user)
-    final = extend_orientation(base_user, spec, 4)
+    final = relabel_orientation(base, rspec.slot_to_user, spec)
 
     if diameter(final) != 4 or not is_strong(final):
         raise ConstructionError(

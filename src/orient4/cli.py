@@ -30,9 +30,11 @@ MAX_EDGES = 100_000
 # center multiplicity every spec command accepts: threshold notes print
 # C(s, ceil(s/2)), which stays under Python's 4,300-digit int-to-str limit
 MAX_CENTER = 10_000
-# sets a `sperner` tool enumerates, and sets `--explain` prints per
-# schedule sequence: every level up to s = 19 fits
+# sets a `sperner` tool enumerates
 MAX_SETS = 100_000
+# members of whole sets `--explain` prints per schedule sequence: every
+# level up to s = 19 fits
+MAX_MEMBERS = 1_000_000
 
 
 def _print_json(doc):
@@ -156,13 +158,15 @@ def _explain_doc(result):
         "k": result.reduced.k,
     }
     for key, name in EXPLAINED:
-        # each sequence orders a whole level, so its length is a binomial
-        head = list(islice(getattr(sched, name)(), MAX_SETS))
+        # each sequence orders a whole level: C(s, r) sets of r members
+        level = getattr(sched, name)()
+        head = list(islice(level, 1))
+        if head:
+            r = head[0].bit_count()
+            head += islice(level, MAX_MEMBERS // r - 1)
+            if len(head) < comb(sched.s, r):
+                doc[f"{key}_more"] = comb(sched.s, r) - len(head)
         doc[key] = [_fmt_set(f) for f in head]
-        if len(head) == MAX_SETS:
-            more = comb(sched.s, head[0].bit_count()) - MAX_SETS
-            if more:
-                doc[f"{key}_more"] = more
     return doc
 
 

@@ -1,9 +1,10 @@
 """Orientations of multiplied trees: storage, metrics, duality, extension.
 
 An `Orientation` stores one direction bit per canonical edge of the
-multiplied graph (bit 0: as listed by `multiplied_edges`, bit 1: reversed)
-plus adjacency built from the integer index pairs of `tree.edge_pairs`;
-VertexIds are made only when a caller asks for them.  Distances count
+multiplied graph, in the order `tree.edge_pairs` states (bit 0: parent
+end to child end, bit 1: reversed), plus adjacency built from those
+integer index pairs; VertexIds are made only when a caller asks for them,
+and vertex names come from the block prefixes.  Distances count
 arcs, from int-bitset reach sets.  Each orientation is swept once, on its
 twin quotient: vertices with equal out- and in-sets, read from its own
 arcs, collapse to one, and the answers expand back exactly.  Every copy
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import UsageError
 from .tree import (TreeSpec, VertexId, _blocks, edge_count, edge_pairs,
-                   indexer, multiplied_vertices, require_valid)
+                   indexer, multiplied_vertices, require_valid, vertex_names)
 
 UNREACHABLE = math.inf
 
@@ -109,16 +110,16 @@ def _orient(spec: TreeSpec, arcs, index, vertex) -> Orientation:
             raise UsageError(f"arc {vertex(t)}->{vertex(h)} is not an edge of "
                              f"the multiplied graph") from None
         if bits[j] is not None:
-            verts = multiplied_vertices(spec)
+            names = vertex_names(spec)
             u, v = pairs[j]
-            raise UsageError(f"edge {verts[u]} -- {verts[v]} assigned twice")
+            raise UsageError(f"edge {names[u]} -- {names[v]} assigned twice")
         bits[j] = b
     missing = [pairs[j] for j, b in enumerate(bits) if b is None]
     if missing:
-        verts = multiplied_vertices(spec)
+        names = vertex_names(spec)
         u, v = missing[0]
         raise UsageError(f"{len(missing)} edge(s) left unoriented, e.g. "
-                         f"{verts[u]} -- {verts[v]}")
+                         f"{names[u]} -- {names[v]}")
     return Orientation(spec, tuple(bits))
 
 
@@ -250,9 +251,8 @@ def extend_orientation(d: Orientation, target: TreeSpec, m: int) -> Orientation:
     Valid when every vertex of `d` lies on a directed cycle of length <= m
     and `d` is strong; the result's diameter is then at most
     max(m, diameter(d)).  Donors rotate round-robin over the original copies
-    of the same tree vertex.
+    of the same tree vertex.  The returned `Orientation` validates `target`.
     """
-    require_valid(target)
     _check_same_shape(d.spec, target)
     if not is_strong(d):
         raise ExtensionError("extension lemma inapplicable: base not strong")
@@ -309,7 +309,7 @@ def _center_mask(d, v, adjacency):
 
 def to_edge_list(d: Orientation) -> str:
     """One arc per line, `tail -> head`, canonical edge order."""
-    names = [str(v) for v in d.vertices]
+    names = vertex_names(d.spec)
     return "\n".join(f"{names[t]} -> {names[h]}"
                      for t, h in d._layout()[0]) + "\n"
 
@@ -333,7 +333,7 @@ def from_edge_list(spec: TreeSpec, text: str) -> Orientation:
 
 
 def to_dot(d: Orientation) -> str:
-    names = [str(v) for v in d.vertices]
+    names = vertex_names(d.spec)
     lines = ["digraph orientation {"]
     lines += [f'  "{v}";' for v in names]
     lines += [f'  "{names[t]}" -> "{names[h]}";' for t, h in d._layout()[0]]

@@ -22,7 +22,8 @@ import numpy as np
 
 from .digraph import Orientation
 from .errors import Refusal, UsageError
-from .tree import TreeSpec, edge_count, edge_pairs, multiplied_vertices
+from .tree import (TreeSpec, edge_count, edge_pairs, require_valid,
+                   vertex_names)
 
 DEFAULT_MAX_EDGES = 24
 _BATCH = 1 << 16
@@ -72,8 +73,7 @@ class OracleResult:
 
 
 def graph_from_spec(spec: TreeSpec) -> EnumGraph:
-    return EnumGraph(tuple(str(v) for v in multiplied_vertices(spec)),
-                     tuple(edge_pairs(spec)[0]))
+    return EnumGraph(tuple(vertex_names(spec)), tuple(edge_pairs(spec)[0]))
 
 
 def bipartite_graph(p: int, q: int) -> EnumGraph:
@@ -247,6 +247,7 @@ def orientation_number(spec: TreeSpec,
                        symmetry: bool = False) -> OracleResult:
     """Minimum diameter over all strong orientations of the multiplied tree,
     with the smallest-rank optimal assignment as witness."""
+    require_valid(spec)
     if edge_count(spec) > max_edges:
         raise Refusal(f"edge budget exceeded: {edge_count(spec)} edges > "
                       f"max_edges={max_edges}")

@@ -90,11 +90,7 @@ class VertexId:
             raise UsageError(f"unknown role {self.role!r}")
 
     def __str__(self):
-        if self.role == "c":
-            return f"c.{self.copy}"
-        if self.role == "b":
-            return f"b{self.i}.{self.copy}"
-        return f"l{self.i}.{self.alpha}.{self.copy}"
+        return _prefix(self.role, self.i, self.alpha) + str(self.copy)
 
     @staticmethod
     def parse(text: str) -> "VertexId":
@@ -111,6 +107,12 @@ class VertexId:
         except (ValueError, IndexError):
             pass
         raise UsageError(f"cannot parse vertex id {text!r}")
+
+
+def _prefix(role: str, i: int, alpha: int) -> str:
+    """A vertex name without its copy number: c., b<i>. or l<i>.<alpha>."""
+    return ("c." if role == "c" else f"b{i}." if role == "b"
+            else f"l{i}.{alpha}.")
 
 
 def center(x: int) -> VertexId:
@@ -155,7 +157,6 @@ def require_valid(spec: TreeSpec) -> None:
 
 def partition(spec: TreeSpec) -> NeighborPartition:
     """Split branch indices into multiplicity classes; leaf branches go to e."""
-    require_valid(spec)
     a2, a3, a4, e = set(), set(), set(), set()
     for i, b in enumerate(spec.branches, start=1):
         if b.leaf_count == 0:
@@ -193,12 +194,19 @@ def multiplied_vertices(spec: TreeSpec) -> list:
             for x in range(1, size + 1)]
 
 
+def vertex_names(spec: TreeSpec) -> list:
+    """`str` of each `multiplied_vertices` entry, from the block prefixes."""
+    return [_prefix(*key) + str(x) for key, (_, size) in _blocks(spec).items()
+            for x in range(1, size + 1)]
+
+
 def edge_pairs(spec: TreeSpec):
-    """Each undirected edge of the multiplied graph once, in canonical order,
-    as an index pair into `multiplied_vertices` order; plus the vertex count.
-    Center-branch blocks by branch index then copies, then branch-leaf
-    blocks: every copy of a branch (leaf) joins every copy of its parent."""
-    require_valid(spec)
+    """Each undirected edge of the multiplied graph once, as an index pair
+    (parent end, child end) into `multiplied_vertices` order; plus the
+    vertex count.  The one statement of the edge order that direction bits
+    follow: center edges branch by branch (center copy outer, branch copy
+    inner), then leaf edges leaf by leaf (branch copy outer, leaf copy
+    inner)."""
     blocks = _blocks(spec)
     out = []
     for (role, i, _), (start, size) in blocks.items():

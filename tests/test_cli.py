@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import time
+from math import comb
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -298,6 +299,29 @@ def test_sperner_refuses_more_than_max_sets(capsys, monkeypatch, argv):
     assert captured.err.startswith("refused: ")
     assert captured.err.endswith(f"sets exceed the bound {cli.MAX_SETS}\n")
     assert captured.err.count("\n") == 1
+
+
+def test_explain_is_bounded_by_members_at_a_large_center(tmp_path,
+                                                          capsys):
+    # (200; three (2,[2])): each half-set has 100 members, so the member
+    # budget prints 10,000 whole sets of the C(200, 100)
+    doc = {"center_multiplicity": 200,
+           "branches": [{"multiplicity": 2, "leaf_multiplicities": [2]}] * 3}
+    path = write_spec(tmp_path, doc)
+    assert main(["construct", path, "--verify", "--explain"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.encode()) < 8 * 2 ** 20
+    assert "# verified: diameter 4, strong=True\n" in out
+    line = next(x for x in out.splitlines() if x.startswith("# half_sets:"))
+    sets, _, more = line.partition(" ... and ")
+    shown = sets.split()[2:]
+    assert len(shown) == cli.MAX_MEMBERS // 100
+    assert all(x.count(",") == 99 for x in shown)
+    assert int(more.split()[0]) + len(shown) == comb(200, 100)
+    assert main(["construct", path, "--json", "--explain"]) == 0
+    explain = json.loads(capsys.readouterr().out)["explain"]
+    assert explain["half_sets"] == shown
+    assert explain["half_sets_more"] == int(more.split()[0])
 
 
 def test_sperner_toolkit_demo_stdout_is_pinned():

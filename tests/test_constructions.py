@@ -2,25 +2,30 @@
 
 import importlib
 import itertools
+import json
 import random
+import sys
 import tracemalloc
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orient4 import build
+from orient4 import build, cli, digraph, tree
 from orient4.build import (ConstructionResult, build_base_orientation,
                            choose_split, construct_optimal, cyclic_half_sets,
                            make_schedule, reduce, relabel_orientation)
-from orient4.classify import CASE_IDS, classify
-from orient4.digraph import (center_in_set, center_out_set, diameter,
-                             distance, is_strong, reverse,
+from orient4.classify import C0, CASE_IDS, case_for, classify
+from orient4.digraph import (Orientation, center_in_set, center_out_set,
+                             diameter, distance, extend_orientation,
+                             from_arcs, is_strong, reverse,
                              shortest_cycle_lengths)
 from orient4.errors import ConstructionError, Refusal, UsageError
+from orient4.oracle import orientation_number
 from orient4.sperner import is_antichain, members
-from orient4.tree import BranchSpec, TreeSpec, branch_copy, center, leaf_copy
+from orient4.tree import (BranchSpec, TreeSpec, branch_copy, center,
+                          edge_count, leaf_copy)
 
 
 def mask(f):
@@ -323,6 +328,155 @@ def test_core_recipe(spec, case):
             for r2 in range(1, h.s + 1):
                 if r1 != r2:
                     assert distance(d, center(r1), center(r2)) == 2
+
+
+def reference_core(case, rspec, sched):
+    """The core by the arc builder the direct bit writer replaced: one
+    (tail, head) `VertexId` pair per edge, slot by slot, mapped to bits
+    through `from_arcs`."""
+    h = rspec.h_spec
+    rows = [(pattern, row) for pattern, block
+            in build._slot_blocks(case, rspec, sched) for row in block]
+    arcs = []
+    for slot, (pattern, row) in enumerate(rows, start=1):
+        for a in range(1, h.branch(slot).leaf_count + 1):
+            for z, ways in enumerate(pattern, start=1):
+                for y, way in enumerate(ways, start=1):
+                    arc = (branch_copy(slot, y), leaf_copy(slot, a, z))
+                    arcs.append(arc if way == "i" else arc[::-1])
+        for copy, in_set in enumerate(row, start=1):
+            b = branch_copy(slot, copy)
+            for x in range(1, h.s + 1):
+                arcs.append((center(x), b) if in_set >> x - 1 & 1
+                            else (b, center(x)))
+    return from_arcs(h, arcs)
+
+
+def assert_core_matches_reference(spec, case, k=None):
+    d, rspec = build_case(spec, case, k)
+    sched = make_schedule(rspec.h_spec.s, case, rspec.k)
+    assert d.bits == reference_core(case, rspec, sched).bits
+
+
+@pytest.mark.parametrize("spec,case", CORE_CASES,
+                         ids=[c for _, c in CORE_CASES])
+def test_core_bits_match_arc_builder(spec, case):
+    k = classify(spec).k_witness if case == "P312" else None
+    assert_core_matches_reference(spec, case, k)
+
+
+@st.composite
+def c0_specs_with_leaves(draw):
+    """A C0 spec whose leafy branches carry one to three leaves each."""
+    s = draw(st.integers(2, 6))
+    mults = draw(st.lists(st.sampled_from((2, 2, 3, 4, 5)), min_size=2,
+                          max_size=7))
+    leaves = [draw(st.integers(0 if j >= 2 else 1, 3))
+              for j in range(len(mults))]
+    spec = TreeSpec(s, tuple(BranchSpec(m, (2,) * n)
+                             for m, n in zip(mults, leaves)))
+    assume(classify(spec).verdict == C0)
+    return spec
+
+
+@given(c0_specs_with_leaves())
+@settings(max_examples=60, deadline=None)
+def test_core_bits_match_arc_builder_on_routed_specs(spec):
+    cls = classify(spec)
+    case = case_for(spec, cls)
+    try:
+        assert_core_matches_reference(spec, case, cls.k_witness
+                                      if case == "P312" else None)
+    except ConstructionError as exc:
+        # the known P312 gap: no split completes the schedule
+        assert "every qualifying split" in str(exc)
+
+
+# a 2-copy slot of P35_D1 given another slot shape
+MIS_SIZED = {
+    "row too long": lambda pattern, row: (pattern, row + row[:1]),
+    "row too short": lambda pattern, row: (pattern, row[:1]),
+    "leaf row too wide": lambda pattern, row: (build.THREE_SINK, row),
+    "one leaf copy": lambda pattern, row: (pattern[:1], row),
+    "no leaf pattern": lambda pattern, row: (build.LEAFLESS, row),
+}
+
+
+@pytest.mark.parametrize("change", MIS_SIZED.values(), ids=MIS_SIZED)
+def test_mis_sized_slot_raises_construction_error(monkeypatch, change):
+    blocks = build._slot_blocks
+
+    def mis_sized(case, rspec, sched):
+        (pattern, rows), *rest = blocks(case, rspec, sched)
+        bad_pattern, bad_row = change(pattern, rows[0])
+        return [(bad_pattern, [bad_row]), (pattern, rows[1:])] + rest
+
+    monkeypatch.setattr(build, "_slot_blocks", mis_sized)
+    with pytest.raises(ConstructionError, match="recipe P35_D1: slot 1 "
+                       "does not fit its multiplicity 2"):
+        build_case(mkspec(5, a2=4), "P35_D1")
+
+
+def test_construct_sweeps_core_and_witness_once_each(monkeypatch):
+    # one sweep checks the core, one verifies the lifted witness; the
+    # relabel-and-lift pull-back is not swept in between
+    calls = []
+
+    def counted(out, inn):
+        calls.append(len(out))
+        return sweep(out, inn)
+
+    sweep = digraph._twin_sweep
+    monkeypatch.setattr(digraph, "_twin_sweep", counted)
+    spec = mkspec(4, a2=1, a3=3, a4=2)
+    res = construct_optimal(spec)
+    assert diameter(res.orientation) == 4 and is_strong(res.orientation)
+    assert len(calls) == 2
+
+
+INVALID_SPECS = {
+    "center 1": TreeSpec(1, (BranchSpec(2, (2,)), BranchSpec(2, (2,)))),
+    "one leafy branch": TreeSpec(2, (BranchSpec(2, (2,)), BranchSpec(2, ()))),
+}
+
+
+ENTRY_POINTS = {
+    "classify": classify,
+    "construct_optimal": construct_optimal,
+    "Orientation": lambda spec: Orientation(spec, (0,) * edge_count(spec)),
+    "orientation_number": orientation_number,
+    "extend_orientation": lambda spec: extend_orientation(
+        construct_optimal(mkspec(2, a4=2)).orientation, spec, 4),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+@pytest.mark.parametrize("spec", INVALID_SPECS.values(), ids=INVALID_SPECS)
+def test_entry_points_reject_an_invalid_spec(entry, spec):
+    with pytest.raises(UsageError):
+        entry(spec)
+
+
+def test_cli_construct_validates_once_per_entry_point(monkeypatch, tmp_path,
+                                                      capsys):
+    # cli._load, classify, and the core's and the witness's Orientation
+    calls = []
+    original = tree.require_valid
+
+    def counted(spec):
+        calls.append(spec)
+        original(spec)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("orient4") and \
+                getattr(module, "require_valid", None) is original:
+            monkeypatch.setattr(module, "require_valid", counted)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(tree.spec_to_dict(mkspec(4, a2=1, a3=3,
+                                                        a4=2))))
+    assert cli.main(["construct", str(path), "--verify"]) == 0
+    assert capsys.readouterr().out.endswith("strong=True\n")
+    assert len(calls) <= 4
 
 
 def test_outlet_projections_form_an_antichain():

@@ -8,7 +8,8 @@ import pytest
 from orient4.errors import UsageError
 from orient4.tree import (BranchSpec, TreeSpec, VertexId, edge_count,
                           load_spec, multiplied_edges, multiplied_vertices,
-                          partition, spec_from_dict, spec_to_dict, validate)
+                          partition, spec_from_dict, spec_to_dict, validate,
+                          vertex_names)
 
 
 def p5_all2():
@@ -132,6 +133,11 @@ def test_vertex_id_roundtrip():
     assert str(VertexId("l", 2, 3, 1)) == "l3.1.2"
     with pytest.raises(UsageError):
         VertexId.parse("x1.2")
+
+
+def test_vertex_names_match_vertex_ids():
+    spec = TreeSpec(3, (BranchSpec(2, (2, 4)), BranchSpec(5, (3,))))
+    assert vertex_names(spec) == [str(v) for v in multiplied_vertices(spec)]
 
 
 # ----------------------------------------------------------------------------
