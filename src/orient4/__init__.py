@@ -22,9 +22,8 @@ from .oracle import (OracleResult, bipartite_orientation_number,
 from .sperner import (first_m, is_antichain, kappa, kappa_star, last_m,
                       level_size, members, shade, shadow, shadow_size_kkt,
                       squashed_level)
-from .tree import (BranchSpec, NeighborPartition, TreeSpec, VertexId,
-                   branch_copy, center, leaf_copy, load_spec,
-                   multiplied_edges, multiplied_vertices, partition,
-                   spec_from_dict, spec_to_dict, validate)
+from .tree import (BranchSpec, NeighborPartition, TreeSpec, load_spec,
+                   multiplied_edges, partition, spec_from_dict, spec_to_dict,
+                   validate, vertex_names)
 
 __version__ = "0.1.0"

@@ -3,8 +3,8 @@
 An `Orientation` stores one direction bit per canonical edge of the
 multiplied graph, in the order `tree.edge_pairs` states (bit 0: parent
 end to child end, bit 1: reversed), plus adjacency built from those
-integer index pairs; VertexIds are made only when a caller asks for them,
-and vertex names come from the block prefixes.  Distances count
+integer index pairs.  A caller names a vertex exactly as the program
+prints it (`tree.vertex_names`), and nothing else.  Distances count
 arcs, from int-bitset reach sets.  Each orientation is swept once, on its
 twin quotient: vertices with equal out- and in-sets, read from its own
 arcs, collapse to one, and the answers expand back exactly.  Every copy
@@ -17,13 +17,12 @@ can be ranked.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 from .errors import UsageError
-from .tree import (TreeSpec, VertexId, _blocks, edge_count, edge_pairs,
-                   indexer, multiplied_vertices, require_valid, vertex_names)
+from .tree import (TreeSpec, _blocks, edge_count, edge_pairs, require_valid,
+                   vertex_names)
 
 UNREACHABLE = math.inf
 
@@ -40,13 +39,14 @@ class Orientation:
     bits: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
+        bits = tuple(self.bits)
         require_valid(self.spec)
         m = edge_count(self.spec)
-        if len(self.bits) != m:
-            raise UsageError(f"need {m} direction bits, got {len(self.bits)}")
-        if any(b not in (0, 1) for b in self.bits):
+        if len(bits) != m:
+            raise UsageError(f"need {m} direction bits, got {len(bits)}")
+        if any(b not in (0, 1) for b in bits):   # before int() truncates
             raise UsageError("direction bits must be 0 or 1")
+        object.__setattr__(self, "bits", tuple(map(int, bits)))
 
     # -- derived structure, cached lazily ------------------------------------
 
@@ -75,28 +75,35 @@ class Orientation:
             object.__setattr__(self, "_distance_cache", cache)
         return cache
 
+    def _index(self):
+        """Vertex name -> vertex index, cached."""
+        cache = getattr(self, "_index_cache", None)
+        if cache is None:
+            cache = {name: i for i, name in enumerate(self.vertices)}
+            object.__setattr__(self, "_index_cache", cache)
+        return cache
+
     @property
     def vertices(self):
-        return multiplied_vertices(self.spec)
+        return vertex_names(self.spec)
 
-    def vertex_index(self, v: VertexId) -> int:
-        return indexer(self.spec)(v)
+    def vertex_index(self, v: str) -> int:
+        try:
+            return self._index()[v]
+        except KeyError:
+            raise UsageError(f"vertex {v} not in the multiplied graph") from None
 
     def arcs(self):
-        """Directed arcs as (tail, head) VertexId pairs, canonical edge order."""
-        verts = self.vertices
-        return [(verts[t], verts[h]) for t, h in self._layout()[0]]
+        """Directed arcs as (tail, head) name pairs, canonical edge order."""
+        names = self.vertices
+        return [(names[t], names[h]) for t, h in self._layout()[0]]
 
 
 def from_arcs(spec: TreeSpec, arcs) -> Orientation:
-    """Build an orientation from (tail, head) pairs covering every edge once."""
-    return _orient(spec, arcs, indexer(spec), lambda v: v)
-
-
-def _orient(spec: TreeSpec, arcs, index, vertex) -> Orientation:
-    """`from_arcs` on arcs whose ends are tokens: `index` maps a token to
-    its vertex index, raising UsageError for none, and `vertex` maps it to
-    the VertexId that error messages name."""
+    """Build an orientation from (tail, head) name pairs covering every
+    edge once; a name must be exactly as `tree.vertex_names` prints it."""
+    names = vertex_names(spec)
+    index = {name: i for i, name in enumerate(names)}
     pairs, n = edge_pairs(spec)
     pos = {}
     for j, (u, v) in enumerate(pairs):
@@ -105,18 +112,16 @@ def _orient(spec: TreeSpec, arcs, index, vertex) -> Orientation:
     bits = [None] * len(pairs)
     for (t, h) in arcs:
         try:
-            j, b = pos[index(t) * n + index(h)]
-        except (UsageError, KeyError):
-            raise UsageError(f"arc {vertex(t)}->{vertex(h)} is not an edge of "
+            j, b = pos[index[t] * n + index[h]]
+        except KeyError:
+            raise UsageError(f"arc {t}->{h} is not an edge of "
                              f"the multiplied graph") from None
         if bits[j] is not None:
-            names = vertex_names(spec)
             u, v = pairs[j]
             raise UsageError(f"edge {names[u]} -- {names[v]} assigned twice")
         bits[j] = b
     missing = [pairs[j] for j, b in enumerate(bits) if b is None]
     if missing:
-        names = vertex_names(spec)
         u, v = missing[0]
         raise UsageError(f"{len(missing)} edge(s) left unoriented, e.g. "
                          f"{names[u]} -- {names[v]}")
@@ -202,7 +207,7 @@ def diameter(d: Orientation):
     return max(eccentricities(d), default=0)
 
 
-def distance(d: Orientation, u: VertexId, v: VertexId):
+def distance(d: Orientation, u: str, v: str):
     target = 1 << d.vertex_index(v)
     balls = _balls(d._layout()[1], d.vertex_index(u))
     return next((k for k, b in enumerate(balls) if b & target), UNREACHABLE)
@@ -285,22 +290,25 @@ def pull_back(d: Orientation, target: TreeSpec, block_of) -> Orientation:
 # Center in- and out-sets
 # ============================================================================
 
-def center_out_set(d: Orientation, v: VertexId) -> int:
+def center_out_set(d: Orientation, v: str) -> int:
     """The center copies branch copy v points to, as a mask (bit x-1 for
     copy x, as in `sperner`)."""
     return _center_mask(d, v, d._layout()[1])
 
 
-def center_in_set(d: Orientation, v: VertexId) -> int:
+def center_in_set(d: Orientation, v: str) -> int:
     """The center copies that point to branch copy v, as a mask."""
     return _center_mask(d, v, d._layout()[2])
 
 
 def _center_mask(d, v, adjacency):
-    if v.role != "b":
+    # the center copies are vertices 0..s-1 of the layout; the branch
+    # copies come next
+    s = d.spec.s
+    i = d._index().get(v, -1)
+    if not s <= i < s + sum(b.multiplicity for b in d.spec.branches):
         raise UsageError(f"{v} is not a branch copy")
-    s = d.spec.s   # the center copies are vertices 0..s-1 of the layout
-    return sum(1 << w for w in adjacency[d.vertex_index(v)] if w < s)
+    return sum(1 << w for w in adjacency[i] if w < s)
 
 
 # ============================================================================
@@ -315,8 +323,8 @@ def to_edge_list(d: Orientation) -> str:
 
 
 def from_edge_list(spec: TreeSpec, text: str) -> Orientation:
+    """`from_arcs` on the `tail -> head` lines of `text`."""
     arcs = []
-    parse = functools.cache(VertexId.parse)   # each distinct name once
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -325,11 +333,8 @@ def from_edge_list(spec: TreeSpec, text: str) -> Orientation:
             tail, head = (part.strip() for part in line.split("->"))
         except ValueError:
             raise UsageError(f"line {lineno}: expected 'tail -> head'") from None
-        parse(tail), parse(head)     # a bad name fails on its own line
         arcs.append((tail, head))
-    index = indexer(spec)           # and each distinct name resolves once
-    return _orient(spec, arcs, functools.cache(lambda name: index(parse(name))),
-                   parse)
+    return from_arcs(spec, arcs)
 
 
 def to_dot(d: Orientation) -> str:

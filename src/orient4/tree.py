@@ -6,9 +6,10 @@ attaches a multiplicity to the center, to every branch, and to every leaf;
 the multiplied graph replaces each vertex by that many independent copies,
 with copies adjacent exactly when the originals were.
 
-Vertex naming in the multiplied graph follows the copy convention
-(copy, role): center copies `c.x`, branch copies `b<i>.y`, and leaf copies
-`l<i>.<alpha>.z`.
+A vertex of the multiplied graph is an index in canonical order, and its
+one name is the one the program prints (`vertex_names`): center copies
+`c.x`, branch copies `b<i>.y`, and leaf copies `l<i>.<alpha>.z`, every
+number in decimal from 1, with no sign or leading zero.
 """
 
 from __future__ import annotations
@@ -76,55 +77,10 @@ class NeighborPartition:
         return len(self.a2), len(self.a3), len(self.a4plus), len(self.e)
 
 
-@dataclass(frozen=True)
-class VertexId:
-    """One copy of a tree vertex: role 'c' (center), 'b' (branch) or 'l' (leaf)."""
-
-    role: str
-    copy: int
-    i: int = 0      # branch index for roles 'b' and 'l'
-    alpha: int = 0  # leaf index within the branch, role 'l' only
-
-    def __post_init__(self):
-        if self.role not in ("c", "b", "l"):
-            raise UsageError(f"unknown role {self.role!r}")
-
-    def __str__(self):
-        return _prefix(self.role, self.i, self.alpha) + str(self.copy)
-
-    @staticmethod
-    def parse(text: str) -> "VertexId":
-        try:
-            head, _, copy = text.rpartition(".")
-            copy = int(copy)
-            if head == "c":
-                return VertexId("c", copy)
-            if head.startswith("b"):
-                return VertexId("b", copy, int(head[1:]))
-            if head.startswith("l"):
-                i, alpha = head[1:].split(".")
-                return VertexId("l", copy, int(i), int(alpha))
-        except (ValueError, IndexError):
-            pass
-        raise UsageError(f"cannot parse vertex id {text!r}")
-
-
 def _prefix(role: str, i: int, alpha: int) -> str:
     """A vertex name without its copy number: c., b<i>. or l<i>.<alpha>."""
     return ("c." if role == "c" else f"b{i}." if role == "b"
             else f"l{i}.{alpha}.")
-
-
-def center(x: int) -> VertexId:
-    return VertexId("c", x)
-
-
-def branch_copy(i: int, x: int) -> VertexId:
-    return VertexId("b", x, i)
-
-
-def leaf_copy(i: int, alpha: int, x: int) -> VertexId:
-    return VertexId("l", x, i, alpha)
 
 
 # ============================================================================
@@ -187,22 +143,16 @@ def _blocks(spec: TreeSpec) -> dict:
     return blocks
 
 
-def multiplied_vertices(spec: TreeSpec) -> list:
-    """All vertices of the multiplied graph in canonical order."""
-    return [VertexId(role, x, i, alpha)
-            for (role, i, alpha), (_, size) in _blocks(spec).items()
-            for x in range(1, size + 1)]
-
-
 def vertex_names(spec: TreeSpec) -> list:
-    """`str` of each `multiplied_vertices` entry, from the block prefixes."""
+    """The name of each vertex of the multiplied graph, as the program
+    prints it, in canonical order: the block prefix and the copy number."""
     return [_prefix(*key) + str(x) for key, (_, size) in _blocks(spec).items()
             for x in range(1, size + 1)]
 
 
 def edge_pairs(spec: TreeSpec):
     """Each undirected edge of the multiplied graph once, as an index pair
-    (parent end, child end) into `multiplied_vertices` order; plus the
+    (parent end, child end) into `vertex_names` order; plus the
     vertex count.  The one statement of the edge order that direction bits
     follow: center edges branch by branch (center copy outer, branch copy
     inner), then leaf edges leaf by leaf (branch copy outer, leaf copy
@@ -218,24 +168,9 @@ def edge_pairs(spec: TreeSpec):
 
 
 def multiplied_edges(spec: TreeSpec) -> list:
-    """`edge_pairs` as (VertexId, VertexId) pairs."""
-    verts = multiplied_vertices(spec)
-    return [(verts[u], verts[v]) for u, v in edge_pairs(spec)[0]]
-
-
-def indexer(spec: TreeSpec):
-    """A function from a VertexId to its index in `multiplied_vertices`
-    order, from its block's offset; it raises UsageError for a vertex the
-    multiplied graph does not have."""
-    blocks = _blocks(spec)
-
-    def index(v: VertexId) -> int:
-        start, size = blocks.get((v.role, v.i, v.alpha), (0, 0))
-        if not 1 <= v.copy <= size:
-            raise UsageError(f"vertex {v} not in the multiplied graph")
-        return start + v.copy - 1
-
-    return index
+    """`edge_pairs` as (parent name, child name) pairs."""
+    names = vertex_names(spec)
+    return [(names[u], names[v]) for u, v in edge_pairs(spec)[0]]
 
 
 def edge_count(spec: TreeSpec) -> int:

@@ -24,10 +24,22 @@ from orient4.errors import ConstructionError
 from orient4.oracle import bipartite_orientation_number, orientation_number
 from orient4.sperner import (first_m, kappa, last_m, members, shade,
                              shadow_size_kkt)
-from orient4.tree import (BranchSpec, TreeSpec, branch_copy, center,
-                          edge_count, leaf_copy, validate)
+from orient4.tree import BranchSpec, TreeSpec, edge_count, validate
 
 SWEEP_MAX_EDGES = 22
+
+
+# vertex names as the program prints them
+def center(x):
+    return f"c.{x}"
+
+
+def branch_copy(i, y):
+    return f"b{i}.{y}"
+
+
+def leaf_copy(i, alpha, z):
+    return f"l{i}.{alpha}.{z}"
 
 
 def mkspec(s, a2=0, a3=0, a4=0, e=0):

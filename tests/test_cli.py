@@ -86,6 +86,25 @@ def test_construct_verify_roundtrip(tmp_path, capsys):
     assert "diameter 4" in out and "strong" in out and "edges match" in out
 
 
+# a name `construct` prints, and the same vertex written another way
+@pytest.mark.parametrize("name, written", [
+    ("c.1", "c.0_1"), ("b1.1", "b+1.1"), ("l1.1.2", "l1.1. 2"),
+    ("c.3", "c.\u0663"), ("c.1", "c.01")])
+def test_verify_takes_names_only_as_printed(tmp_path, capsys, name, written):
+    spec_path = write_spec(tmp_path, c0_doc())
+    assert main(["construct", spec_path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    j = next(j for j, line in enumerate(lines) if name in line.split(" -> "))
+    tail, head = (written if end == name else end
+                  for end in lines[j].split(" -> "))
+    lines[j] = f"{tail} -> {head}"
+    edge_path = tmp_path / "edges.txt"
+    edge_path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", spec_path, str(edge_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: arc {tail}->{head} is not an edge of the multiplied graph\n")
+
+
 def test_construct_output_is_byte_stable(tmp_path, capsys):
     spec_path = write_spec(tmp_path, c0_doc())
     main(["construct", spec_path, "--explain"])

@@ -24,8 +24,20 @@ from orient4.digraph import (Orientation, center_in_set, center_out_set,
 from orient4.errors import ConstructionError, Refusal, UsageError
 from orient4.oracle import orientation_number
 from orient4.sperner import is_antichain, members
-from orient4.tree import (BranchSpec, TreeSpec, branch_copy, center,
-                          edge_count, leaf_copy)
+from orient4.tree import BranchSpec, TreeSpec, edge_count
+
+
+# vertex names as the program prints them
+def center(x):
+    return f"c.{x}"
+
+
+def branch_copy(i, y):
+    return f"b{i}.{y}"
+
+
+def leaf_copy(i, alpha, z):
+    return f"l{i}.{alpha}.{z}"
 
 
 def mask(f):
@@ -332,8 +344,8 @@ def test_core_recipe(spec, case):
 
 def reference_core(case, rspec, sched):
     """The core by the arc builder the direct bit writer replaced: one
-    (tail, head) `VertexId` pair per edge, slot by slot, mapped to bits
-    through `from_arcs`."""
+    (tail, head) name pair per edge, slot by slot, mapped to bits through
+    `from_arcs`."""
     h = rspec.h_spec
     rows = [(pattern, row) for pattern, block
             in build._slot_blocks(case, rspec, sched) for row in block]

@@ -15,9 +15,28 @@ from orient4.digraph import (UNREACHABLE, ExtensionError, Orientation,
                              pull_back, reverse, shortest_cycle_lengths,
                              to_dot, to_edge_list)
 from orient4.errors import UsageError
-from orient4.tree import (BranchSpec, TreeSpec, VertexId, branch_copy,
-                          center, edge_pairs, indexer, leaf_copy,
-                          multiplied_edges, multiplied_vertices)
+from orient4.tree import (BranchSpec, TreeSpec, edge_pairs, multiplied_edges,
+                          vertex_names)
+
+
+# Vertex names as the program prints them, built here from the copy
+# convention.  A reference vertex is a (role, i, alpha, copy) tuple.
+def center(x):
+    return f"c.{x}"
+
+
+def branch_copy(i, y):
+    return f"b{i}.{y}"
+
+
+def leaf_copy(i, alpha, z):
+    return f"l{i}.{alpha}.{z}"
+
+
+def name(v):
+    role, i, alpha, copy = v
+    return (center(copy) if role == "c" else branch_copy(i, copy)
+            if role == "b" else leaf_copy(i, alpha, copy))
 
 
 def p5_all2():
@@ -60,6 +79,19 @@ def test_from_arcs_errors():
                               "multiplied graph")
 
 
+@pytest.mark.parametrize("bit", [0.5, 1.9, "1", "0", None, 2, -1])
+def test_direction_bits_must_equal_0_or_1(bit):
+    with pytest.raises(UsageError) as err:
+        Orientation(p5_all2(), (bit,) * 16)
+    assert str(err.value) == "direction bits must be 0 or 1"
+
+
+def test_direction_bits_equal_to_0_or_1_become_ints():
+    d = Orientation(p5_all2(), (True, 0.0) * 8)
+    assert d.bits == (1, 0) * 8
+    assert all(type(b) is int for b in d.bits)
+
+
 # s = 3; branch 1 has 2 copies and leaves of 2 and 3 copies; branch 2 has
 # 4 copies and one leaf.  Each vertex below is one past a bound, and an
 # unchecked offset would land b1.3 on b2.1 and l1.1.3 on l1.2.1.
@@ -76,39 +108,58 @@ def test_index_rejects_vertices_out_of_bounds(tail, head):
         from_edge_list(spec, f"{tail} -> {head}\n")
     assert str(err.value) == message
     with pytest.raises(UsageError) as err:
-        from_arcs(spec, [(VertexId.parse(tail), VertexId.parse(head))])
+        from_arcs(spec, [(tail, head)])
     assert str(err.value) == message
     d = Orientation(spec, (0,) * len(edge_pairs(spec)[0]))
     with pytest.raises(UsageError) as err:
-        d.vertex_index(VertexId.parse(tail))
+        d.vertex_index(tail)
     assert str(err.value) == f"vertex {tail} not in the multiplied graph"
 
 
+# Each names a vertex of BOUNDS_SPEC in a form the program never prints:
+# int() would read every one of them as a canonical name.
+NON_CANONICAL = ["c.0_1", "b+1.1", "l1.1. 2", "c.\u0663", "c.01", " c.1",
+                 "b01.1", "l1.01.1"]
+
+
+@pytest.mark.parametrize("v", NON_CANONICAL)
+def test_names_must_be_canonical(v):
+    spec = BOUNDS_SPEC
+    d = Orientation(spec, (0,) * len(edge_pairs(spec)[0]))
+    with pytest.raises(UsageError) as err:
+        from_arcs(spec, [(v, "b1.1")])
+    assert str(err.value) == \
+        f"arc {v}->b1.1 is not an edge of the multiplied graph"
+    with pytest.raises(UsageError) as err:
+        d.vertex_index(v)
+    assert str(err.value) == f"vertex {v} not in the multiplied graph"
+
+
 def reference_vertices(spec):
-    """The multiplied vertices in canonical order, by the loops the integer
-    layout replaced."""
-    out = [center(x) for x in range(1, spec.s + 1)]
+    """The multiplied vertices in canonical order, as (role, i, alpha,
+    copy) tuples, by the loops the integer layout replaced."""
+    out = [("c", 0, 0, x) for x in range(1, spec.s + 1)]
     for i, b in enumerate(spec.branches, start=1):
-        out.extend(branch_copy(i, x) for x in range(1, b.multiplicity + 1))
+        out.extend(("b", i, 0, x) for x in range(1, b.multiplicity + 1))
     for i, b in enumerate(spec.branches, start=1):
         for alpha, lm in enumerate(b.leaf_multiplicities, start=1):
-            out.extend(leaf_copy(i, alpha, x) for x in range(1, lm + 1))
+            out.extend(("l", i, alpha, x) for x in range(1, lm + 1))
     return out
 
 
 def reference_edges(spec):
-    """The multiplied edges as VertexId pairs, by the nested loops the
-    integer layout replaced."""
+    """The multiplied edges as (role, i, alpha, copy) pairs, by the nested
+    loops the integer layout replaced."""
     out = []
     for i, b in enumerate(spec.branches, start=1):
         for x in range(1, spec.s + 1):
             for y in range(1, b.multiplicity + 1):
-                out.append((center(x), branch_copy(i, y)))
+                out.append((("c", 0, 0, x), ("b", i, 0, y)))
     for i, b in enumerate(spec.branches, start=1):
         for alpha, lm in enumerate(b.leaf_multiplicities, start=1):
             for y in range(1, b.multiplicity + 1):
                 for z in range(1, lm + 1):
-                    out.append((branch_copy(i, y), leaf_copy(i, alpha, z)))
+                    out.append((("b", i, 0, y), ("l", i, alpha, z)))
     return out
 
 
@@ -124,23 +175,24 @@ valid_specs = st.builds(
 @given(valid_specs, st.data())
 def test_integer_layout_matches_vertex_ids(spec, data):
     verts = reference_vertices(spec)
-    assert multiplied_vertices(spec) == verts
+    assert vertex_names(spec) == [name(v) for v in verts]
     ref_index = {v: i for i, v in enumerate(verts)}
-    edges = reference_edges(spec)
     pairs, n = edge_pairs(spec)
     assert n == len(verts) == len(ref_index)
-    assert pairs == [(ref_index[u], ref_index[v]) for u, v in edges]
+    assert pairs == [(ref_index[u], ref_index[v])
+                     for u, v in reference_edges(spec)]
+    edges = [(name(u), name(v)) for u, v in reference_edges(spec)]
     assert multiplied_edges(spec) == edges
-    index = indexer(spec)
-    assert all(index(v) == i for v, i in ref_index.items())
 
     bits = data.draw(st.lists(st.integers(0, 1), min_size=len(edges),
                               max_size=len(edges)))
     d = Orientation(spec, tuple(bits))
+    assert d.vertices == [name(v) for v in verts]
+    assert all(d.vertex_index(name(v)) == i for v, i in ref_index.items())
     arcs = [(u, v) if b == 0 else (v, u) for (u, v), b in zip(edges, bits)]
     assert d.arcs() == arcs
     assert to_edge_list(d) == "\n".join(f"{t} -> {h}" for t, h in arcs) + "\n"
-    dot = (["digraph orientation {"] + [f'  "{v}";' for v in verts]
+    dot = (["digraph orientation {"] + [f'  "{name(v)}";' for v in verts]
            + [f'  "{t}" -> "{h}";' for t, h in arcs] + ["}"])
     assert to_dot(d) == "\n".join(dot) + "\n"
     assert from_arcs(spec, arcs).bits == d.bits
@@ -162,9 +214,9 @@ def test_all_arcs_into_center_is_unreachable():
     spec = p5_all2()
     bits = []
     for (u, v) in multiplied_edges(spec):
-        if u.role == "c":
+        if u.startswith("c."):
             bits.append(1)      # point the edge at the center copy
-        elif v.role == "c":
+        elif v.startswith("c."):
             bits.append(0)
         else:
             bits.append(0)
@@ -415,12 +467,13 @@ def test_extend_requires_short_cycles():
 
 
 def reference_pull_back(d, target, to_d):
-    """Bits of `target` oriented like (to_d(u), to_d(v)) in `d`: the
-    VertexId pull-back that the integer one replaced."""
-    index = indexer(d.spec)
-    where = [index(to_d(v)) for v in multiplied_vertices(target)]
-    n = len(d.vertices)
-    arcs = {index(t) * n + index(h) for t, h in d.arcs()}
+    """Bits of `target` oriented like (to_d(u), to_d(v)) in `d`, for
+    reference vertices u, v: the name pull-back that the integer one
+    replaced."""
+    index = {name(v): i for i, v in enumerate(reference_vertices(d.spec))}
+    where = [index[name(to_d(v))] for v in reference_vertices(target)]
+    n = len(index)
+    arcs = {index[t] * n + index[h] for t, h in d.arcs()}
     return tuple(int(where[u] * n + where[v] not in arcs)
                  for u, v in edge_pairs(target)[0])
 
@@ -428,15 +481,16 @@ def reference_pull_back(d, target, to_d):
 def reference_donor(small):
     """Copy y of a vertex mimics copy (y - 1) mod old + 1 in `small`."""
     def donor(v):
-        if v.role == "c":
+        role, i, alpha, copy = v
+        if role == "c":
             old = small.s
-        elif v.role == "b":
-            old = small.branch(v.i).multiplicity
+        elif role == "b":
+            old = small.branch(i).multiplicity
         else:
-            old = small.branch(v.i).leaf_multiplicities[v.alpha - 1]
-        if v.copy <= old:
+            old = small.branch(i).leaf_multiplicities[alpha - 1]
+        if copy <= old:
             return v
-        return VertexId(v.role, (v.copy - 1) % old + 1, v.i, v.alpha)
+        return (role, i, alpha, (copy - 1) % old + 1)
     return donor
 
 
@@ -444,9 +498,10 @@ def reference_to_slot(slot_to_user):
     user_to_slot = {u: j for j, u in enumerate(slot_to_user, start=1)}
 
     def to_slot(v):
-        if v.role == "c":
+        role, i, alpha, copy = v
+        if role == "c":
             return v
-        return VertexId(v.role, v.copy, user_to_slot[v.i], v.alpha)
+        return (role, user_to_slot[i], alpha, copy)
     return to_slot
 
 
@@ -525,10 +580,11 @@ def test_projections_partition_center_copies():
 
 def test_projection_role_checks():
     d = built(p5_all2())
-    with pytest.raises(UsageError):
-        center_out_set(d, center(1))
-    with pytest.raises(UsageError):
-        center_in_set(d, leaf_copy(1, 1, 1))
+    for v in ("c.1", "l1.1.1", "b1.3", "b3.1", "b1.01", "x.1"):
+        for center_set in (center_out_set, center_in_set):
+            with pytest.raises(UsageError) as err:
+                center_set(d, v)
+            assert str(err.value) == f"{v} is not a branch copy"
 
 
 # ----------------------------------------------------------------------------
@@ -557,7 +613,8 @@ def test_edge_list_parse_errors():
         f"line {len(good.splitlines()) + 1}: expected 'tail -> head'"
     with pytest.raises(UsageError) as err:
         from_edge_list(spec, good + "c.1 -> x.1\n")
-    assert str(err.value) == "cannot parse vertex id 'x.1'"
+    assert str(err.value) == \
+        "arc c.1->x.1 is not an edge of the multiplied graph"
 
 
 def test_dot_output():

@@ -6,10 +6,9 @@ import random
 import pytest
 
 from orient4.errors import UsageError
-from orient4.tree import (BranchSpec, TreeSpec, VertexId, edge_count,
-                          load_spec, multiplied_edges, multiplied_vertices,
-                          partition, spec_from_dict, spec_to_dict, validate,
-                          vertex_names)
+from orient4.tree import (BranchSpec, TreeSpec, edge_count, load_spec,
+                          multiplied_edges, partition, spec_from_dict,
+                          spec_to_dict, validate, vertex_names)
 
 
 def p5_all2():
@@ -120,24 +119,25 @@ def test_edges_canonical_and_unique():
     spec = fig_tree_all2()
     edges = multiplied_edges(spec)
     assert edges == multiplied_edges(spec)
-    assert len({frozenset((str(u), str(v))) for u, v in edges}) == len(edges)
+    assert len({frozenset(edge) for edge in edges}) == len(edges)
     # center-branch blocks come first, ordered by branch index
-    assert str(edges[0][0]) == "c.1" and str(edges[0][1]) == "b1.1"
-    verts = multiplied_vertices(spec)
+    assert edges[0] == ("c.1", "b1.1")
+    verts = vertex_names(spec)
     assert len(verts) == len(set(verts))
 
 
-def test_vertex_id_roundtrip():
-    for v in multiplied_vertices(fig_tree_all2()):
-        assert VertexId.parse(str(v)) == v
-    assert str(VertexId("l", 2, 3, 1)) == "l3.1.2"
-    with pytest.raises(UsageError):
-        VertexId.parse("x1.2")
-
-
 def test_vertex_names_match_vertex_ids():
+    # (role, i, alpha, copy) of each vertex, named by the copy convention
     spec = TreeSpec(3, (BranchSpec(2, (2, 4)), BranchSpec(5, (3,))))
-    assert vertex_names(spec) == [str(v) for v in multiplied_vertices(spec)]
+    ids = ([("c", 0, 0, x) for x in (1, 2, 3)]
+           + [("b", 1, 0, y) for y in (1, 2)]
+           + [("b", 2, 0, y) for y in (1, 2, 3, 4, 5)]
+           + [("l", 1, 1, z) for z in (1, 2)]
+           + [("l", 1, 2, z) for z in (1, 2, 3, 4)]
+           + [("l", 2, 1, z) for z in (1, 2, 3)])
+    assert vertex_names(spec) == [
+        f"c.{x}" if role == "c" else f"b{i}.{x}" if role == "b"
+        else f"l{i}.{alpha}.{x}" for role, i, alpha, x in ids]
 
 
 # ----------------------------------------------------------------------------
