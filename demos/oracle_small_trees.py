@@ -3,7 +3,8 @@
 The oracle tries every one of the 2^|E| direction assignments, computes the
 exact diameter of each with bit-parallel reachability, and reports the
 minimum over the strong ones together with the first optimal assignment.
-At 16-22 edges that is 65k-4M orientations; numpy keeps it to seconds.
+At 16-26 edges, halved by symmetry, that is 32k-34M orientations; numpy
+keeps it under a second.
 
 Run:  python demos/oracle_small_trees.py
 """
@@ -34,7 +35,7 @@ def main():
     report("degree-3 center, all doubled",
            TreeSpec(2, (BranchSpec(2, (2,)), BranchSpec(2, (2,)),
                         BranchSpec(2, ()))))
-    print("(the next one scans 2^25 representatives; give it a few seconds)")
+    print("(the next one scans 2^25 representatives, about half a second)")
     report("degree-3 center, tripled center",
            TreeSpec(3, (BranchSpec(2, (2,)), BranchSpec(2, (2,)),
                         BranchSpec(2, ()))), max_edges=26)

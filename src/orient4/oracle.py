@@ -7,10 +7,19 @@ reported witness is the numerically smallest optimal rank.  The rank space
 may be split into contiguous ranges and the partial results merged; the
 outcome is independent of the partitioning.
 
-A strong orientation has no source and no sink, and one compare of the
-rank bits per vertex finds them, so most ranks are rejected outright.  The
-survivors get uint32 reach sets, one per vertex (so at most 32 vertices),
+A strong orientation has no source and no sink.  Each rank splits into
+its low log2(_BATCH) bits and its high bits; whether a vertex is a source
+or a sink on its low edges is judged once per search for every low value,
+and on its high edges once per block of ranks that share their high bits.
+So a block costs a few boolean ANDs, or nothing when a vertex with only high
+edges rejects it whole, and no rank with a source or a sink is ever built.
+The survivors get reach sets, one row per vertex in the narrowest unsigned
+type that holds n bits (uint8, uint16 or uint32, so at most 32 vertices),
 grown one step per round by pushing along each edge in its direction.
+Survivors are gathered across blocks so that each push is wide.  On the
+24-edge C1 spec (2; (2,[]), (2,[2]), (2,[2,2])) all 2^24 ranks take about
+0.025 s, and on the 28-edge (4; (2,[2]), (2,[2,2])) all 2^28 take about
+1.1 s (2 cores, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -26,7 +35,8 @@ from .tree import (TreeSpec, edge_count, edge_pairs, require_valid,
                    vertex_names)
 
 DEFAULT_MAX_EDGES = 24
-_BATCH = 1 << 16
+_BATCH = 1 << 16    # ranks per block of the source/sink filter
+_PUSH = 1 << 15     # most survivors per reach push, unless one block has more
 
 
 @dataclass(frozen=True)
@@ -129,31 +139,79 @@ def find_bridge(n: int, edges):
 
 
 # ============================================================================
-# Vectorized diameter over a batch of assignments
+# Source/sink filter per block of ranks, then the reach push
 # ============================================================================
 
+def _survivors(graph: EnumGraph, lo: int, hi: int):
+    """Ranks in [lo, hi) that leave no vertex a source or a sink, ascending,
+    gathered across blocks into arrays of at most _PUSH ranks (or one
+    block's survivors, if more).
+
+    Vertex v is a sink iff its edges' rank bits (mask M_v) equal S_v, every
+    edge into v, and a source iff they equal S_v ^ M_v; M_v = 0 counts as
+    both.  Split M_v and S_v at bit L = min(m, log2(_BATCH)): the low halves
+    are judged once per call for all 2^L low values, and the high halves
+    once per block of 2^L ranks."""
+    low = min(graph.m, _BATCH.bit_length() - 1)
+    size = 1 << low
+    values = np.arange(size, dtype=np.int64)
+    base = np.ones(size, dtype=bool)
+    split = []    # (high M_v, high S_v, low "not a sink", low "not a source")
+    for v in range(graph.n):
+        m_v = sum(1 << j for j, e in enumerate(graph.edges) if v in e)
+        s_v = sum(1 << j for j, e in enumerate(graph.edges) if e[0] == v)
+        m_lo, s_lo = m_v & (size - 1), s_v & (size - 1)
+        bits = values & m_lo
+        no_sink, no_source = bits != s_lo, bits != s_lo ^ m_lo
+        if m_v >> low == 0:
+            base &= no_sink & no_source
+        else:
+            # None: v has no low edges, so a block that points its high
+            # edges all into v or all out of v is rejected whole
+            lows = (no_sink, no_source) if m_lo else (None, None)
+            split.append((m_v >> low, s_v >> low, *lows))
+    pending, count = [], 0
+    for h in range(lo >> low, (hi + size - 1) >> low):
+        alive = base
+        for m_hi, s_hi, no_sink, no_source in split:
+            b = h & m_hi
+            if b != s_hi and b != s_hi ^ m_hi:
+                continue
+            if no_sink is None:
+                break
+            alive = alive & (no_sink if b == s_hi else no_source)
+        else:
+            start = h << low
+            first, last = max(lo - start, 0), min(hi - start, size)
+            kept = np.flatnonzero(alive[first:last]) + (start + first)
+            if count and count + kept.size > _PUSH:
+                yield np.concatenate(pending)
+                pending, count = [], 0
+            pending.append(kept)
+            count += kept.size
+    if count:
+        yield np.concatenate(pending)
+
+
 def _batch_diameters(graph: EnumGraph, ranks: np.ndarray) -> np.ndarray:
-    """Exact diameter (math.inf if not strong) for each assignment rank."""
+    """Exact diameter (math.inf if not strong) for each assignment rank.
+
+    One column per rank.  reach[v] holds the vertices within t steps of v, in
+    the narrowest unsigned type that holds n bits; fwd[j] is all ones where
+    edge j points u -> v (bit 0).  A rank with a source or a sink stops
+    growing before its rows are full and reads inf."""
     n, edges = graph.n, graph.edges
+    row = np.min_scalar_type((1 << n) - 1)
     diam = np.full(len(ranks), math.inf)
-    # v is a sink iff its edges' rank bits (mask M_v) equal S_v, every edge
-    # into v, and a source iff they equal S_v ^ M_v; M_v = 0 counts as both.
-    mask = [sum(1 << j for j, e in enumerate(edges) if v in e)
-            for v in range(n)]
-    into = [sum(1 << j for j, e in enumerate(edges) if e[0] == v)
-            for v in range(n)]
-    alive = np.ones(len(ranks), dtype=bool)
-    for m_v, s_v in zip(mask, into):
-        bits = ranks & m_v
-        alive &= (bits != s_v) & (bits != s_v ^ m_v)
-    idx = np.flatnonzero(alive)
-    # One column per surviving rank.  reach[v] holds the vertices within t
-    # steps of v; fwd[j] is all ones where edge j points u -> v (bit 0).
-    shifts = np.arange(len(edges))[:, None]
-    fwd = ((ranks[idx] >> shifts) & 1).astype(np.uint32) - np.uint32(1)
-    reach = np.repeat(np.uint32(1) << np.arange(n, dtype=np.uint32),
+    idx = np.arange(len(ranks))
+    # row by row, so no (m, ranks) int64 temporary is made
+    fwd = np.empty((len(edges), len(ranks)), dtype=row)
+    for j, f in enumerate(fwd):
+        f[...] = (ranks >> j) & 1
+    fwd -= row.type(1)
+    reach = np.repeat(row.type(1) << np.arange(n, dtype=row),
                       idx.size).reshape(n, idx.size)
-    full = np.uint32((1 << n) - 1)
+    full = row.type((1 << n) - 1)
     t = 0
     while idx.size:
         nxt = reach.copy()
@@ -172,18 +230,14 @@ def _batch_diameters(graph: EnumGraph, ranks: np.ndarray) -> np.ndarray:
     return diam
 
 
-def search_rank_range(graph: EnumGraph, lo: int, hi: int,
-                      batch: int = _BATCH) -> RangeResult:
+def search_rank_range(graph: EnumGraph, lo: int, hi: int) -> RangeResult:
     """Scan assignment ranks [lo, hi); results merge associatively."""
     if not 0 <= lo <= hi <= 1 << graph.m:
         raise UsageError(f"rank range [{lo},{hi}) outside 0..2^{graph.m}")
     best = math.inf
     best_rank = None
     strong = 0
-    pos = lo
-    while pos < hi:
-        stop = min(pos + batch, hi)
-        ranks = np.arange(pos, stop, dtype=np.int64)
+    for ranks in _survivors(graph, lo, hi):
         diams = _batch_diameters(graph, ranks)
         finite = np.isfinite(diams)
         strong += int(finite.sum())
@@ -192,7 +246,6 @@ def search_rank_range(graph: EnumGraph, lo: int, hi: int,
             if lot < best:
                 best = float(lot)
                 best_rank = int(ranks[finite][diams[finite] == lot][0])
-        pos = stop
     return RangeResult(hi - lo, strong, best, best_rank)
 
 

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from orient4 import oracle
 from orient4.digraph import Orientation, diameter, is_strong
 from orient4.errors import Refusal
-from orient4.oracle import (_batch_diameters, bipartite_graph,
+from orient4.oracle import (_BATCH, EnumGraph, _batch_diameters,
+                            _survivors, bipartite_graph,
                             bipartite_orientation_number, find_bridge,
                             graph_from_spec, merge_results,
                             orientation_number, search_rank_range)
@@ -28,6 +29,12 @@ def deg3_all2():
 
 def mixed_spec():
     return TreeSpec(2, (BranchSpec(2, (2,)), BranchSpec(3, (2,))))
+
+
+def c1_24_edges():
+    # the benchmark's 24-edge C1 spec
+    return TreeSpec(2, (BranchSpec(2, ()), BranchSpec(2, (2,)),
+                        BranchSpec(2, (2, 2))))
 
 
 # ----------------------------------------------------------------------------
@@ -154,6 +161,7 @@ def test_oversized_graph_refused_before_search(monkeypatch, p, q, message):
 @pytest.mark.parametrize("spec, want", [
     (p5_all2(), (65_536, 1_604, 4, 26_172)),
     (deg3_all2(), (1_048_576, 7_952, 5, 209_750)),
+    (c1_24_edges(), (16_777_216, 36_944, 5, 3_356_003)),
 ])
 def test_full_scan_counts(spec, want):
     graph = graph_from_spec(spec)
@@ -217,10 +225,41 @@ def reference_diameters(graph, ranks):
     return diam
 
 
+def dfs_rank(graph):
+    """A strong orientation of a connected bridgeless graph (Robbins): each
+    edge points the way a depth-first search first crosses it, so tree edges
+    lead away from the root and every other edge back to an ancestor."""
+    adj = [[] for _ in range(graph.n)]
+    for j, (u, v) in enumerate(graph.edges):
+        adj[u].append((v, j))
+        adj[v].append((u, j))
+    seen, used = [False] * graph.n, [False] * graph.m
+    seen[0] = True
+    rank = 0
+    stack = [(0, iter(adj[0]))]
+    while stack:
+        u, it = stack[-1]
+        for w, j in it:
+            if used[j]:
+                continue
+            used[j] = True
+            if graph.edges[j][0] != u:
+                rank |= 1 << j
+            if not seen[w]:
+                seen[w] = True
+                stack.append((w, iter(adj[w])))
+                break
+        else:
+            stack.pop()
+    return rank
+
+
+# reach rows are uint8 up to 8 vertices, uint16 up to 16 and uint32 up to 32
 KERNEL_GRAPHS = [(spec, graph_from_spec(spec))
                  for spec in (p5_all2(), deg3_all2(), mixed_spec())] + \
     [(None, bipartite_graph(p, q))
-     for p, q in ((2, 2), (2, 3), (3, 3), (3, 4), (2, 6), (4, 4))]
+     for p, q in ((2, 2), (2, 3), (3, 3), (3, 4), (2, 6), (4, 4), (3, 6),
+                  (2, 14), (2, 15), (2, 30))]
 
 
 @settings(max_examples=100, deadline=None)
@@ -231,12 +270,20 @@ def test_batch_diameters_match_reference_and_digraph(data):
     lo = data.draw(st.integers(0, top - 1))
     hi = data.draw(st.integers(lo + 1, min(top, lo + 4000)))
     extra = data.draw(st.lists(st.integers(0, top - 1), max_size=20))
+    # random ranks of a large graph are almost never strong, so also take a
+    # strong one and a few edge flips away from it
+    strong = dfs_rank(graph)
+    flips = data.draw(st.lists(st.sets(st.integers(0, graph.m - 1),
+                                       max_size=3), max_size=20))
+    near = [strong ^ sum(1 << j for j in js) for js in flips]
     # ranks 0 and top - 1 point every edge one way, so each has a source
     # and a sink
-    ranks = np.array([*range(lo, hi), 0, top - 1, *extra], dtype=np.int64)
+    ranks = np.array([*range(lo, hi), 0, top - 1, strong, *extra, *near],
+                     dtype=np.int64)
     got = _batch_diameters(graph, ranks)
     assert np.array_equal(got, reference_diameters(graph, ranks))
     assert math.isinf(got[hi - lo]) and math.isinf(got[hi - lo + 1])
+    assert math.isfinite(got[hi - lo + 2])
     if spec is None:
         return
     finite = np.flatnonzero(np.isfinite(got))
@@ -245,3 +292,61 @@ def test_batch_diameters_match_reference_and_digraph(data):
         d = Orientation(spec, tuple((r >> j) & 1 for j in range(graph.m)))
         assert diameter(d) == got[i]
         assert is_strong(d) == math.isfinite(got[i])
+
+
+# ----------------------------------------------------------------------------
+# the block filter against the rank-wise one
+# ----------------------------------------------------------------------------
+
+def reference_survivors(graph, lo, hi):
+    """Every rank of [lo, hi) built, then one compare of its bits per vertex:
+    v is a sink iff its edges' bits (mask M_v) equal S_v, every edge into v,
+    and a source iff they equal S_v ^ M_v; M_v = 0 counts as both."""
+    ranks = np.arange(lo, hi, dtype=np.int64)
+    edges = graph.edges
+    alive = np.ones(len(ranks), dtype=bool)
+    for v in range(graph.n):
+        m_v = sum(1 << j for j, e in enumerate(edges) if v in e)
+        s_v = sum(1 << j for j, e in enumerate(edges) if e[0] == v)
+        bits = ranks & m_v
+        alive &= (bits != s_v) & (bits != s_v ^ m_v)
+    return ranks[alive]
+
+
+def high_edges_only():
+    # K(2,8) is edges 0-15; x is joined to a1 and a2 by edges 16 and 17
+    # alone, so every block whose two high bits make x a source or a sink
+    # is rejected whole
+    k = bipartite_graph(2, 8)
+    return EnumGraph(k.names + ("x",), k.edges + ((0, 10), (1, 10)))
+
+
+def isolated_vertex():
+    k = bipartite_graph(2, 9)
+    return EnumGraph(k.names + ("z",), k.edges)
+
+
+# m below, at and above log2(_BATCH) = 16; K(5,5) has blocks with more
+# than _PUSH survivors
+FILTER_GRAPHS = [bipartite_graph(2, 3), graph_from_spec(mixed_spec()),
+                 graph_from_spec(p5_all2()), graph_from_spec(deg3_all2()),
+                 bipartite_graph(5, 5), high_edges_only(), isolated_vertex()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_survivors_match_rank_wise_filter(data):
+    graph = data.draw(st.sampled_from(FILTER_GRAPHS))
+    top = 1 << graph.m
+    # both ends within two blocks of one block boundary, so many ranges
+    # cross it; an end is unaligned or on a boundary
+    edge = data.draw(st.integers(0, top // _BATCH)) * _BATCH
+    near = [edge + k * _BATCH for k in range(-2, 3)
+            if 0 <= edge + k * _BATCH <= top]
+    end = st.integers(near[0], near[-1]) | st.sampled_from(near)
+    lo, hi = sorted((data.draw(end), data.draw(end)))
+    blocks = list(_survivors(graph, lo, hi))
+    assert all(len(b) <= _BATCH for b in blocks)
+    got = np.concatenate(blocks) if blocks else np.array([], dtype=np.int64)
+    assert np.array_equal(got, reference_survivors(graph, lo, hi))
+
