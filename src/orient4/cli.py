@@ -1,8 +1,8 @@
 """Command-line front end: classify, construct, verify, oracle, sperner.
 
 Exit codes: 0 success, 1 principled refusal (orientation number 5, open
-case, enumeration or edge budget), 2 bad input or arguments, 3 internal
-failure.
+case, enumeration, edge or edge-list budget), 2 bad input or arguments, 3
+internal failure.
 """
 
 from __future__ import annotations
@@ -27,6 +27,9 @@ EXIT_INTERNAL = 3
 # multiplied edges `construct` and `verify` accept; 18x the largest
 # benchmark instance
 MAX_EDGES = 100_000
+# bytes of edge list `verify` reads: 8x the largest text `construct`
+# prints, an `--explain` at s = 5,000 (under 8 MiB)
+MAX_EDGE_LIST_BYTES = 64 << 20
 # center multiplicity every spec command accepts: threshold notes print
 # C(s, ceil(s/2)), which stays under Python's 4,300-digit int-to-str limit
 MAX_CENTER = 10_000
@@ -191,10 +194,27 @@ def _print_explain(result):
 # verify
 # ============================================================================
 
+def _read_at_most(fh, limit):
+    """Up to `limit` bytes of `fh`, read in 64 KiB chunks: one read of
+    `limit` would allocate a buffer that large for any file."""
+    chunks = []
+    while limit > 0 and (chunk := fh.read(min(limit, 1 << 16))):
+        chunks.append(chunk)
+        limit -= len(chunk)
+    return b"".join(chunks)
+
+
 def cmd_verify(args):
     spec = _load_within_budget(args.spec)
-    with open(args.edges, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(args.edges, "rb") as fh:
+        raw = _read_at_most(fh, MAX_EDGE_LIST_BYTES + 1)
+    if len(raw) > MAX_EDGE_LIST_BYTES:
+        raise Refusal(f"edge list exceeds the bound {MAX_EDGE_LIST_BYTES} "
+                      f"bytes")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"edge list is not valid UTF-8: {exc}") from exc
     d = digraph.from_edge_list(spec, text)  # raises if edges do not match
     dia = digraph.diameter(d)
     strong = digraph.is_strong(d)

@@ -4,7 +4,10 @@ An `Orientation` stores one direction bit per canonical edge of the
 multiplied graph, in the order `tree.edge_pairs` states (bit 0: parent
 end to child end, bit 1: reversed), plus adjacency built from those
 integer index pairs.  A caller names a vertex exactly as the program
-prints it (`tree.vertex_names`), and nothing else.  Distances count
+prints it (`tree.vertex_names`), and nothing else.  Arcs given by name
+(`from_arcs`, `from_edge_list`) are resolved to edges in bulk: one dict
+lookup per name, then block arithmetic over `tree._blocks` in numpy
+gives each arc's edge index and direction bit.  Distances count
 arcs, from int-bitset reach sets.  Each orientation is swept once, on its
 twin quotient: vertices with equal out- and in-sets, read from its own
 arcs, collapse to one, and the answers expand back exactly.  Every copy
@@ -19,6 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
 
 from .errors import UsageError
 from .tree import (TreeSpec, _blocks, edge_count, edge_pairs, require_valid,
@@ -101,31 +107,67 @@ class Orientation:
 
 def from_arcs(spec: TreeSpec, arcs) -> Orientation:
     """Build an orientation from (tail, head) name pairs covering every
-    edge once; a name must be exactly as `tree.vertex_names` prints it."""
+    edge once; a name must be exactly as `tree.vertex_names` prints it.
+    The names are resolved to edges by `_resolve`'s block arithmetic."""
+    return _resolve(spec, [v for t, h in arcs for v in (t, h)])
+
+
+def _resolve(spec: TreeSpec, ends) -> Orientation:
+    """The orientation whose k-th arc runs ends[2k] -> ends[2k + 1], names
+    as `tree.vertex_names` prints them.
+
+    One dict lookup turns each name into its vertex index; the rest is
+    numpy over all arcs at once.  The blocks of `tree._blocks` come in
+    canonical order, a parent block before its children, so the smaller
+    index lo of an edge is its parent end and the larger, hi, its child
+    end.  With B the block of hi and P the parent block of B, the arc is
+    an edge only if lo lies in P, and then its index in `tree.edge_pairs`
+    order is off[B] + (lo - start[P]) * size[B] + (hi - start[B]), where
+    off[B] counts the edges of the blocks before B; its direction bit is
+    tail > head.  One bincount of those indices finds repeated and missing
+    edges.  The first arc in order that is not an edge or repeats one is
+    reported, else the count of missing edges and the first of them."""
+    require_valid(spec)
+    blocks = _blocks(spec)
+    start, size = zip(*blocks.values())
+    # per block B: B, P (-1 for the center, whose row no edge reads; the
+    # center for a branch; branch i, block i, for a leaf of branch i),
+    # size[B] and c[B] = off[B] - start[P] * size[B] - start[B], so that
+    # an edge's index is c[B] + hi + lo * size[B]
+    rows, m = [(0, -1, size[0], 0)], 0
+    for b, (role, i, _) in enumerate(blocks):
+        if role != "c":
+            p = 0 if role == "b" else i
+            rows.append((b, p, size[b], m - start[p] * size[b] - start[b]))
+            m += size[p] * size[b]
     names = vertex_names(spec)
-    index = {name: i for i, name in enumerate(names)}
-    pairs, n = edge_pairs(spec)
-    pos = {}
-    for j, (u, v) in enumerate(pairs):
-        pos[u * n + v] = (j, 0)
-        pos[v * n + u] = (j, 1)
-    bits = [None] * len(pairs)
-    for (t, h) in arcs:
-        try:
-            j, b = pos[index[t] * n + index[h]]
-        except KeyError:
-            raise UsageError(f"arc {t}->{h} is not an edge of "
-                             f"the multiplied graph") from None
-        if bits[j] is not None:
-            u, v = pairs[j]
-            raise UsageError(f"edge {names[u]} -- {names[v]} assigned twice")
-        bits[j] = b
-    missing = [pairs[j] for j, b in enumerate(bits) if b is None]
-    if missing:
-        u, v = missing[0]
-        raise UsageError(f"{len(missing)} edge(s) left unoriented, e.g. "
+    index = dict(zip(names, range(len(names))))
+    arcs = np.fromiter(map(index.get, ends, repeat(-1)), np.int64,
+                       len(ends)).reshape(-1, 2)
+    lo, hi = np.sort(arcs, axis=1).T
+    per_vertex = np.repeat(np.array(rows), size, axis=0)
+    _, p, w, c = per_vertex[hi].T
+    edge = (lo >= 0) & (per_vertex[lo, 0] == p)
+    j = c + hi + lo * w
+    counts = np.bincount(j[edge], minlength=m)
+    if not edge.all() or counts.max() > 1:
+        key = np.where(edge, j, m + np.arange(len(j)))
+        repeated = np.ones(len(j), dtype=bool)
+        repeated[np.unique(key, return_index=True)[1]] = False
+        k = int(np.argmax(~edge | repeated))
+        if not edge[k]:
+            raise UsageError(f"arc {ends[2 * k]}->{ends[2 * k + 1]} is not "
+                             f"an edge of the multiplied graph")
+        raise UsageError(f"edge {names[lo[k]]} -- {names[hi[k]]} "
+                         f"assigned twice")
+    if len(j) < m:
+        missing = np.flatnonzero(counts == 0)
+        u, v = edge_pairs(spec)[0][missing[0]]
+        raise UsageError(f"{missing.size} edge(s) left unoriented, e.g. "
                          f"{names[u]} -- {names[v]}")
-    return Orientation(spec, tuple(bits))
+    bits = np.empty(m, dtype=np.int8)
+    bits[j] = arcs[:, 0] > arcs[:, 1]
+    return Orientation(spec, tuple(bits.tolist()))
 
 
 # ============================================================================
@@ -323,18 +365,26 @@ def to_edge_list(d: Orientation) -> str:
 
 
 def from_edge_list(spec: TreeSpec, text: str) -> Orientation:
-    """`from_arcs` on the `tail -> head` lines of `text`."""
-    arcs = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            tail, head = (part.strip() for part in line.split("->"))
-        except ValueError:
-            raise UsageError(f"line {lineno}: expected 'tail -> head'") from None
-        arcs.append((tail, head))
-    return from_arcs(spec, arcs)
+    """`from_arcs` on the `tail -> head` lines of `text`.
+
+    Lines are split as `str.splitlines` does and stripped of `str.isspace`
+    whitespace; blank lines and lines starting with `#` are skipped.  Every
+    other line holds exactly one `->`, and the two names around it are
+    stripped too.  A malformed line is reported first, by its number
+    (skipped lines count), before any name is resolved; then the names go
+    through `_resolve`'s block arithmetic, as in `from_arcs`."""
+    lines = list(map(str.strip, text.splitlines()))
+    kept = [line for line in lines if line and line[0] != "#"]
+    if list(map(str.count, kept, repeat("->"))).count(1) != len(kept):
+        lineno = next(n for n, line in enumerate(lines, start=1)
+                      if line and line[0] != "#" and line.count("->") != 1)
+        raise UsageError(f"line {lineno}: expected 'tail -> head'")
+    # no kept line holds a line break, so each line's one `->` becomes the
+    # one break between its tail and head; taking " -> " first leaves the
+    # names of a printed edge list already stripped
+    ends = "\n".join(kept).replace(" -> ", "\n").replace("->", "\n")
+    ends = list(map(str.strip, ends.split("\n"))) if kept else []
+    return _resolve(spec, ends)
 
 
 def to_dot(d: Orientation) -> str:

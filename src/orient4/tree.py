@@ -146,8 +146,11 @@ def _blocks(spec: TreeSpec) -> dict:
 def vertex_names(spec: TreeSpec) -> list:
     """The name of each vertex of the multiplied graph, as the program
     prints it, in canonical order: the block prefix and the copy number."""
-    return [_prefix(*key) + str(x) for key, (_, size) in _blocks(spec).items()
-            for x in range(1, size + 1)]
+    names = []
+    for key, (_, size) in _blocks(spec).items():
+        prefix = _prefix(*key)
+        names += [prefix + str(x) for x in range(1, size + 1)]
+    return names
 
 
 def edge_pairs(spec: TreeSpec):

@@ -209,6 +209,51 @@ def test_construct_and_verify_refuse_over_edge_budget(tmp_path, capsys,
     assert time.perf_counter() - start < 1.0
 
 
+def test_verify_refuses_undecodable_edge_list(tmp_path, capsys):
+    spec_path = write_spec(tmp_path, c0_doc())
+    edge_path = tmp_path / "edges.txt"
+    edge_path.write_bytes(b"\xff c.1 -> b1.1\n")
+    assert main(["verify", spec_path, str(edge_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: edge list is not valid UTF-8: ")
+
+
+def test_verify_refuses_an_edge_list_over_the_byte_bound(tmp_path, capsys,
+                                                          monkeypatch):
+    spec_path = write_spec(tmp_path, c0_doc())
+    assert main(["construct", spec_path]) == 0
+    edges = capsys.readouterr().out.encode()
+    edge_path = tmp_path / "edges.txt"
+    edge_path.write_bytes(edges)
+    monkeypatch.setattr(cli, "MAX_EDGE_LIST_BYTES", len(edges))
+    assert main(["verify", spec_path, str(edge_path)]) == 0
+    capsys.readouterr()
+
+    # one byte more is refused before it is decoded or parsed
+    def parse(*args):
+        raise AssertionError("parsed an edge list over the bound")
+
+    monkeypatch.setattr(digraph, "from_edge_list", parse)
+    edge_path.write_bytes(edges + b"\xff")
+    assert main(["verify", spec_path, str(edge_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"refused: edge list exceeds the bound {len(edges)} bytes\n")
+
+
+def test_verify_bounds_an_edge_list_read_from_a_pipe(tmp_path):
+    spec_path = write_spec(tmp_path, c0_doc())
+    src = pathlib.Path(cli.__file__).parents[1]
+    code = ("import sys; from orient4 import cli; "
+            "cli.MAX_EDGE_LIST_BYTES = 100; sys.exit(cli.main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "verify", spec_path, "/dev/stdin"],
+        input=b"c.1 -> b1.1\n" * 1000, capture_output=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 1
+    assert proc.stderr == b"refused: edge list exceeds the bound 100 bytes\n"
+
+
 def test_oracle_bipartite(capsys):
     assert main(["oracle", "--bipartite", "2", "3", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -1,7 +1,7 @@
 """Orientation metrics, duality, the extension step, and center sets."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orient4 import digraph
@@ -15,8 +15,8 @@ from orient4.digraph import (UNREACHABLE, ExtensionError, Orientation,
                              pull_back, reverse, shortest_cycle_lengths,
                              to_dot, to_edge_list)
 from orient4.errors import UsageError
-from orient4.tree import (BranchSpec, TreeSpec, edge_pairs, multiplied_edges,
-                          vertex_names)
+from orient4.tree import (BranchSpec, TreeSpec, edge_count, edge_pairs,
+                          multiplied_edges, vertex_names)
 
 
 # Vertex names as the program prints them, built here from the copy
@@ -615,6 +615,125 @@ def test_edge_list_parse_errors():
         from_edge_list(spec, good + "c.1 -> x.1\n")
     assert str(err.value) == \
         "arc c.1->x.1 is not an edge of the multiplied graph"
+
+
+def reference_from_arcs(spec, arcs):
+    """`from_arcs` by the loop the block arithmetic replaced: a dict from
+    both directions of every edge to its (index, bit), one lookup per arc."""
+    names = vertex_names(spec)
+    index = {name: i for i, name in enumerate(names)}
+    pairs, n = edge_pairs(spec)
+    pos = {}
+    for j, (u, v) in enumerate(pairs):
+        pos[u * n + v] = (j, 0)
+        pos[v * n + u] = (j, 1)
+    bits = [None] * len(pairs)
+    for (t, h) in arcs:
+        try:
+            j, b = pos[index[t] * n + index[h]]
+        except KeyError:
+            raise UsageError(f"arc {t}->{h} is not an edge of "
+                             f"the multiplied graph") from None
+        if bits[j] is not None:
+            u, v = pairs[j]
+            raise UsageError(f"edge {names[u]} -- {names[v]} assigned twice")
+        bits[j] = b
+    missing = [pairs[j] for j, b in enumerate(bits) if b is None]
+    if missing:
+        u, v = missing[0]
+        raise UsageError(f"{len(missing)} edge(s) left unoriented, e.g. "
+                         f"{names[u]} -- {names[v]}")
+    return Orientation(spec, tuple(bits))
+
+
+def reference_from_edge_list(spec, text):
+    """`from_edge_list` by the per-line loop the bulk tokeniser replaced."""
+    arcs = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            tail, head = (part.strip() for part in line.split("->"))
+        except ValueError:
+            raise UsageError(f"line {lineno}: expected 'tail -> head'") from None
+        arcs.append((tail, head))
+    return reference_from_arcs(spec, arcs)
+
+
+# every `str.splitlines` boundary, and `str.isspace` characters that are
+# not boundaries
+SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+              "\x85", "\u2028", "\u2029"]
+SPACES = ["", " ", "  ", "\t", "\x1f", "\xa0", "\u2003", "\u3000"]
+FILLER = ["", "# a comment", "#", "  # indented -> comment", "->", " -> ",
+          "c.1 b1.1", "c.1 -> b1.1 -> l1.1.1"]
+
+
+@st.composite
+def edited_witnesses(draw):
+    """(spec, arcs, text): a witness's arcs after arc edits (drop, repeat,
+    reverse, rename), and the same arcs written as text with line edits."""
+    spec = draw(valid_specs)
+    m = edge_count(spec)
+    bits = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+    arcs = Orientation(spec, tuple(bits)).arcs()
+    rnd = draw(st.randoms(use_true_random=False))
+    names = vertex_names(spec)
+    for _ in range(draw(st.integers(0, 3))):
+        k = rnd.randrange(len(arcs))
+        t, h = arcs[k]
+        edit = draw(st.sampled_from(["drop", "repeat", "reverse", "swap",
+                                     "unknown", "non-canonical", "vertex"]))
+        if edit == "drop":
+            del arcs[k]
+        elif edit == "repeat":
+            arcs.insert(rnd.randrange(len(arcs) + 1), rnd.choice([(t, h),
+                                                                  (h, t)]))
+        elif edit == "reverse":
+            arcs[k] = (h, t)
+        elif edit == "swap":
+            arcs[k] = (t, rnd.choice(names))
+        elif edit == "unknown":
+            arcs[k] = (t, rnd.choice(["x.1", "c.0", f"c.{spec.s + 1}",
+                                      "b0.1", "", "c.1 -> b1.1"]))
+        elif edit == "non-canonical":
+            arcs[k] = (rnd.choice(NON_CANONICAL), h)
+        else:
+            arcs[k] = (t, t)
+    if draw(st.booleans()):
+        rnd.shuffle(arcs)
+    pad = [rnd.choice(SPACES) for _ in range(4)]
+    lines = [f"{pad[0]}{t}{pad[1]}->{pad[2]}{h}{pad[3]}" for t, h in arcs]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(rnd.randrange(len(lines) + 1), rnd.choice(FILLER))
+    sep = draw(st.sampled_from(["mixed"] + SEPARATORS))
+    text = "".join(line + (rnd.choice(SEPARATORS) if sep == "mixed" else sep)
+                   for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("".join(SEPARATORS))
+    return spec, arcs, text
+
+
+def outcome(parse, spec, given):
+    try:
+        return parse(spec, given).bits
+    except UsageError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edited_witnesses())
+@example((p5_all2(), [], ""))
+@example((p5_all2(), [], "->"))
+@example((p5_all2(), [], "# one comment\n\n  # and another\r\n"))
+@example((p5_all2(), [("c.1", "b1.1")] * 2, "c.1 -> b1.1\n\u2028c.1->b1.1"))
+def test_edge_list_matches_reference_loop(case):
+    spec, arcs, text = case
+    assert outcome(from_arcs, spec, arcs) == \
+        outcome(reference_from_arcs, spec, arcs)
+    assert outcome(from_edge_list, spec, text) == \
+        outcome(reference_from_edge_list, spec, text)
 
 
 def test_dot_output():
