@@ -1,10 +1,11 @@
 """Explicit diameter-4 orientations for every orientable instance.
 
-The pipeline mirrors the sufficiency recipes behind the classifier: shrink
-the instance to a small core `H` (multiplicities in {2,3,4} plus the center),
-orient `H` from a deterministic schedule of half-sized center subsets, check
-the result, then lift to the full multiplicities by letting new copies mimic
-old ones (Koh and Tay's extension lemma).
+The pipeline follows the sufficiency recipe that the classifier's C0
+verdict names (`Classification.case`): shrink the instance to a small core
+`H` (multiplicities in {2,3,4} plus the center), orient `H` from a
+deterministic schedule of half-sized center subsets, check the result, then
+lift to the full multiplicities by letting new copies mimic old ones (Koh
+and Tay's extension lemma).
 
 Each construction case is data: an ordered list of *slot blocks*.  `reduce`
 lists the user branches of each block (2-copy, inlet-style and outlet-style
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 from itertools import islice
 from math import comb
 
-from .classify import (C0, Classification, case_for, classify, half_binom,
-                       p35_variant)
+from .classify import (C0, Classification, classify, half_binom, p35_variant,
+                       qualifying_splits)
 from .digraph import (Orientation, diameter, is_strong, pull_back,
                       shortest_cycle_lengths)
 from .errors import ConstructionError, Refusal, UsageError
@@ -122,24 +123,13 @@ class SetSchedule:
                     if (f & low).bit_count() != 1)
 
 
-def make_schedule(s: int, case: str, k: int | None = None) -> SetSchedule:
-    """Deterministic schedule for a construction case.
-
-    `k` is required exactly for the mixed even-multiplicity recipe (P312),
-    where it fixes how many half-sets are reserved for the 2-copy block.
-    It is range-checked here; the order of the sets does not depend on it
-    (see `SetSchedule.psi`).
-    """
+def make_schedule(s: int, case: str) -> SetSchedule:
+    """Deterministic schedule for a construction case.  The order of the
+    sets does not depend on the P312 split (see `SetSchedule.psi`)."""
     if s < 2:
         raise UsageError(f"center multiplicity {s} < 2")
-    if (k is not None) != (case == "P312"):
-        raise UsageError("k must be supplied exactly for case P312")
-    if case == "P312":
-        if s % 2 != 0 or s < 4:
-            raise UsageError("P312 schedule needs even s >= 4")
-        c = comb(s, s // 2)
-        if not 1 <= k <= c - 1:
-            raise UsageError(f"k={k} outside 1..{c - 1}")
+    if case == "P312" and (s % 2 != 0 or s < 4):
+        raise UsageError("P312 schedule needs even s >= 4")
     if case == "P43_D3" and (s % 2 == 0 or s < 5):
         raise UsageError("P43_D3 schedule needs odd s >= 5")
     return SetSchedule(s, case)
@@ -183,19 +173,14 @@ def _feasible_split(s, n2, n3, k):
     return n_bo <= c2 - (kappa(s, s // 2, k) + k)
 
 
-def choose_split(spec: TreeSpec, k_witness: int | None) -> int:
-    """Construction split for the mixed even regime: the classifier's
-    witness when its schedule is completable, else the smallest qualifying
-    split that is."""
+def choose_split(spec: TreeSpec) -> int:
+    """Construction split for the mixed even regime: the first qualifying
+    split (the classifier's `k_witness` leads them) whose schedule is
+    completable."""
     part = partition(spec)
     s = spec.s
     n2, n3 = len(part.a2), len(part.a3)
-    c, c2 = comb(s, s // 2), comb(s, s // 2 + 1)
-    qualifying = [k for k in range(n2 + 1, min(n2 + n3, c - 1) + 1)
-                  if 2 * n2 + n3 <= c + c2 - kappa(s, s // 2, k) - 3]
-    if k_witness in qualifying and _feasible_split(s, n2, n3, k_witness):
-        return k_witness
-    for k in qualifying:
+    for k in qualifying_splits(s, n2, n3):
         if _feasible_split(s, n2, n3, k):
             return k
     raise ConstructionError(
@@ -214,7 +199,7 @@ def _fill(base, donors, quota, block):
     return base + donors[:need], donors[need:]
 
 
-def reduce(spec: TreeSpec, case: str, k: int | None = None) -> ReducedSpec:
+def reduce(spec: TreeSpec, case: str) -> ReducedSpec:
     """Apply the case's core multiplicities and quota promotions.
 
     Each case lists its blocks in slot order as (ReducedSpec count field,
@@ -247,7 +232,7 @@ def reduce(spec: TreeSpec, case: str, k: int | None = None) -> ReducedSpec:
             raise ConstructionError("no 4-copy slot left after promotion")
         blocks = [("n_a2", 2, a2), ("n_a4", 4, a4)]
     elif case == "P312":
-        split = choose_split(spec, k)
+        split = choose_split(spec)
         a2, a3 = _fill(a2, a3, split - 1, "2-copy")
         n_bi = (c - 2) - len(a2)
         a3, a4 = _fill(a3, a4, n_bi, "inlet")
@@ -300,10 +285,10 @@ FOUR_C4_P34 = ("oiio", "iooi")   # copies 2,3 feed leaf copy 1, 1,4 copy 2
 LEAFLESS = ()
 
 
-def _slot_blocks(case, rspec, sched):
+def _slot_blocks(rspec, sched):
     """The case's core as (leaf pattern, rows) blocks in slot order.  A row
     is one slot: the center in-set of each of its branch copies."""
-    s = rspec.h_spec.s
+    case, s = rspec.case, rspec.h_spec.s
     full = (1 << s) - 1
 
     def comp(f):
@@ -400,15 +385,15 @@ def _core_bits(case, h, rows):
     return center_bits + leaf_bits
 
 
-def build_base_orientation(case: str, rspec: ReducedSpec,
+def build_base_orientation(rspec: ReducedSpec,
                            sched: SetSchedule) -> Orientation:
     """Orient every edge of the core instance by walking the case's slot
     blocks, then check the extension lemma's hypothesis: a directed cycle
     of length at most 4 through every vertex, and diameter exactly 4
     (which implies strong)."""
-    h = rspec.h_spec
+    case, h = rspec.case, rspec.h_spec
     rows = [(pattern, row) for pattern, block_rows
-            in _slot_blocks(case, rspec, sched) for row in block_rows]
+            in _slot_blocks(rspec, sched) for row in block_rows]
     if len(rows) != h.deg_c:
         raise ConstructionError(f"recipe {case}: the schedule gives "
                                 f"{len(rows)} rows for {h.deg_c} slots")
@@ -434,9 +419,12 @@ def build_base_orientation(case: str, rspec: ReducedSpec,
 class ConstructionResult:
     orientation: Orientation
     classification: Classification
-    case: str
     reduced: ReducedSpec
     schedule: SetSchedule
+
+    @property
+    def case(self) -> str:
+        return self.reduced.case
 
 
 def relabel_orientation(d: Orientation, slot_to_user: tuple,
@@ -450,7 +438,8 @@ def relabel_orientation(d: Orientation, slot_to_user: tuple,
 
 
 def construct_optimal(spec: TreeSpec) -> ConstructionResult:
-    """Classify, pick the recipe, build and check the core, relabel and
+    """Classify, which names the recipe, then reduce to the core (the
+    P312 split is chosen there), build and check the core, relabel and
     lift it, verify.
 
     Relabelling slots to user branches is an isomorphism and the mimic step
@@ -470,14 +459,13 @@ def construct_optimal(spec: TreeSpec) -> ConstructionResult:
         raise Refusal("open case: neither bound settles this instance",
                       rule=cls.rule)
 
-    case = case_for(spec, cls)
-    rspec = reduce(spec, case, cls.k_witness)   # k is read only by P312
-    sched = make_schedule(rspec.h_spec.s, case, rspec.k)
-    base = build_base_orientation(case, rspec, sched)
+    rspec = reduce(spec, cls.case)
+    sched = make_schedule(rspec.h_spec.s, rspec.case)
+    base = build_base_orientation(rspec, sched)
     final = relabel_orientation(base, rspec.slot_to_user, spec)
 
     if diameter(final) != 4 or not is_strong(final):
         raise ConstructionError(
-            f"internal verification failure for case {case}: lifted "
+            f"internal verification failure for case {rspec.case}: lifted "
             f"orientation is not a strong diameter-4 orientation")
-    return ConstructionResult(final, cls, case, rspec, sched)
+    return ConstructionResult(final, cls, rspec, sched)

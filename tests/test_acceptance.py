@@ -157,11 +157,9 @@ def test_criterion_3_construction_regression():
     worst = 0.0
     for case, spec in REFERENCE_SETS:
         t0 = time.perf_counter()
-        k = classify(spec).k_witness if case == "P312" else None
-        rspec = reduce(spec, case, k)
-        sched = make_schedule(rspec.h_spec.s, case,
-                              rspec.k if case == "P312" else None)
-        d = build_base_orientation(case, rspec, sched)
+        rspec = reduce(spec, case)
+        sched = make_schedule(rspec.h_spec.s, case)
+        d = build_base_orientation(rspec, sched)
         elapsed = time.perf_counter() - t0
         worst = max(worst, elapsed)
         assert diameter(d) == 4, case
@@ -340,7 +338,7 @@ def test_criterion_6_property_suite():
         _check_parity(d, rng)
 
         # center copies pairwise at distance 2 in the cores that claim it
-        base = build_base_orientation(res.case, res.reduced, res.schedule)
+        base = build_base_orientation(res.reduced, res.schedule)
         if res.case in CENTER_DISTANCE_TWO_CASES:
             h = res.reduced.h_spec
             for r1 in range(1, h.s + 1):

@@ -1,9 +1,11 @@
 """Decision-table behaviour on known boundaries, plus routing."""
 
+import hashlib
+import json
 import random
 import pytest
 
-from orient4.classify import classify, select_case
+from orient4.classify import C0, CASE_IDS, classify, select_case
 from orient4.errors import UsageError
 from orient4.tree import BranchSpec, TreeSpec
 
@@ -94,9 +96,11 @@ def test_even_mixed_regime_three_valued():
     assert cls.verdict == "C0"
     assert cls.rule == "Prop3.12b"
     assert cls.k_witness == 2
+    assert cls.case == "P312"
     # necessary bound violated: 2*5+3 = 13 > 10 - kappa*(6) = 12
     cls = classify(mkspec(4, a2=5, a3=3))
     assert (cls.verdict, cls.rule) == ("C1", "Prop3.12a")
+    assert cls.case is None
     # in between: open
     cls = classify(mkspec(4, a2=4, a3=3))
     assert cls.verdict == "UnknownGap"
@@ -105,6 +109,14 @@ def test_even_mixed_regime_three_valued():
     assert cls.gap_detail.necessary_bound_holds
     assert not cls.gap_detail.sufficient_bound_holds
     assert cls.gap_detail.k_witness is None
+    assert cls.threshold_note.endswith(
+        "sufficient bound fails for every k in [5,5]")
+    # |A2| = C-1 = 5 leaves Prop3.12's range [|A2|+1, C-1] empty
+    cls = classify(mkspec(4, a2=5, a3=1, a4=1))
+    assert (cls.verdict, cls.rule) == ("UnknownGap", "Prop3.12")
+    assert cls.threshold_note == (
+        "2|A2|+|A3|=11: necessary bound 12 holds, sufficient bound has no "
+        "admissible k (|A2|=5 >= C-1=5)")
 
 
 # ----------------------------------------------------------------------------
@@ -229,3 +241,27 @@ def test_select_case_refuses_non_orientable():
         select_case(mkspec(2, a2=2, e=1))
     with pytest.raises(UsageError):
         select_case(mkspec(4, a2=4, a3=3))  # open regime
+
+
+def test_routing_grid_is_pinned():
+    # the whole decision (verdict, rule, note, split witness, recipe) over
+    # s = 2..9, |A2|, |A3| <= 15, |A4+| <= 3, |E| <= 2, one sha256; covers
+    # a degree-2 center with A2 = A3 = empty (rule Thm1.6a, recipe P34) and
+    # Prop3.10's single absorber at full degree (a P35 variant)
+    rows = []
+    for s in range(2, 10):
+        for n2 in range(16):
+            for n3 in range(16):
+                for n4 in range(4):
+                    if n2 + n3 + n4 < 2:
+                        continue
+                    for ne in range(3):
+                        spec = mkspec(s, a2=n2, a3=n3, a4=n4, e=ne)
+                        cls = classify(spec)
+                        assert (cls.case in CASE_IDS) == (cls.verdict == C0)
+                        rows.append([s, n2, n3, n4, ne, cls.verdict,
+                                     cls.rule, cls.threshold_note,
+                                     cls.k_witness, cls.case])
+    assert len(rows) == 24_480
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == \
+        "aff2a52f9edfa0251194467c2ab2158f98fe553162be5a8763c3516b71506d6c"

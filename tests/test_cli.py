@@ -388,14 +388,22 @@ def test_explain_is_bounded_by_members_at_a_large_center(tmp_path,
     assert explain["half_sets_more"] == int(more.split()[0])
 
 
-def test_sperner_toolkit_demo_stdout_is_pinned():
-    demo = pathlib.Path(__file__).parents[1] / "demos" / "sperner_toolkit.py"
+DEMO_DIGESTS = {
+    "sperner_toolkit":
+        "cc4b5ebe8569d20cec752f7666e0d13d7b6e2c18f88fe09937996d7d0bb7ab29",
+    "classify_and_construct":
+        "ff60b9fa6fa25a7c9739909f08e8fa17f9dc58feaf09b05dff20d59b6fd3e28a",
+}
+
+
+@pytest.mark.parametrize("name", DEMO_DIGESTS)
+def test_demo_stdout_is_pinned(name):
+    demo = pathlib.Path(__file__).parents[1] / "demos" / f"{name}.py"
     src = pathlib.Path(cli.__file__).parents[1]
     out = subprocess.run([sys.executable, str(demo)], capture_output=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)},
                          ).stdout
-    assert hashlib.sha256(out).hexdigest() == \
-        "cc4b5ebe8569d20cec752f7666e0d13d7b6e2c18f88fe09937996d7d0bb7ab29"
+    assert hashlib.sha256(out).hexdigest() == DEMO_DIGESTS[name]
 
 
 def test_parser_is_built_once_and_commands_are_looked_up_per_call(

@@ -16,7 +16,7 @@ from orient4 import build, cli, digraph, tree
 from orient4.build import (ConstructionResult, build_base_orientation,
                            choose_split, construct_optimal, cyclic_half_sets,
                            make_schedule, reduce, relabel_orientation)
-from orient4.classify import C0, CASE_IDS, case_for, classify
+from orient4.classify import C0, CASE_IDS, classify
 from orient4.digraph import (Orientation, center_in_set, center_out_set,
                              diameter, distance, extend_orientation,
                              from_arcs, is_strong, reverse,
@@ -56,11 +56,10 @@ def mkspec(s, a2=0, a3=0, a4=0, e=0, first_two_leaves=True):
     return TreeSpec(s, tuple(branches))
 
 
-def build_case(spec, case, k=None):
-    rspec = reduce(spec, case, k)
-    sched = make_schedule(rspec.h_spec.s, case,
-                          rspec.k if case == "P312" else None)
-    return build_base_orientation(case, rspec, sched), rspec
+def build_case(spec, case):
+    rspec = reduce(spec, case)
+    sched = make_schedule(rspec.h_spec.s, case)
+    return build_base_orientation(rspec, sched), rspec
 
 
 # ----------------------------------------------------------------------------
@@ -88,7 +87,7 @@ def test_lam_s3_is_exactly_the_cyclic_triples():
 
 
 def test_p312_up_set_order_avoids_tail_supersets_first():
-    sched = make_schedule(6, "P312", 13)
+    sched = make_schedule(6, "P312")
     psi = list(sched.psi())
     assert members(psi[0]) == (1, 2, 3, 4)
     assert members(psi[1]) == (1, 2, 3, 5)
@@ -162,7 +161,9 @@ def ref_make_schedule(s, case, k=None):
 
 
 def assert_schedule_matches_reference(s, case, k=None):
-    sched = make_schedule(s, case, k)
+    # the reference orders psi around the split k; the schedule's order
+    # must be the same for every k
+    sched = make_schedule(s, case)
     ref = ref_make_schedule(s, case, k)
     got = (sched.lam(), sched.psi(), sched.mu(), sched.gamma())
     for name, g, r in zip(("lam", "psi", "mu", "gamma"), got, ref):
@@ -189,11 +190,7 @@ def test_p312_schedule_matches_reference_at_s12(k):
 
 def test_make_schedule_argument_checks():
     with pytest.raises(UsageError):
-        make_schedule(6, "P312")            # k required
-    with pytest.raises(UsageError):
-        make_schedule(6, "P41", 3)          # k forbidden
-    with pytest.raises(UsageError):
-        make_schedule(6, "P312", 40)        # k out of range
+        make_schedule(5, "P312")            # needs even s >= 4
     with pytest.raises(UsageError):
         make_schedule(3, "P43_D3")          # needs s >= 5
 
@@ -229,17 +226,17 @@ def test_reduce_promotes_lowest_indices_first():
 
 def test_reduce_p312_split_bookkeeping():
     spec = mkspec(4, a2=1, a3=3, a4=2)
-    rspec = reduce(spec, "P312", 2)
+    rspec = reduce(spec, "P312")
     assert rspec.k == 2
     assert rspec.n_a2 == 1
     assert rspec.n_bi == 3 and rspec.n_bo == 0
     assert [b.multiplicity for b in rspec.h_spec.branches] == [2, 3, 3, 3, 4, 4]
 
 
-def test_choose_split_prefers_witness():
+def test_choose_split_first_feasible_is_witness():
     spec = mkspec(6, a2=12, a3=8, a4=2, e=2)
     assert classify(spec).k_witness == 13
-    assert choose_split(spec, 13) == 13
+    assert choose_split(spec) == 13
 
 
 def test_choose_split_can_be_infeasible():
@@ -249,7 +246,7 @@ def test_choose_split_can_be_infeasible():
     cls = classify(spec)
     assert cls.verdict == "C0" and cls.rule == "Prop3.12b"
     with pytest.raises(ConstructionError):
-        choose_split(spec, cls.k_witness)
+        choose_split(spec)
     with pytest.raises(ConstructionError):
         construct_optimal(spec)
 
@@ -320,8 +317,7 @@ CENTER_DISTANCE_TWO_CASES = {"P35_D3", "P35_D4", "P39", "P310", "P312",
 @pytest.mark.parametrize("spec,case", CORE_CASES,
                          ids=[c for _, c in CORE_CASES])
 def test_core_recipe(spec, case):
-    k = classify(spec).k_witness if case == "P312" else None
-    d, rspec = build_case(spec, case, k)
+    d, rspec = build_case(spec, case)
     assert_core_ok(d)
     h = rspec.h_spec
     # leaf-to-foreign-branch distances are exactly 3 in both directions
@@ -342,13 +338,13 @@ def test_core_recipe(spec, case):
                     assert distance(d, center(r1), center(r2)) == 2
 
 
-def reference_core(case, rspec, sched):
+def reference_core(rspec, sched):
     """The core by the arc builder the direct bit writer replaced: one
     (tail, head) name pair per edge, slot by slot, mapped to bits through
     `from_arcs`."""
     h = rspec.h_spec
     rows = [(pattern, row) for pattern, block
-            in build._slot_blocks(case, rspec, sched) for row in block]
+            in build._slot_blocks(rspec, sched) for row in block]
     arcs = []
     for slot, (pattern, row) in enumerate(rows, start=1):
         for a in range(1, h.branch(slot).leaf_count + 1):
@@ -364,17 +360,16 @@ def reference_core(case, rspec, sched):
     return from_arcs(h, arcs)
 
 
-def assert_core_matches_reference(spec, case, k=None):
-    d, rspec = build_case(spec, case, k)
-    sched = make_schedule(rspec.h_spec.s, case, rspec.k)
-    assert d.bits == reference_core(case, rspec, sched).bits
+def assert_core_matches_reference(spec, case):
+    d, rspec = build_case(spec, case)
+    sched = make_schedule(rspec.h_spec.s, case)
+    assert d.bits == reference_core(rspec, sched).bits
 
 
 @pytest.mark.parametrize("spec,case", CORE_CASES,
                          ids=[c for _, c in CORE_CASES])
 def test_core_bits_match_arc_builder(spec, case):
-    k = classify(spec).k_witness if case == "P312" else None
-    assert_core_matches_reference(spec, case, k)
+    assert_core_matches_reference(spec, case)
 
 
 @st.composite
@@ -394,11 +389,8 @@ def c0_specs_with_leaves(draw):
 @given(c0_specs_with_leaves())
 @settings(max_examples=60, deadline=None)
 def test_core_bits_match_arc_builder_on_routed_specs(spec):
-    cls = classify(spec)
-    case = case_for(spec, cls)
     try:
-        assert_core_matches_reference(spec, case, cls.k_witness
-                                      if case == "P312" else None)
+        assert_core_matches_reference(spec, classify(spec).case)
     except ConstructionError as exc:
         # the known P312 gap: no split completes the schedule
         assert "every qualifying split" in str(exc)
@@ -418,8 +410,8 @@ MIS_SIZED = {
 def test_mis_sized_slot_raises_construction_error(monkeypatch, change):
     blocks = build._slot_blocks
 
-    def mis_sized(case, rspec, sched):
-        (pattern, rows), *rest = blocks(case, rspec, sched)
+    def mis_sized(rspec, sched):
+        (pattern, rows), *rest = blocks(rspec, sched)
         bad_pattern, bad_row = change(pattern, rows[0])
         return [(bad_pattern, [bad_row]), (pattern, rows[1:])] + rest
 

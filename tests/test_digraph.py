@@ -204,7 +204,7 @@ def test_integer_layout_matches_vertex_ids(spec, data):
 
 def test_fig22_core_has_diameter_4():
     rspec = reduce(fig22_spec(), "P34")
-    d = build_base_orientation("P34", rspec, make_schedule(2, "P34"))
+    d = build_base_orientation(rspec, make_schedule(2, "P34"))
     assert diameter(d) == 4
     assert is_strong(d)
     assert max(shortest_cycle_lengths(d)) == 4
@@ -558,7 +558,7 @@ def p39_fig_orientation():
                              + [BranchSpec(2, ())] * 2))
     rspec = reduce(spec, "P39")
     sched = make_schedule(4, "P39")
-    return build_base_orientation("P39", rspec, sched)
+    return build_base_orientation(rspec, sched)
 
 
 def test_center_projections_on_p39_figure():

@@ -24,7 +24,7 @@ import pytest
 from test_acceptance import REFERENCE_SETS
 from test_constructions import CORE_CASES, build_case, mkspec
 
-from orient4.classify import CASE_IDS, classify
+from orient4.classify import CASE_IDS
 from orient4.cli import main
 from orient4.tree import BranchSpec, TreeSpec, spec_to_dict
 
@@ -169,8 +169,7 @@ DIGESTS = {
 
 def _produce(kind, case, spec, tmp_path, capsys):
     if kind == "core":
-        k = classify(spec).k_witness if case == "P312" else None
-        d, _ = build_case(spec, case, k)
+        d, _ = build_case(spec, case)
         return "".join(map(str, d.bits))
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec_to_dict(spec)))
