@@ -10,8 +10,7 @@ desk scale with an exhaustive oracle.  A squashed-order Sperner toolkit
 from .build import (ConstructionResult, ReducedSpec, SetSchedule,
                     build_base_orientation, construct_optimal, make_schedule,
                     reduce)
-from .classify import (Classification, GapDetail, classify, half_binom,
-                       select_case)
+from .classify import Classification, classify, half_binom, select_case
 from .digraph import (UNREACHABLE, Orientation, center_in_set,
                       center_out_set, diameter, distance, eccentricities,
                       extend_orientation, from_arcs, from_edge_list,

@@ -7,15 +7,15 @@ deterministic schedule of half-sized center subsets, check the result, then
 lift to the full multiplicities by letting new copies mimic old ones (Koh
 and Tay's extension lemma).
 
-Each construction case is data: an ordered list of *slot blocks*.  `reduce`
-lists the user branches of each block (2-copy, inlet-style and outlet-style
-3-copy, 4-copy, leafless) with their core multiplicity, which fixes the
-slot order and the slot-to-user permutation.  `_slot_blocks` gives each
-block a leaf pattern and one row per slot, the center in-set of every
-branch copy, read off one level of the set schedule in order;
-`build_base_orientation` walks the rows once, writing the core's direction
-bits in the edge order `tree.edge_pairs` states.  One pull-back then
-relabels slots to the caller's branch indices and lifts in the same pass.
+Each construction case is data, stated once in `reduce`: an ordered list
+of *slot blocks*, each with its user branches (2-copy, inlet-style and
+outlet-style 3-copy, 4-copy, leafless), core multiplicity, leaf pattern
+and one row per slot, the center in-set of every branch copy, read off
+one level of the case's set schedule in order.  The blocks fix the slot
+order and the slot-to-user permutation; `build_base_orientation` walks
+the rows once, writing the core's direction bits in the edge order
+`tree.edge_pairs` states.  One pull-back then relabels slots to the
+caller's branch indices and lifts in the same pass.
 
 Center sets are int masks (bit x-1 for copy x), so squashed order is
 integer order and complement, which reverses it, is one xor.  Each
@@ -136,8 +136,21 @@ def make_schedule(s: int, case: str) -> SetSchedule:
 
 
 # ============================================================================
-# Reduction to the core instance H
+# The core instance H: reduction, slot rows, direction bits
 # ============================================================================
+
+# Leaf patterns of the core, whose leaves all have two copies: row z-1 has
+# "i" at position y-1 if branch copy y feeds leaf copy z, "o" if leaf copy z
+# drains into branch copy y.  Leafless branches have the empty pattern.
+C4_WITHIN = ("oi", "io")         # copy 2, leaf 1, copy 1, leaf 2: a 4-cycle
+TWO_IN_ONE_OUT = ("oi", "oi")    # copy 2 feeds both leaf copies
+THREE_SINK = ("ooi", "ooi")      # copy 3 is the sole feeder
+THREE_SOURCE = ("iio", "iio")    # copy 3 is the sole drain
+THREE_SPLIT_OUT = ("iio", "ioi")
+THREE_SPLIT_IN = ("ooi", "oio")  # mirror of THREE_SPLIT_OUT
+FOUR_C4 = ("oioi", "ioio")       # copies 2,4 feed leaf copy 1, 1,3 copy 2
+FOUR_C4_P34 = ("oiio", "iooi")   # copies 2,3 feed leaf copy 1, 1,4 copy 2
+
 
 @dataclass(frozen=True)
 class ReducedSpec:
@@ -147,6 +160,7 @@ class ReducedSpec:
     s: int
     h_spec: TreeSpec
     slot_to_user: tuple          # slot j (1-based) -> user branch index
+    slots: tuple                 # per slot: (leaf pattern, in-set per copy)
     n_a2: int = 0                # 2-copy slots
     n_bi: int = 0                # inlet-style 3-copy slots
     n_bo: int = 0                # outlet-style 3-copy slots
@@ -154,12 +168,6 @@ class ReducedSpec:
     n_e: int = 0                 # trailing leafless slots
     k: int | None = None         # P312 block split
     demoted: tuple = ()          # user branch indices given a smaller core t
-
-
-# the recipes that give every internal branch two copies
-P35_FAMILY = ("Thm16a", "P311", "P35_D1", "P35_D2", "P35_D3", "P35_D4")
-# the recipes whose in-sets come from one level read in order
-MIXED = ("P39", "P310", "P312", "P41", "P43_D2", "P413", "P411")
 
 
 def _feasible_split(s, n2, n3, k):
@@ -199,170 +207,133 @@ def _fill(base, donors, quota, block):
     return base + donors[:need], donors[need:]
 
 
+def _one_level(sched, a2, bi, bo, a4):
+    """The blocks, and the leafless in-set, of the recipes that read one
+    level of half-sets in order (P312: mu; the others: lam).  `first` and
+    its complement orient the 3- and 4-copy slots; the rest of the level
+    goes to the 2-copy slots, then the inlets, and for odd s the outlets
+    too.  For even s the outlets read `psi`."""
+    full, even = (1 << sched.s) - 1, sched.s % 2 == 0
+    level = sched.mu() if sched.case == "P312" else sched.lam()
+    first = next(level)
+    second = full ^ first
+    n2 = len(a2)
+    rest = list(islice((f for f in level if f != second),
+                       n2 + max(len(bi), len(bo))))
+    outlet_in = (islice(sched.psi(), len(bo)) if even
+                 else rest[n2:n2 + len(bo)])
+    return [("n_a2", 2, a2, C4_WITHIN if even else TWO_IN_ONE_OUT,
+             [(x, x) if even else (full ^ x, x) for x in rest[:n2]]),
+            ("n_bi", 3, bi, THREE_SINK,
+             [(second, first, x) for x in rest[n2:n2 + len(bi)]]),
+            ("n_bo", 3, bo, THREE_SOURCE,
+             [(first, second, full ^ z) for z in outlet_in]),
+            ("n_a4", 4, a4, FOUR_C4, [(second, first, first, second)]
+             * len(a4))], first
+
+
 def reduce(spec: TreeSpec, case: str) -> ReducedSpec:
-    """Apply the case's core multiplicities and quota promotions.
+    """Apply the case's core multiplicities and quota promotions, and read
+    each slot's row off the case's schedule.
 
     Each case lists its blocks in slot order as (ReducedSpec count field,
-    core multiplicity t, user branches); leafless branches always come
-    last with t = 2.  Promotions ("absorb spare high-multiplicity branches
-    into a smaller class to fill a block quota") always pick the lowest
-    user indices, and a branch is `demoted` when its t is below its class.
-    """
+    core multiplicity t, user branches, leaf pattern, rows); a row is the
+    center in-set of each branch copy of one slot.  Leafless branches come
+    last with t = 2 and the case's in-set `e_in`.  Promotions (absorb
+    spare high-multiplicity branches into a smaller class to fill a block
+    quota) pick the lowest user indices, and a branch is `demoted` when
+    its t is below its class."""
     part = partition(spec)
     s = spec.s
     a2, a3, a4 = sorted(part.a2), sorted(part.a3), sorted(part.a4plus)
+    n_e = len(part.e)
     c = half_binom(s)
-    center_t, split = s, None
+    center_t, split = (2 if case == "P34" else s), None
+    sched = make_schedule(center_t, case)
+    full = (1 << center_t) - 1
 
     if case == "P34":
-        center_t = 2
-        blocks = [("n_a4", 4, a4)]
-    elif case in P35_FAMILY:
-        blocks = [("n_a2", 2, sorted(part.internal))]
-    elif case in ("P39", "P41"):
-        quota, n_bi = (c - 2, c - 2) if case == "P39" else (c, c - 1)
-        a3, a4 = _fill(a3, a4, quota, "inlet")
-        blocks = [("n_bi", 3, a3[:n_bi]), ("n_bo", 3, a3[n_bi:]),
-                  ("n_a4", 4, a4)]
-    elif case in ("P310", "P411"):
-        # a3 is nonempty only on the P411 demotion route
-        a2, a4 = _fill(a2 + a3, a4, s if case == "P310" else s - 1,
-                       "2-copy")
-        if not a4:
-            raise ConstructionError("no 4-copy slot left after promotion")
-        blocks = [("n_a2", 2, a2), ("n_a4", 4, a4)]
-    elif case == "P312":
-        split = choose_split(spec)
-        a2, a3 = _fill(a2, a3, split - 1, "2-copy")
-        n_bi = (c - 2) - len(a2)
-        a3, a4 = _fill(a3, a4, n_bi, "inlet")
-        blocks = [("n_a2", 2, a2), ("n_bi", 3, a3[:n_bi]),
-                  ("n_bo", 3, a3[n_bi:]), ("n_a4", 4, a4)]
-    elif case in ("P43_D2", "P413"):
-        n_bi = max(0, (c - 1) - len(a2))
-        blocks = [("n_a2", 2, a2), ("n_bi", 3, a3[:n_bi]),
-                  ("n_bo", 3, a3[n_bi:]), ("n_a4", 4, a4)]
-    elif case == "P43_D3":
-        # outlet block first, then inlet block
-        n_bo = max(0, c - len(a2))
-        blocks = [("n_a2", 2, a2), ("n_bo", 3, a3[:n_bo]),
-                  ("n_bi", 3, a3[n_bo:])]
-    elif case == "P43_D1":
-        blocks = [("n_bo", 3, a3), ("n_a2", 2, a2)]
-    else:
-        raise UsageError(f"unknown construction case {case!r}")
-    blocks.append(("n_e", 2, sorted(part.e)))
-
-    order, branches, demoted = [], [], []
-    for _, t, users in blocks:
-        for u in users:
-            b = spec.branch(u)
-            order.append(u)
-            branches.append(BranchSpec(t, (2,) * b.leaf_count))
-            if b.leaf_count and t < min(b.multiplicity, 4):
-                demoted.append(u)
-    counts = {field: len(users) for field, _, users in blocks}
-    return ReducedSpec(case, s, TreeSpec(center_t, tuple(branches)),
-                       tuple(order), k=split, demoted=tuple(demoted),
-                       **counts)
-
-
-# ============================================================================
-# Slot blocks
-# ============================================================================
-
-# Leaf patterns of the core, whose leaves all have two copies: row z-1 has
-# "i" at position y-1 if branch copy y feeds leaf copy z, "o" if leaf copy z
-# drains into branch copy y.
-C4_WITHIN = ("oi", "io")         # copy 2, leaf 1, copy 1, leaf 2: a 4-cycle
-TWO_IN_ONE_OUT = ("oi", "oi")    # copy 2 feeds both leaf copies
-THREE_SINK = ("ooi", "ooi")      # copy 3 is the sole feeder
-THREE_SOURCE = ("iio", "iio")    # copy 3 is the sole drain
-THREE_SPLIT_OUT = ("iio", "ioi")
-THREE_SPLIT_IN = ("ooi", "oio")  # mirror of THREE_SPLIT_OUT
-FOUR_C4 = ("oioi", "ioio")       # copies 2,4 feed leaf copy 1, 1,3 copy 2
-FOUR_C4_P34 = ("oiio", "iooi")   # copies 2,3 feed leaf copy 1, 1,4 copy 2
-LEAFLESS = ()
-
-
-def _slot_blocks(rspec, sched):
-    """The case's core as (leaf pattern, rows) blocks in slot order.  A row
-    is one slot: the center in-set of each of its branch copies."""
-    case, s = rspec.case, rspec.h_spec.s
-    full = (1 << s) - 1
-
-    def comp(f):
-        return full & ~f
-
-    n2, n_e = rspec.n_a2, rspec.n_e
-
-    if case == "P34":
-        return [(FOUR_C4_P34, [(0b10, 0b10, 0b01, 0b01)] * rspec.n_a4),
-                (LEAFLESS, [(0b10, 0b10)] * n_e)]
-
-    if case in P35_FAMILY:
-        if case == "Thm16a":
-            variant = "D1"
-        elif case == "P311":
-            variant = p35_variant(n2, n_e, s)[-2:]
-        else:
-            variant = case[-2:]
+        blocks = [("n_a4", 4, a4, FOUR_C4_P34,
+                   [(0b10, 0b10, 0b01, 0b01)] * len(a4))]
+        e_in = 0b10
+    elif case in ("Thm16a", "P311") or case.startswith("P35_"):
+        # every internal branch gets two copies
+        internal = sorted(part.internal)
+        n2 = len(internal)
+        variant = ("D1" if case == "Thm16a" else p35_variant(n2, n_e, s)[-2:]
+                   if case == "P311" else case[-2:])
         if variant in ("D1", "D3") and n_e:
             raise ConstructionError(f"variant {variant} admits no leafless "
                                     f"branches")
         if variant == "D1":
             # each of the first n2-1 slots drains into its own center copy;
             # the last slot drains into all remaining copies
-            ins = ([comp(1 << j) for j in range(n2 - 1)]
+            ins = ([full ^ 1 << j for j in range(n2 - 1)]
                    + [full >> max(s + 1 - n2, 0)])   # copies 1..n2-1
         elif variant == "D2":
-            ins = [comp(1 << j) for j in range(n2)]
+            ins = [full ^ 1 << j for j in range(n2)]
         else:  # D3 / D4
             ins = list(islice(sched.lam(), n2))
+        blocks = [("n_a2", 2, internal, C4_WITHIN, [(x, x) for x in ins])]
         e_in = (full & (1 << n2) - 1 if variant == "D2"
                 else sched.lam_last())
-        return [(C4_WITHIN, [(x, x) for x in ins]),
-                (LEAFLESS, [(e_in, e_in)] * n_e)]
-
-    if case == "P43_D3":
-        n_bo, n_bi = rspec.n_bo, rspec.n_bi
-        mu = list(islice(sched.mu(), n2 + n_bo))
-        gamma = list(islice(sched.gamma(), n2 + n_bi))
-        hub = comp((1 << s // 2) - 1)  # gamma's last set: outside the pivot
-        return [(TWO_IN_ONE_OUT, [(comp(m), g) for m, g in
-                                  zip(mu[:n2], gamma[:n2])]),
-                (THREE_SPLIT_OUT, [(hub, comp(m), comp(m))
-                                   for m in mu[n2:]]),
-                (THREE_SPLIT_IN, [(hub, g, g) for g in gamma[n2:]]),
-                (LEAFLESS, [(hub, hub)] * n_e)]
-
-    if case == "P43_D1":  # exactly one 3-copy slot, an outlet
-        first, *rest = islice(sched.lam(), n2 + 1)
-        return [(THREE_SPLIT_OUT, [(first, comp(first), comp(first))]),
-                (TWO_IN_ONE_OUT, [(comp(x), x) for x in rest]),
-                (LEAFLESS, [(first, first)] * n_e)]
-
-    if case not in MIXED:
+    elif case in ("P39", "P41"):
+        quota, n_bi = (c - 2, c - 2) if case == "P39" else (c, c - 1)
+        a3, a4 = _fill(a3, a4, quota, "inlet")
+        blocks, e_in = _one_level(sched, [], a3[:n_bi], a3[n_bi:], a4)
+    elif case in ("P310", "P411"):
+        # a3 is nonempty only on the P411 demotion route
+        a2, a4 = _fill(a2 + a3, a4, s if case == "P310" else s - 1,
+                       "2-copy")
+        if not a4:
+            raise ConstructionError("no 4-copy slot left after promotion")
+        blocks, e_in = _one_level(sched, a2, [], [], a4)
+    elif case == "P312":
+        split = choose_split(spec)
+        a2, a3 = _fill(a2, a3, split - 1, "2-copy")
+        n_bi = (c - 2) - len(a2)
+        a3, a4 = _fill(a3, a4, n_bi, "inlet")
+        blocks, e_in = _one_level(sched, a2, a3[:n_bi], a3[n_bi:], a4)
+    elif case in ("P43_D2", "P413"):
+        n_bi = max(0, (c - 1) - len(a2))
+        blocks, e_in = _one_level(sched, a2, a3[:n_bi], a3[n_bi:], a4)
+    elif case == "P43_D3":
+        # outlet block first, then inlet block
+        n2, n_bo = len(a2), max(0, c - len(a2))
+        bo, bi = a3[:n_bo], a3[n_bo:]
+        mu = list(islice(sched.mu(), n2 + len(bo)))
+        gamma = list(islice(sched.gamma(), n2 + len(bi)))
+        hub = e_in = full ^ (1 << s // 2) - 1  # gamma's last set
+        blocks = [("n_a2", 2, a2, TWO_IN_ONE_OUT,
+                   [(full ^ m, g) for m, g in zip(mu[:n2], gamma[:n2])]),
+                  ("n_bo", 3, bo, THREE_SPLIT_OUT,
+                   [(hub, full ^ m, full ^ m) for m in mu[n2:]]),
+                  ("n_bi", 3, bi, THREE_SPLIT_IN,
+                   [(hub, g, g) for g in gamma[n2:]])]
+    elif case == "P43_D1":  # exactly one 3-copy slot, an outlet
+        first, *rest = islice(sched.lam(), len(a2) + 1)
+        blocks = [("n_bo", 3, a3, THREE_SPLIT_OUT,
+                   [(first, full ^ first, full ^ first)]),
+                  ("n_a2", 2, a2, TWO_IN_ONE_OUT,
+                   [(full ^ x, x) for x in rest])]
+        e_in = first
+    else:
         raise UsageError(f"unknown construction case {case!r}")
-    # One level of half-sets read in order (P312: mu; the others: lam).
-    # `first` and its complement orient the 3- and 4-copy slots; the rest
-    # of the level goes to the 2-copy slots, then the inlets.  For odd s
-    # the outlets read the sets the inlets read; for even s, `psi`.
-    level = sched.mu() if case == "P312" else sched.lam()
-    first = next(level)
-    second = comp(first)
-    n_bi, n_bo = rspec.n_bi, rspec.n_bo
-    rest = list(islice((f for f in level if f != second),
-                       n2 + max(n_bi, n_bo)))
-    even = s % 2 == 0
-    outlet_in = list(islice(sched.psi(), n_bo)) if even else rest[n2:]
-    return [(C4_WITHIN if even else TWO_IN_ONE_OUT,
-             [(x, x) if even else (comp(x), x) for x in rest[:n2]]),
-            (THREE_SINK, [(second, first, x) for x in rest[n2:n2 + n_bi]]),
-            (THREE_SOURCE, [(first, second, comp(z))
-                            for z in outlet_in[:n_bo]]),
-            (FOUR_C4, [(second, first, first, second)] * rspec.n_a4),
-            (LEAFLESS, [(first, first)] * n_e)]
+    blocks.append(("n_e", 2, sorted(part.e), (), [(e_in, e_in)] * n_e))
+
+    order, branches, demoted, slots = [], [], [], []
+    for _, t, users, pattern, rows in blocks:
+        for u in users:
+            b = spec.branch(u)
+            order.append(u)
+            branches.append(BranchSpec(t, (2,) * b.leaf_count))
+            if b.leaf_count and t < min(b.multiplicity, 4):
+                demoted.append(u)
+        slots += [(pattern, row) for row in rows]
+    counts = {field: len(users) for field, _, users, _, _ in blocks}
+    return ReducedSpec(case, s, TreeSpec(center_t, tuple(branches)),
+                       tuple(order), tuple(slots), k=split,
+                       demoted=tuple(demoted), **counts)
 
 
 def _core_bits(case, h, rows):
@@ -385,15 +356,12 @@ def _core_bits(case, h, rows):
     return center_bits + leaf_bits
 
 
-def build_base_orientation(rspec: ReducedSpec,
-                           sched: SetSchedule) -> Orientation:
-    """Orient every edge of the core instance by walking the case's slot
-    blocks, then check the extension lemma's hypothesis: a directed cycle
-    of length at most 4 through every vertex, and diameter exactly 4
-    (which implies strong)."""
-    case, h = rspec.case, rspec.h_spec
-    rows = [(pattern, row) for pattern, block_rows
-            in _slot_blocks(rspec, sched) for row in block_rows]
+def build_base_orientation(rspec: ReducedSpec) -> Orientation:
+    """Orient every edge of the core instance from its slot rows, then
+    check the extension lemma's hypothesis: a directed cycle of length at
+    most 4 through every vertex, and diameter exactly 4 (which implies
+    strong)."""
+    case, h, rows = rspec.case, rspec.h_spec, rspec.slots
     if len(rows) != h.deg_c:
         raise ConstructionError(f"recipe {case}: the schedule gives "
                                 f"{len(rows)} rows for {h.deg_c} slots")
@@ -420,11 +388,14 @@ class ConstructionResult:
     orientation: Orientation
     classification: Classification
     reduced: ReducedSpec
-    schedule: SetSchedule
 
     @property
     def case(self) -> str:
         return self.reduced.case
+
+    @property
+    def schedule(self) -> SetSchedule:   # the one the core's rows read
+        return make_schedule(self.reduced.h_spec.s, self.case)
 
 
 def relabel_orientation(d: Orientation, slot_to_user: tuple,
@@ -439,8 +410,8 @@ def relabel_orientation(d: Orientation, slot_to_user: tuple,
 
 def construct_optimal(spec: TreeSpec) -> ConstructionResult:
     """Classify, which names the recipe, then reduce to the core (the
-    P312 split is chosen there), build and check the core, relabel and
-    lift it, verify.
+    P312 split is chosen and the slot rows are read there), build and
+    check the core, relabel and lift it, verify.
 
     Relabelling slots to user branches is an isomorphism and the mimic step
     only copies, so the two are one pull-back (`relabel_orientation`).  The
@@ -460,12 +431,11 @@ def construct_optimal(spec: TreeSpec) -> ConstructionResult:
                       rule=cls.rule)
 
     rspec = reduce(spec, cls.case)
-    sched = make_schedule(rspec.h_spec.s, rspec.case)
-    base = build_base_orientation(rspec, sched)
+    base = build_base_orientation(rspec)
     final = relabel_orientation(base, rspec.slot_to_user, spec)
 
     if diameter(final) != 4 or not is_strong(final):
         raise ConstructionError(
             f"internal verification failure for case {rspec.case}: lifted "
             f"orientation is not a strong diameter-4 orientation")
-    return ConstructionResult(final, cls, rspec, sched)
+    return ConstructionResult(final, cls, rspec)

@@ -28,19 +28,11 @@ UNKNOWN_GAP = "UnknownGap"
 
 
 @dataclass(frozen=True)
-class GapDetail:
-    necessary_bound_holds: bool
-    sufficient_bound_holds: bool
-    k_witness: int | None
-
-
-@dataclass(frozen=True)
 class Classification:
     verdict: str
     rule: str
     threshold_note: str
     k_witness: int | None = None
-    gap_detail: GapDetail | None = None
     case: str | None = None     # the recipe of a C0 verdict, from CASE_IDS
 
     @property
@@ -168,10 +160,7 @@ def _classify_even(s, n2, n3, n4, deg, c, p35):
                f"[{n2 + 1},{min(n2 + n3, c - 1)}]")
     note = (f"2|A2|+|A3|={weight}: necessary bound {necessary_bound} "
             f"holds, {why}")
-    return Classification(
-        UNKNOWN_GAP, "Prop3.12", note,
-        gap_detail=GapDetail(necessary_bound_holds=True,
-                             sufficient_bound_holds=False, k_witness=None))
+    return Classification(UNKNOWN_GAP, "Prop3.12", note)
 
 
 def _classify_odd(s, n2, n3, n4, c, p35):

@@ -16,7 +16,7 @@ from itertools import islice
 from math import comb
 
 from . import build, digraph, oracle, sperner, tree
-from .classify import classify as classify_spec
+from .classify import UNKNOWN_GAP, classify as classify_spec
 from .errors import ConstructionError, Refusal, UsageError
 
 EXIT_OK = 0
@@ -30,13 +30,14 @@ MAX_EDGES = 100_000
 # bytes of edge list `verify` reads: 8x the largest text `construct`
 # prints, an `--explain` at s = 5,000 (under 8 MiB)
 MAX_EDGE_LIST_BYTES = 64 << 20
-# center multiplicity every spec command accepts: threshold notes print
-# C(s, ceil(s/2)), which stays under Python's 4,300-digit int-to-str limit
+# center multiplicity every spec command accepts, and the largest n of a
+# `sperner` level: threshold notes print C(s, ceil(s/2)), which stays under
+# Python's 4,300-digit int-to-str limit
 MAX_CENTER = 10_000
 # sets a `sperner` tool enumerates
 MAX_SETS = 100_000
-# members of whole sets `--explain` prints per schedule sequence: every
-# level up to s = 19 fits
+# members of whole sets `--explain` prints per schedule sequence (every
+# level up to s = 19 fits), and that a `sperner` tool prints
 MAX_MEMBERS = 1_000_000
 
 
@@ -77,12 +78,11 @@ def _classification_doc(cls):
     }
     if cls.k_witness is not None:
         doc["k_witness"] = cls.k_witness
-    if cls.gap_detail is not None:
-        doc["gap_detail"] = {
-            "necessary_bound_holds": cls.gap_detail.necessary_bound_holds,
-            "sufficient_bound_holds": cls.gap_detail.sufficient_bound_holds,
-            "k_witness": cls.gap_detail.k_witness,
-        }
+    if cls.verdict == UNKNOWN_GAP:
+        # the open regime: the necessary bound holds, no split qualifies
+        doc["gap_detail"] = {"necessary_bound_holds": True,
+                             "sufficient_bound_holds": False,
+                             "k_witness": None}
     return doc
 
 
@@ -273,13 +273,22 @@ def _digits(f):
     return "".join(map(str, sperner.members(f)))
 
 
-def _enumerable(count):
-    """Refuse, before anything is enumerated, more than MAX_SETS sets."""
+def _enumerable(count, size=0, text=None):
+    """Refuse, before anything is enumerated, more than MAX_SETS sets, or
+    sets of `size` members that would print more than MAX_MEMBERS members.
+    `text` names the count in the message (default: its digits)."""
+    text = text or str(count)
     if count > MAX_SETS:
-        raise Refusal(f"{count} sets exceed the bound {MAX_SETS}")
+        raise Refusal(f"{text} sets exceed the bound {MAX_SETS}")
+    if count * size > MAX_MEMBERS:
+        raise Refusal(f"{text} sets of {size} members exceed the bound "
+                      f"{MAX_MEMBERS} members")
 
 
 def cmd_sperner(args):
+    # before any C(n, k) is computed: at n = 10^6 one takes seconds
+    if args.n > MAX_CENTER:
+        raise Refusal(f"n={args.n} exceeds the bound {MAX_CENTER}")
     if args.tool == "kappa":
         sperner.level_size(args.n, args.r, args.m)
         _enumerable(args.m)
@@ -293,8 +302,10 @@ def cmd_sperner(args):
     elif args.tool == "shadow":
         sperner.level_size(args.n, args.k, args.m)
         _enumerable(args.m)
-        sh = sperner.shadow(sperner.first_m(args.n, args.k, args.m))
+        # the cascade size is exact: the shadow of the first m sets
         cascade = sperner.shadow_size_kkt(args.n, args.k, args.m)
+        _enumerable(cascade, args.k - 1)
+        sh = sperner.shadow(sperner.first_m(args.n, args.k, args.m))
         if args.json:
             _print_json({"shadow_size": len(sh), "cascade_size": cascade,
                          "shadow": [list(sperner.members(s)) for s in sh]})
@@ -302,7 +313,8 @@ def cmd_sperner(args):
             print(f"|shadow| = {len(sh)} (cascade formula: {cascade})")
             print(" ".join(map(_digits, sh)))
     elif args.tool == "squashed":
-        _enumerable(sperner.level_size(args.n, args.k))
+        _enumerable(sperner.level_size(args.n, args.k), args.k,
+                    f"C({args.n},{args.k})")
         level = sperner.squashed_level(args.n, args.k)
         if args.json:
             _print_json({"level": [list(sperner.members(s)) for s in level]})

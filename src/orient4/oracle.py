@@ -87,8 +87,6 @@ def graph_from_spec(spec: TreeSpec) -> EnumGraph:
 
 
 def bipartite_graph(p: int, q: int) -> EnumGraph:
-    if p < 2 or q < 2:
-        raise UsageError("both sides need at least 2 vertices")
     names = tuple(f"a{i}" for i in range(1, p + 1)) + \
         tuple(f"b{j}" for j in range(1, q + 1))
     edges = tuple((i, p + j) for i in range(p) for j in range(q))
@@ -268,14 +266,20 @@ def merge_results(parts) -> RangeResult:
 # Public entry points
 # ============================================================================
 
-def _run(graph: EnumGraph, max_edges: int, symmetry: bool) -> RangeResult:
-    if graph.m > max_edges:
-        raise Refusal(f"edge budget exceeded: {graph.m} edges > "
+def _refuse_oversized(n: int, m: int, max_edges: int) -> None:
+    """Refuse, from the vertex and edge counts before any graph is built,
+    what the engine cannot search: more than `max_edges` edges, more than
+    32 vertices (a uint32 reach row), more than 63 edges (an int64 rank)."""
+    if m > max_edges:
+        raise Refusal(f"edge budget exceeded: {m} edges > "
                       f"max_edges={max_edges}")
-    if graph.n > 32:
-        raise Refusal(f"too many vertices for the bitmask engine: {graph.n}")
-    if graph.m > 63:
-        raise Refusal(f"too many edges for int64 ranks: {graph.m}")
+    if n > 32:
+        raise Refusal(f"too many vertices for the bitmask engine: {n}")
+    if m > 63:
+        raise Refusal(f"too many edges for int64 ranks: {m}")
+
+
+def _run(graph: EnumGraph, symmetry: bool) -> RangeResult:
     bridge = find_bridge(graph.n, graph.edges)
     if bridge is not None:
         u, v = graph.edges[bridge]
@@ -301,11 +305,11 @@ def orientation_number(spec: TreeSpec,
     """Minimum diameter over all strong orientations of the multiplied tree,
     with the smallest-rank optimal assignment as witness."""
     require_valid(spec)
-    if edge_count(spec) > max_edges:
-        raise Refusal(f"edge budget exceeded: {edge_count(spec)} edges > "
-                      f"max_edges={max_edges}")
+    n = spec.s + sum(b.multiplicity + sum(b.leaf_multiplicities)
+                     for b in spec.branches)
+    _refuse_oversized(n, edge_count(spec), max_edges)
     graph = graph_from_spec(spec)
-    res = _run(graph, max_edges, symmetry)
+    res = _run(graph, symmetry)
     bits = tuple((res.best_rank >> j) & 1 for j in range(graph.m))
     witness = Orientation(spec, bits)
     return OracleResult(int(res.best_diameter), witness,
@@ -318,8 +322,11 @@ def bipartite_orientation_number(p: int, q: int,
                                  symmetry: bool = False) -> OracleResult:
     """Same enumeration over the complete bipartite graph; a cross-check of
     the harness against a known closed form."""
+    if p < 2 or q < 2:
+        raise UsageError("both sides need at least 2 vertices")
+    _refuse_oversized(p + q, p * q, max_edges)
     graph = bipartite_graph(p, q)
-    res = _run(graph, max_edges, symmetry)
+    res = _run(graph, symmetry)
     return OracleResult(int(res.best_diameter), None,
                         graph.arcs_of_rank(res.best_rank),
                         res.examined, res.strong_count)

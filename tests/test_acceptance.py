@@ -15,8 +15,7 @@ import random
 import time
 from math import comb
 
-from orient4.build import (build_base_orientation, construct_optimal,
-                           make_schedule, reduce)
+from orient4.build import build_base_orientation, construct_optimal, reduce
 from orient4.classify import classify
 from orient4.digraph import (diameter, distance, extend_orientation,
                              is_strong, reverse, shortest_cycle_lengths)
@@ -157,9 +156,7 @@ def test_criterion_3_construction_regression():
     worst = 0.0
     for case, spec in REFERENCE_SETS:
         t0 = time.perf_counter()
-        rspec = reduce(spec, case)
-        sched = make_schedule(rspec.h_spec.s, case)
-        d = build_base_orientation(rspec, sched)
+        d = build_base_orientation(reduce(spec, case))
         elapsed = time.perf_counter() - t0
         worst = max(worst, elapsed)
         assert diameter(d) == 4, case
@@ -338,7 +335,7 @@ def test_criterion_6_property_suite():
         _check_parity(d, rng)
 
         # center copies pairwise at distance 2 in the cores that claim it
-        base = build_base_orientation(res.reduced, res.schedule)
+        base = build_base_orientation(res.reduced)
         if res.case in CENTER_DISTANCE_TWO_CASES:
             h = res.reduced.h_spec
             for r1 in range(1, h.s + 1):

@@ -106,9 +106,7 @@ def test_even_mixed_regime_three_valued():
     assert cls.verdict == "UnknownGap"
     assert cls.rule == "Prop3.12"
     assert cls.orientation_number is None
-    assert cls.gap_detail.necessary_bound_holds
-    assert not cls.gap_detail.sufficient_bound_holds
-    assert cls.gap_detail.k_witness is None
+    assert cls.k_witness is None and cls.case is None
     assert cls.threshold_note.endswith(
         "sufficient bound fails for every k in [5,5]")
     # |A2| = C-1 = 5 leaves Prop3.12's range [|A2|+1, C-1] empty

@@ -64,8 +64,9 @@ def test_classify_gap_reports_bounds(tmp_path, capsys):
     assert main(["classify", path, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] == "UnknownGap"
-    assert doc["gap_detail"]["necessary_bound_holds"] is True
-    assert doc["gap_detail"]["sufficient_bound_holds"] is False
+    assert doc["gap_detail"] == {"necessary_bound_holds": True,
+                                 "sufficient_bound_holds": False,
+                                 "k_witness": None}
 
 
 def test_construct_refusals(tmp_path, capsys):
@@ -346,23 +347,56 @@ def _no_enumeration(*args):
     raise AssertionError("enumeration started")
 
 
-@pytest.mark.parametrize("argv", [
-    "squashed --n 30 --k 15",
-    "squashed --n 30 --k 15 --json",
-    "kappa --n 40 --r 20 --m 1000000000 --json",
-    "kappa --n 40 --r 20 --m 100001",
-    "shadow --n 40 --k 20 --m 100001",
-])
-def test_sperner_refuses_more_than_max_sets(capsys, monkeypatch, argv):
-    for name in ("squashed_level", "first_m", "kappa", "kappa_star",
-                 "shadow", "shadow_size_kkt"):
-        monkeypatch.setattr(cli.sperner, name, _no_enumeration)
+# argv -> the one-line refusal, each raised before anything is enumerated
+SPERNER_REFUSALS = {
+    "squashed --n 30 --k 15": "C(30,15) sets exceed the bound 100000",
+    "squashed --n 30 --k 15 --json": "C(30,15) sets exceed the bound 100000",
+    "kappa --n 40 --r 20 --m 1000000000 --json":
+        "1000000000 sets exceed the bound 100000",
+    "kappa --n 40 --r 20 --m 100001": "100001 sets exceed the bound 100000",
+    "shadow --n 40 --k 20 --m 100001": "100001 sets exceed the bound 100000",
+    # n past MAX_CENTER: C(15000, 7500) has more digits than str() prints
+    "squashed --n 15000 --k 7500": "n=15000 exceeds the bound 10000",
+    "squashed --n 100000 --k 99999": "n=100000 exceeds the bound 10000",
+    "shadow --n 15000 --k 7500 --m 5": "n=15000 exceeds the bound 10000",
+    "kappa --n 1000000 --r 500000 --m 5": "n=1000000 exceeds the bound 10000",
+}
+
+
+def _assert_refused(capsys, argv, reason):
     assert main(["sperner"] + argv.split()) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("refused: ")
-    assert captured.err.endswith(f"sets exceed the bound {cli.MAX_SETS}\n")
-    assert captured.err.count("\n") == 1
+    assert captured.err == f"refused: {reason}\n"
+
+
+@pytest.mark.parametrize("argv", SPERNER_REFUSALS)
+def test_sperner_refuses_more_than_max_sets(capsys, monkeypatch, argv):
+    stubs = ["squashed_level", "first_m", "kappa", "kappa_star", "shadow",
+             "shadow_size_kkt"]
+    if SPERNER_REFUSALS[argv].startswith("n="):
+        stubs.append("level_size")     # not even C(n, k) is computed
+    for name in stubs:
+        monkeypatch.setattr(cli.sperner, name, _no_enumeration)
+    _assert_refused(capsys, argv, SPERNER_REFUSALS[argv])
+
+
+MEMBER_REFUSALS = {
+    "squashed --n 10000 --k 9999":
+        "C(10000,9999) sets of 9999 members exceed the bound 1000000 members",
+    "squashed --n 400 --k 398 --json":
+        "C(400,398) sets of 398 members exceed the bound 1000000 members",
+    # the shadow of the first 5 sets is 5 * 5000 - 10 sets: the cascade
+    "shadow --n 10000 --k 5000 --m 5":
+        "24990 sets of 4999 members exceed the bound 1000000 members",
+}
+
+
+@pytest.mark.parametrize("argv", MEMBER_REFUSALS)
+def test_sperner_refuses_more_than_max_members(capsys, monkeypatch, argv):
+    for name in ("squashed_level", "first_m", "shadow"):
+        monkeypatch.setattr(cli.sperner, name, _no_enumeration)
+    _assert_refused(capsys, argv, MEMBER_REFUSALS[argv])
 
 
 def test_explain_is_bounded_by_members_at_a_large_center(tmp_path,

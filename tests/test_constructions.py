@@ -1,5 +1,6 @@
 """Schedules, reductions, per-case recipes and the full pipeline."""
 
+import dataclasses
 import importlib
 import itertools
 import json
@@ -58,8 +59,7 @@ def mkspec(s, a2=0, a3=0, a4=0, e=0, first_two_leaves=True):
 
 def build_case(spec, case):
     rspec = reduce(spec, case)
-    sched = make_schedule(rspec.h_spec.s, case)
-    return build_base_orientation(rspec, sched), rspec
+    return build_base_orientation(rspec), rspec
 
 
 # ----------------------------------------------------------------------------
@@ -338,15 +338,13 @@ def test_core_recipe(spec, case):
                     assert distance(d, center(r1), center(r2)) == 2
 
 
-def reference_core(rspec, sched):
+def reference_core(rspec):
     """The core by the arc builder the direct bit writer replaced: one
     (tail, head) name pair per edge, slot by slot, mapped to bits through
     `from_arcs`."""
     h = rspec.h_spec
-    rows = [(pattern, row) for pattern, block
-            in build._slot_blocks(rspec, sched) for row in block]
     arcs = []
-    for slot, (pattern, row) in enumerate(rows, start=1):
+    for slot, (pattern, row) in enumerate(rspec.slots, start=1):
         for a in range(1, h.branch(slot).leaf_count + 1):
             for z, ways in enumerate(pattern, start=1):
                 for y, way in enumerate(ways, start=1):
@@ -362,8 +360,7 @@ def reference_core(rspec, sched):
 
 def assert_core_matches_reference(spec, case):
     d, rspec = build_case(spec, case)
-    sched = make_schedule(rspec.h_spec.s, case)
-    assert d.bits == reference_core(rspec, sched).bits
+    assert d.bits == reference_core(rspec).bits
 
 
 @pytest.mark.parametrize("spec,case", CORE_CASES,
@@ -402,23 +399,18 @@ MIS_SIZED = {
     "row too short": lambda pattern, row: (pattern, row[:1]),
     "leaf row too wide": lambda pattern, row: (build.THREE_SINK, row),
     "one leaf copy": lambda pattern, row: (pattern[:1], row),
-    "no leaf pattern": lambda pattern, row: (build.LEAFLESS, row),
+    "no leaf pattern": lambda pattern, row: ((), row),
 }
 
 
 @pytest.mark.parametrize("change", MIS_SIZED.values(), ids=MIS_SIZED)
-def test_mis_sized_slot_raises_construction_error(monkeypatch, change):
-    blocks = build._slot_blocks
-
-    def mis_sized(rspec, sched):
-        (pattern, rows), *rest = blocks(rspec, sched)
-        bad_pattern, bad_row = change(pattern, rows[0])
-        return [(bad_pattern, [bad_row]), (pattern, rows[1:])] + rest
-
-    monkeypatch.setattr(build, "_slot_blocks", mis_sized)
+def test_mis_sized_slot_raises_construction_error(change):
+    rspec = reduce(mkspec(5, a2=4), "P35_D1")
+    first, *rest = rspec.slots
+    rspec = dataclasses.replace(rspec, slots=(change(*first), *rest))
     with pytest.raises(ConstructionError, match="recipe P35_D1: slot 1 "
                        "does not fit its multiplicity 2"):
-        build_case(mkspec(5, a2=4), "P35_D1")
+        build_base_orientation(rspec)
 
 
 def test_construct_sweeps_core_and_witness_once_each(monkeypatch):

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orient4 import digraph
-from orient4.build import construct_optimal, make_schedule, reduce, \
+from orient4.build import construct_optimal, reduce, \
     build_base_orientation, relabel_orientation
 from orient4.classify import classify
 from orient4.digraph import (UNREACHABLE, ExtensionError, Orientation,
@@ -204,7 +204,7 @@ def test_integer_layout_matches_vertex_ids(spec, data):
 
 def test_fig22_core_has_diameter_4():
     rspec = reduce(fig22_spec(), "P34")
-    d = build_base_orientation(rspec, make_schedule(2, "P34"))
+    d = build_base_orientation(rspec)
     assert diameter(d) == 4
     assert is_strong(d)
     assert max(shortest_cycle_lengths(d)) == 4
@@ -556,9 +556,7 @@ def p39_fig_orientation():
     spec = TreeSpec(4, tuple([BranchSpec(3, (2,))] * 6
                              + [BranchSpec(4, (2,))] * 2
                              + [BranchSpec(2, ())] * 2))
-    rspec = reduce(spec, "P39")
-    sched = make_schedule(4, "P39")
-    return build_base_orientation(rspec, sched)
+    return build_base_orientation(reduce(spec, "P39"))
 
 
 def test_center_projections_on_p39_figure():

@@ -154,6 +154,29 @@ def test_oversized_graph_refused_before_search(monkeypatch, p, q, message):
         bipartite_orientation_number(p, q, max_edges=p * q)
 
 
+def _no_graph(*args):
+    raise AssertionError("built the graph of a refused instance")
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda: bipartite_orientation_number(2000, 2000), "edge budget"),
+    (lambda: bipartite_orientation_number(100_000, 100_000), "edge budget"),
+    (lambda: bipartite_orientation_number(2, 31, max_edges=62),
+     "too many vertices"),
+    (lambda: orientation_number(TreeSpec(2, (BranchSpec(2, (2,) * 8),) * 2),
+                                max_edges=100), "too many vertices"),
+    (lambda: orientation_number(TreeSpec(3, (BranchSpec(3, (3, 3)),) * 3),
+                                max_edges=24), "edge budget"),
+], ids=["budget", "huge-budget", "bipartite-vertices", "spec-vertices",
+        "spec-budget"])
+def test_oversized_graph_refused_before_it_is_built(monkeypatch, run,
+                                                    message):
+    monkeypatch.setattr(oracle, "bipartite_graph", _no_graph)
+    monkeypatch.setattr(oracle, "graph_from_spec", _no_graph)
+    with pytest.raises(Refusal, match=message):
+        run()
+
+
 # ----------------------------------------------------------------------------
 # pinned counts
 # ----------------------------------------------------------------------------
