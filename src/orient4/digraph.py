@@ -7,15 +7,16 @@ integer index pairs.  A caller names a vertex exactly as the program
 prints it (`tree.vertex_names`), and nothing else.  Arcs given by name
 (`from_arcs`, `from_edge_list`) are resolved to edges in bulk: one dict
 lookup per name, then block arithmetic over `tree._blocks` in numpy
-gives each arc's edge index and direction bit.  Distances count
-arcs, from int-bitset reach sets.  Each orientation is swept once, on its
-twin quotient: vertices with equal out- and in-sets, read from its own
-arcs, collapse to one, and the answers expand back exactly.  Every copy
-a mimic extension adds is a false twin of its donor (Koh and Tay's
-lemma), so a lifted witness sweeps about as many classes as its core has
-vertices.  `diameter` returns the distinguished value `UNREACHABLE`
-(math.inf) when some ordered pair has no path, so non-strong orientations
-can be ranked.
+gives each arc's edge index and direction bit.  numpy loads on the first
+such call, not on import, so writing and sweeping an orientation never
+loads it.  Distances count arcs, from int-bitset reach sets.  Each
+orientation is swept once, on its twin quotient: vertices with equal
+out- and in-sets, read from its own arcs, collapse to one, and the
+answers expand back exactly.  Every copy a mimic extension adds is a
+false twin of its donor (Koh and Tay's lemma), so a lifted witness
+sweeps about as many classes as its core has vertices.  `diameter`
+returns the distinguished value `UNREACHABLE` (math.inf) when some
+ordered pair has no path, so non-strong orientations can be ranked.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-
-import numpy as np
 
 from .errors import UsageError
 from .tree import (TreeSpec, _blocks, edge_count, edge_pairs, require_valid,
@@ -127,6 +126,10 @@ def _resolve(spec: TreeSpec, ends) -> Orientation:
     tail > head.  One bincount of those indices finds repeated and missing
     edges.  The first arc in order that is not an edge or repeats one is
     reported, else the count of missing edges and the first of them."""
+    # numpy loads here, on first use: construct, classify and sperner
+    # never resolve names, so they start without it
+    import numpy as np
+
     require_valid(spec)
     blocks = _blocks(spec)
     start, size = zip(*blocks.values())

@@ -3,9 +3,10 @@
 Every one of the 2^|E| direction assignments is ranked by an integer whose
 bit j gives edge j's direction (0: as listed canonically, 1: reversed).
 Assignments are processed in rank order, vectorized with numpy, so the
-reported witness is the numerically smallest optimal rank.  The rank space
-may be split into contiguous ranges and the partial results merged; the
-outcome is independent of the partitioning.
+reported witness is the numerically smallest optimal rank; numpy loads on
+the first search, not on import.  The rank space may be split into
+contiguous ranges and the partial results merged; the outcome is
+independent of the partitioning.
 
 A strong orientation has no source and no sink.  Each rank splits into
 its low log2(_BATCH) bits and its high bits; whether a vertex is a source
@@ -27,7 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+# numpy is imported inside the three functions of the search that use it,
+# so `import orient4` and every command but the oracle and verify start
+# without it
 
 from .digraph import Orientation
 from .errors import Refusal, UsageError
@@ -150,6 +153,7 @@ def _survivors(graph: EnumGraph, lo: int, hi: int):
     both.  Split M_v and S_v at bit L = min(m, log2(_BATCH)): the low halves
     are judged once per call for all 2^L low values, and the high halves
     once per block of 2^L ranks."""
+    import numpy as np
     low = min(graph.m, _BATCH.bit_length() - 1)
     size = 1 << low
     values = np.arange(size, dtype=np.int64)
@@ -198,6 +202,7 @@ def _batch_diameters(graph: EnumGraph, ranks: np.ndarray) -> np.ndarray:
     the narrowest unsigned type that holds n bits; fwd[j] is all ones where
     edge j points u -> v (bit 0).  A rank with a source or a sink stops
     growing before its rows are full and reads inf."""
+    import numpy as np
     n, edges = graph.n, graph.edges
     row = np.min_scalar_type((1 << n) - 1)
     diam = np.full(len(ranks), math.inf)
@@ -230,6 +235,7 @@ def _batch_diameters(graph: EnumGraph, ranks: np.ndarray) -> np.ndarray:
 
 def search_rank_range(graph: EnumGraph, lo: int, hi: int) -> RangeResult:
     """Scan assignment ranks [lo, hi); results merge associatively."""
+    import numpy as np
     if not 0 <= lo <= hi <= 1 << graph.m:
         raise UsageError(f"rank range [{lo},{hi}) outside 0..2^{graph.m}")
     best = math.inf

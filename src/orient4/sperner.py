@@ -135,9 +135,20 @@ def kappa(n: int, r: int, m: int) -> int:
 
 
 def kappa_star(n: int, r: int, m: int) -> int:
-    """Running minimum of kappa over 0..m (always <= 0)."""
+    """Running minimum of kappa over 0..m (always <= 0), in one pass.
+
+    In squashed order, S - {x} is in the shadow of no earlier r-set iff
+    every member below x is in S; so the j-th set S adds one new
+    (r-1)-set per trailing one of S, and kappa moves by that count - 1."""
     level_size(n, r, m)
-    return min(kappa(n, r, j) for j in range(m + 1))
+    if r < 1 and m:
+        raise UsageError("shadow size needs k >= 1")
+    best = value = 0
+    for x in itertools.islice(_gosper(n, r), m):
+        # x ^ (x + 1) is the trailing ones of x and the zero above them
+        value += (x ^ (x + 1)).bit_length() - 2
+        best = min(best, value)
+    return best
 
 
 # ============================================================================

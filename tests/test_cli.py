@@ -255,6 +255,76 @@ def test_verify_bounds_an_edge_list_read_from_a_pipe(tmp_path):
     assert proc.stderr == b"refused: edge list exceeds the bound 100 bytes\n"
 
 
+# Runs `cli.main` on each argv in argv[2] (JSON) in a fresh interpreter;
+# with argv[1] == "block", numpy cannot be imported there.  Prints, as
+# JSON, the numpy modules loaded by `import orient4.cli` and, per call,
+# its exit code, its stdout and whether numpy was loaded after it.
+COLD_START = """
+import contextlib, io, json, sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+from orient4 import cli
+def loaded():
+    return sorted(name for name, module in sys.modules.items()
+                  if name.partition(".")[0] == "numpy" and module is not None)
+at_import, runs = loaded(), []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    runs.append([code, out.getvalue(), bool(loaded())])
+print(json.dumps({"at_import": at_import, "runs": runs}))
+"""
+
+
+def _fresh_runs(mode, argvs):
+    src = pathlib.Path(cli.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, mode, json.dumps(argvs)],
+        capture_output=True, check=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    return json.loads(proc.stdout)
+
+
+def _in_process_runs(capsys, argvs):
+    runs = []
+    for argv in argvs:
+        code = main(argv)
+        runs.append([code, capsys.readouterr().out])
+    return runs
+
+
+def test_classify_construct_and_sperner_run_without_numpy(tmp_path, capsys):
+    spec_path = write_spec(tmp_path, c0_doc())
+    argvs = [["classify", spec_path], ["classify", spec_path, "--json"],
+             ["construct", spec_path, "--verify"],
+             ["construct", spec_path, "--json", "--explain"],
+             ["construct", spec_path, "--format", "dot"],
+             ["sperner", "kappa", "--n", "6", "--r", "3", "--m", "17",
+              "--json"],
+             ["sperner", "shadow", "--n", "5", "--k", "3", "--m", "4"],
+             ["sperner", "squashed", "--n", "5", "--k", "3"]]
+    runs = _fresh_runs("block", argvs)["runs"]
+    expected = _in_process_runs(capsys, argvs)
+    assert [[code, out] for code, out, _ in runs] == expected
+    assert all(code == 0 for code, _ in expected)
+
+
+def test_verify_and_oracle_load_numpy_on_first_use(tmp_path, capsys):
+    spec_path = write_spec(tmp_path, c0_doc())
+    assert main(["construct", spec_path]) == 0
+    edge_path = tmp_path / "edges.txt"
+    edge_path.write_text(capsys.readouterr().out)
+    argvs = [["verify", spec_path, str(edge_path)],
+             ["oracle", "--bipartite", "2", "3"]]
+    fresh = _fresh_runs("load", argvs)
+    assert fresh["at_import"] == []
+    assert [[code, out] for code, out, _ in fresh["runs"]] == (
+        _in_process_runs(capsys, argvs))
+    assert fresh["runs"][0][1] == "diameter 4, strong, edges match\n"
+    assert [loaded for _, _, loaded in fresh["runs"]] == [True, True]
+
+
 def test_oracle_bipartite(capsys):
     assert main(["oracle", "--bipartite", "2", "3", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

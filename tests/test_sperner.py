@@ -1,10 +1,16 @@
 """Squashed-order toolkit against brute-force oracles and known values."""
 
 import itertools
+import json
+import os
+import pathlib
+import subprocess
+import sys
 from math import comb
 
 import pytest
 
+import orient4
 from orient4.errors import UsageError
 from orient4.sperner import (first_m, is_antichain, kappa, kappa_star, last_m,
                              level_size, members, shade, shadow,
@@ -198,6 +204,35 @@ def test_kappa_values():
     assert kappa(6, 3, 13) == 0
     assert kappa(6, 3, 0) == 0
     assert kappa_star(4, 2, 4) == 0
+
+
+def test_kappa_star_is_the_running_minimum_of_kappa():
+    for n in range(13):
+        for r in range(1, n + 1):
+            want = 0
+            for m in range(comb(n, r) + 1):
+                want = min(want, kappa(n, r, m))
+                assert kappa_star(n, r, m) == want, (n, r, m)
+
+
+def test_kappa_star_at_level_zero():
+    assert kappa_star(3, 0, 0) == 0
+    with pytest.raises(UsageError, match="shadow size needs k >= 1"):
+        kappa_star(3, 0, 1)
+    with pytest.raises(UsageError, match=r"m=2 outside 0..C\(3,0\)=1"):
+        kappa_star(3, 0, 2)
+
+
+def test_kappa_star_cli_at_a_large_level():
+    # one pass over the first m sets: seconds at most, not minutes
+    src = pathlib.Path(orient4.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "orient4.cli", "sperner", "kappa", "--n",
+         "10000", "--r", "5000", "--m", "100000", "--json"],
+        capture_output=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert json.loads(proc.stdout) == {
+        "kappa": kappa(10000, 5000, 100000), "kappa_star": 0}
 
 
 def test_kappa_star_threshold_and_monotone():
