@@ -5,15 +5,15 @@ multiplied graph, in the order `tree.edge_pairs` states (bit 0: parent
 end to child end, bit 1: reversed), plus adjacency built from those
 integer index pairs.  A caller names a vertex exactly as the program
 prints it (`tree.vertex_names`), and nothing else.  Arcs given by name
-(`from_arcs`, `from_edge_list`) are resolved to edges in bulk: one dict
-lookup per name, then block arithmetic over `tree._blocks` in numpy
-gives each arc's edge index and direction bit.  numpy loads on the first
-such call, not on import, so writing and sweeping an orientation never
-loads it.  Distances count arcs, from int-bitset reach sets.  Each
-orientation is swept once, on its twin quotient: vertices with equal
-out- and in-sets, read from its own arcs, collapse to one, and the
-answers expand back exactly.  Every copy a mimic extension adds is a
-false twin of its donor (Koh and Tay's lemma), so a lifted witness
+(`from_arcs`, `from_edge_list`) are resolved to edges in one pure-Python
+loop: one dict lookup per name, then block arithmetic over `tree._blocks`
+gives each arc's edge index and direction bit, and the arcs, put in
+canonical order, become the new orientation's adjacency without a second
+pass over `tree.edge_pairs`.  Distances count arcs, from int-bitset reach
+sets.  Each orientation is swept once, on its twin quotient: vertices
+with equal out- and in-sets, read from its own arcs, collapse to one,
+and the answers expand back exactly.  Every copy a mimic extension adds
+is a false twin of its donor (Koh and Tay's lemma), so a lifted witness
 sweeps about as many classes as its core has vertices.  `diameter`
 returns the distinguished value `UNREACHABLE` (math.inf) when some
 ordered pair has no path, so non-strong orientations can be ranked.
@@ -59,14 +59,8 @@ class Orientation:
         cache = getattr(self, "_layout_cache", None)
         if cache is None:
             pairs, n = edge_pairs(self.spec)
-            arcs = [(v, u) if b else (u, v)
-                    for (u, v), b in zip(pairs, self.bits)]
-            out = [[] for _ in range(n)]
-            inn = [[] for _ in range(n)]
-            for t, h in arcs:
-                out[t].append(h)
-                inn[h].append(t)
-            cache = (arcs, tuple(map(tuple, out)), tuple(map(tuple, inn)))
+            cache = _adjacency([(v, u) if b else (u, v)
+                                for (u, v), b in zip(pairs, self.bits)], n)
             object.__setattr__(self, "_layout_cache", cache)
         return cache
 
@@ -104,6 +98,18 @@ class Orientation:
         return [(names[t], names[h]) for t, h in self._layout()[0]]
 
 
+def _adjacency(arcs, n):
+    """(arcs, out-, in-neighbour tuples) of `n` vertices, from the (tail,
+    head) arcs in canonical edge order; so every tuple is ascending, as the
+    twin classes of `_twin_sweep` need."""
+    out = [[] for _ in range(n)]
+    inn = [[] for _ in range(n)]
+    for t, h in arcs:
+        out[t].append(h)
+        inn[h].append(t)
+    return arcs, tuple(map(tuple, out)), tuple(map(tuple, inn))
+
+
 def from_arcs(spec: TreeSpec, arcs) -> Orientation:
     """Build an orientation from (tail, head) name pairs covering every
     edge once; a name must be exactly as `tree.vertex_names` prints it.
@@ -115,62 +121,61 @@ def _resolve(spec: TreeSpec, ends) -> Orientation:
     """The orientation whose k-th arc runs ends[2k] -> ends[2k + 1], names
     as `tree.vertex_names` prints them.
 
-    One dict lookup turns each name into its vertex index; the rest is
-    numpy over all arcs at once.  The blocks of `tree._blocks` come in
+    One dict lookup turns each name into its vertex index, and one loop
+    over the arcs does the rest.  The blocks of `tree._blocks` come in
     canonical order, a parent block before its children, so the smaller
     index lo of an edge is its parent end and the larger, hi, its child
     end.  With B the block of hi and P the parent block of B, the arc is
     an edge only if lo lies in P, and then its index in `tree.edge_pairs`
     order is off[B] + (lo - start[P]) * size[B] + (hi - start[B]), where
-    off[B] counts the edges of the blocks before B; its direction bit is
-    tail > head.  One bincount of those indices finds repeated and missing
-    edges.  The first arc in order that is not an edge or repeats one is
-    reported, else the count of missing edges and the first of them."""
-    # numpy loads here, on first use: construct, classify and sperner
-    # never resolve names, so they start without it
-    import numpy as np
-
+    off[B] counts the edges of the blocks before B.  The arc goes to that
+    slot of a list in canonical order, and its direction bit is tail >
+    head.  The first arc in order that is not an edge or repeats one is
+    reported, else the count of missing edges and the first of them.  The
+    new orientation's layout is built from that list, without
+    `tree.edge_pairs`."""
     require_valid(spec)
     blocks = _blocks(spec)
     start, size = zip(*blocks.values())
-    # per block B: B, P (-1 for the center, whose row no edge reads; the
-    # center for a branch; branch i, block i, for a leaf of branch i),
-    # size[B] and c[B] = off[B] - start[P] * size[B] - start[B], so that
-    # an edge's index is c[B] + hi + lo * size[B]
-    rows, m = [(0, -1, size[0], 0)], 0
+    # per vertex: its block B, and the row (P, size[B], c[B]) of B, where P
+    # is B's parent block (-1 for the center, whose row no edge reads; the
+    # center for a branch; branch i, block i, for a leaf of branch i) and
+    # c[B] = off[B] - start[P] * size[B] - start[B], so that an edge's
+    # index is c[B] + hi + lo * size[B]
+    block, row, m = [0] * size[0], [(-1, 0, 0)] * size[0], 0
     for b, (role, i, _) in enumerate(blocks):
         if role != "c":
             p = 0 if role == "b" else i
-            rows.append((b, p, size[b], m - start[p] * size[b] - start[b]))
+            block += [b] * size[b]
+            row += [(p, size[b], m - start[p] * size[b] - start[b])] * size[b]
             m += size[p] * size[b]
     names = vertex_names(spec)
     index = dict(zip(names, range(len(names))))
-    arcs = np.fromiter(map(index.get, ends, repeat(-1)), np.int64,
-                       len(ends)).reshape(-1, 2)
-    lo, hi = np.sort(arcs, axis=1).T
-    per_vertex = np.repeat(np.array(rows), size, axis=0)
-    _, p, w, c = per_vertex[hi].T
-    edge = (lo >= 0) & (per_vertex[lo, 0] == p)
-    j = c + hi + lo * w
-    counts = np.bincount(j[edge], minlength=m)
-    if not edge.all() or counts.max() > 1:
-        key = np.where(edge, j, m + np.arange(len(j)))
-        repeated = np.ones(len(j), dtype=bool)
-        repeated[np.unique(key, return_index=True)[1]] = False
-        k = int(np.argmax(~edge | repeated))
-        if not edge[k]:
+    arcs = [None] * m
+    ids = iter(map(index.get, ends, repeat(-1)))
+    for t, h in zip(ids, ids):
+        if t < h:
+            lo, hi = t, h
+        else:
+            lo, hi = h, t
+        p, w, c = row[hi]
+        if lo < 0 or block[lo] != p:
+            # every arc before this one filled one slot
+            k = m - arcs.count(None)
             raise UsageError(f"arc {ends[2 * k]}->{ends[2 * k + 1]} is not "
                              f"an edge of the multiplied graph")
-        raise UsageError(f"edge {names[lo[k]]} -- {names[hi[k]]} "
-                         f"assigned twice")
-    if len(j) < m:
-        missing = np.flatnonzero(counts == 0)
-        u, v = edge_pairs(spec)[0][missing[0]]
-        raise UsageError(f"{missing.size} edge(s) left unoriented, e.g. "
+        j = c + hi + lo * w
+        if arcs[j] is not None:
+            raise UsageError(f"edge {names[lo]} -- {names[hi]} "
+                             f"assigned twice")
+        arcs[j] = (t, h)
+    if None in arcs:
+        u, v = edge_pairs(spec)[0][arcs.index(None)]
+        raise UsageError(f"{arcs.count(None)} edge(s) left unoriented, e.g. "
                          f"{names[u]} -- {names[v]}")
-    bits = np.empty(m, dtype=np.int8)
-    bits[j] = arcs[:, 0] > arcs[:, 1]
-    return Orientation(spec, tuple(bits.tolist()))
+    d = Orientation(spec, tuple([t > h for t, h in arcs]))
+    object.__setattr__(d, "_layout_cache", _adjacency(arcs, len(names)))
+    return d
 
 
 # ============================================================================

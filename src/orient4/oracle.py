@@ -29,8 +29,8 @@ import math
 from dataclasses import dataclass
 
 # numpy is imported inside the three functions of the search that use it,
-# so `import orient4` and every command but the oracle and verify start
-# without it
+# the only numpy users in the package, so `import orient4` and every
+# command but the oracle start without it
 
 from .digraph import Orientation
 from .errors import Refusal, UsageError

@@ -714,10 +714,15 @@ def edited_witnesses(draw):
 
 
 def outcome(parse, spec, given):
+    """The parsed bits, or the refusal.  A parsed orientation's layout, its
+    arcs and ascending out- and in-tuples, must equal the one rebuilt from
+    its bits."""
     try:
-        return parse(spec, given).bits
+        d = parse(spec, given)
     except UsageError as exc:
         return str(exc)
+    assert d._layout() == Orientation(spec, d.bits)._layout()
+    return d.bits
 
 
 @settings(max_examples=200, deadline=None)
