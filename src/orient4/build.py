@@ -13,9 +13,10 @@ outlet-style 3-copy, 4-copy, leafless), core multiplicity, leaf pattern
 and one row per slot, the center in-set of every branch copy, read off
 one level of the case's set schedule in order.  The blocks fix the slot
 order and the slot-to-user permutation; `build_base_orientation` walks
-the rows once, writing the core's direction bits in the edge order
-`tree.edge_pairs` states.  One pull-back then relabels slots to the
-caller's branch indices and lifts in the same pass.
+the core's layout table, `tree._blocks`, once, writing each block's
+direction bits from its slot's row or leaf pattern.  One pull-back then
+relabels slots to the caller's branch indices and lifts in the same pass,
+tiling each block's bits from the core's.
 
 Center sets are int masks (bit x-1 for copy x), so squashed order is
 integer order and complement, which reverses it, is one xor.  Each
@@ -35,7 +36,7 @@ from .digraph import (Orientation, diameter, is_strong, pull_back,
                       shortest_cycle_lengths)
 from .errors import ConstructionError, Refusal, UsageError
 from .sperner import kappa, squashed_level
-from .tree import BranchSpec, TreeSpec, partition
+from .tree import BranchSpec, TreeSpec, _blocks, partition
 
 
 # ============================================================================
@@ -157,7 +158,6 @@ class ReducedSpec:
     """The core instance H in slot order, plus the bookkeeping to undo it."""
 
     case: str
-    s: int
     h_spec: TreeSpec
     slot_to_user: tuple          # slot j (1-based) -> user branch index
     slots: tuple                 # per slot: (leaf pattern, in-set per copy)
@@ -183,14 +183,16 @@ def _feasible_split(s, n2, n3, k):
 
 def choose_split(spec: TreeSpec) -> int:
     """Construction split for the mixed even regime: the first qualifying
-    split (the classifier's `k_witness` leads them) whose schedule is
-    completable."""
+    split, the classifier's `k_witness`, if its schedule is completable.
+    No later split is: kappa(s, s/2, k) + k, the shadow size of the first
+    k half-sets, never shrinks as k grows, so the outlet budget of
+    `_feasible_split` never grows."""
     part = partition(spec)
     s = spec.s
     n2, n3 = len(part.a2), len(part.a3)
-    for k in qualifying_splits(s, n2, n3):
-        if _feasible_split(s, n2, n3, k):
-            return k
+    k = next(qualifying_splits(s, n2, n3), None)
+    if k is not None and _feasible_split(s, n2, n3, k):
+        return k
     raise ConstructionError(
         "the sufficiency schedule cannot be completed for this instance: "
         "every qualifying split leaves an outlet block that must reuse a "
@@ -331,29 +333,31 @@ def reduce(spec: TreeSpec, case: str) -> ReducedSpec:
                 demoted.append(u)
         slots += [(pattern, row) for row in rows]
     counts = {field: len(users) for field, _, users, _, _ in blocks}
-    return ReducedSpec(case, s, TreeSpec(center_t, tuple(branches)),
+    return ReducedSpec(case, TreeSpec(center_t, tuple(branches)),
                        tuple(order), tuple(slots), k=split,
                        demoted=tuple(demoted), **counts)
 
 
 def _core_bits(case, h, rows):
-    """The core's direction bits in `tree.edge_pairs` order, straight from
-    the slot rows: a center edge points into branch copy y exactly when
-    center copy x is in the row's in-set, and a leaf edge by its pattern
-    ("o": leaf copy z drains into branch copy y)."""
-    center_bits, leaf_bits = [], []
-    for slot, (pattern, row) in enumerate(rows, start=1):
-        b = h.branch(slot)
-        t = b.multiplicity
-        if {len(row), *map(len, pattern)} != {t} or any(
-                lm != len(pattern) for lm in b.leaf_multiplicities):
-            raise ConstructionError(f"recipe {case}: slot {slot} does not "
-                                    f"fit its multiplicity {t}")
-        center_bits += [1 - (in_set >> x & 1) for x in range(h.s)
-                        for in_set in row]
-        leaf_bits += [int(ways[y] == "o") for _ in b.leaf_multiplicities
-                      for y in range(t) for ways in pattern]
-    return center_bits + leaf_bits
+    """The core's direction bits, block by block of `tree._blocks`, from
+    the slot rows: a branch block's center edge points into branch copy y
+    exactly when center copy x is in the row's in-set, and a leaf block's
+    edge follows the slot's pattern ("o": leaf copy z drains into copy y)."""
+    bits = []
+    for (role, j, _), (_, t, _, up, _) in _blocks(h).items():
+        if role == "b":
+            pattern, row = rows[j - 1]
+            leaves = h.branch(j).leaf_multiplicities
+            if {len(row), *map(len, pattern)} != {t} or any(
+                    lm != len(pattern) for lm in leaves):
+                raise ConstructionError(f"recipe {case}: slot {j} does not "
+                                        f"fit its multiplicity {t}")
+            bits += [1 - (in_set >> x & 1) for x in range(up)
+                     for in_set in row]
+        elif role == "l":
+            bits += [int(ways[y] == "o") for y in range(up)
+                     for ways in rows[j - 1][0]]
+    return bits
 
 
 def build_base_orientation(rspec: ReducedSpec) -> Orientation:

@@ -74,7 +74,7 @@ def classify(spec: TreeSpec) -> Classification:
     part = partition(spec)
     s = spec.s
     n2, n3, n4, ne = part.counts()
-    deg = part.deg_c
+    deg = spec.deg_c
     c = half_binom(s)
     # the all-two-copy recipe a region falls back on when its head is small
     p35 = p35_variant(n2 + n3 + n4, ne, s)

@@ -1,28 +1,30 @@
 """Orientations of multiplied trees: storage, metrics, duality, extension.
 
 An `Orientation` stores one direction bit per canonical edge of the
-multiplied graph, in the order `tree.edge_pairs` states (bit 0: parent
-end to child end, bit 1: reversed), plus adjacency built from those
-integer index pairs.  A caller names a vertex exactly as the program
-prints it (`tree.vertex_names`), and nothing else.  Arcs given by name
-(`from_arcs`, `from_edge_list`) are resolved to edges in one pure-Python
-loop: one dict lookup per name, then block arithmetic over `tree._blocks`
-gives each arc's edge index and direction bit, and the arcs, put in
-canonical order, become the new orientation's adjacency without a second
-pass over `tree.edge_pairs`.  Distances count arcs, from int-bitset reach
-sets.  Each orientation is swept once, on its twin quotient: vertices
-with equal out- and in-sets, read from its own arcs, collapse to one,
-and the answers expand back exactly.  Every copy a mimic extension adds
-is a false twin of its donor (Koh and Tay's lemma), so a lifted witness
-sweeps about as many classes as its core has vertices.  `diameter`
-returns the distinguished value `UNREACHABLE` (math.inf) when some
-ordered pair has no path, so non-strong orientations can be ranked.
+multiplied graph, in the order the layout table `tree._blocks` states
+(bit 0: parent end to child end, bit 1: reversed), plus adjacency built
+from those integer index pairs.  A caller names a vertex exactly as the
+program prints it (`tree.vertex_names`), and nothing else.  Arcs given by
+name (`from_arcs`, `from_edge_list`) are resolved to edges in one
+pure-Python loop: one dict lookup per name, then per-vertex rows read off
+the table give each arc's edge index and direction bit, and the arcs, put
+in canonical order, become the new orientation's adjacency without a
+second pass over `tree.edge_pairs`.  Distances count arcs, from
+int-bitset reach sets.  Each orientation is swept once, on its twin
+quotient: vertices with equal out- and in-sets, read from its own arcs,
+collapse to one, and the answers expand back exactly.  Every copy a mimic
+extension adds is a false twin of its donor (Koh and Tay's lemma): the
+lift (`pull_back`) tiles each block's bits from its image block's, and a
+lifted witness sweeps about as many classes as its core has vertices.
+`diameter` returns the distinguished value `UNREACHABLE` (math.inf) when
+some ordered pair has no path, so non-strong orientations can be ranked.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 
 from .errors import UsageError
@@ -55,32 +57,23 @@ class Orientation:
 
     # -- derived structure, cached lazily ------------------------------------
 
+    @cached_property
     def _layout(self):
-        cache = getattr(self, "_layout_cache", None)
-        if cache is None:
-            pairs, n = edge_pairs(self.spec)
-            cache = _adjacency([(v, u) if b else (u, v)
-                                for (u, v), b in zip(pairs, self.bits)], n)
-            object.__setattr__(self, "_layout_cache", cache)
-        return cache
+        pairs, n = edge_pairs(self.spec)
+        return _adjacency([(v, u) if b else (u, v)
+                           for (u, v), b in zip(pairs, self.bits)], n)
 
+    @cached_property
     def _distances(self):
         """(eccentricity, shortest-cycle length) lists over the vertices,
         from one sweep of the twin quotient."""
-        cache = getattr(self, "_distance_cache", None)
-        if cache is None:
-            _, out, inn = self._layout()
-            cache = _twin_sweep(out, inn)
-            object.__setattr__(self, "_distance_cache", cache)
-        return cache
+        _, out, inn = self._layout
+        return _twin_sweep(out, inn)
 
+    @cached_property
     def _index(self):
-        """Vertex name -> vertex index, cached."""
-        cache = getattr(self, "_index_cache", None)
-        if cache is None:
-            cache = {name: i for i, name in enumerate(self.vertices)}
-            object.__setattr__(self, "_index_cache", cache)
-        return cache
+        """Vertex name -> vertex index."""
+        return {name: i for i, name in enumerate(self.vertices)}
 
     @property
     def vertices(self):
@@ -88,14 +81,14 @@ class Orientation:
 
     def vertex_index(self, v: str) -> int:
         try:
-            return self._index()[v]
+            return self._index[v]
         except KeyError:
             raise UsageError(f"vertex {v} not in the multiplied graph") from None
 
     def arcs(self):
         """Directed arcs as (tail, head) name pairs, canonical edge order."""
         names = self.vertices
-        return [(names[t], names[h]) for t, h in self._layout()[0]]
+        return [(names[t], names[h]) for t, h in self._layout[0]]
 
 
 def _adjacency(arcs, n):
@@ -122,33 +115,23 @@ def _resolve(spec: TreeSpec, ends) -> Orientation:
     as `tree.vertex_names` prints them.
 
     One dict lookup turns each name into its vertex index, and one loop
-    over the arcs does the rest.  The blocks of `tree._blocks` come in
-    canonical order, a parent block before its children, so the smaller
-    index lo of an edge is its parent end and the larger, hi, its child
-    end.  With B the block of hi and P the parent block of B, the arc is
-    an edge only if lo lies in P, and then its index in `tree.edge_pairs`
-    order is off[B] + (lo - start[P]) * size[B] + (hi - start[B]), where
-    off[B] counts the edges of the blocks before B.  The arc goes to that
-    slot of a list in canonical order, and its direction bit is tail >
-    head.  The first arc in order that is not an edge or repeats one is
-    reported, else the count of missing edges and the first of them.  The
-    new orientation's layout is built from that list, without
-    `tree.edge_pairs`."""
+    over the arcs does the rest.  A parent block comes before its children
+    in `tree._blocks`, so an edge's smaller index lo is its parent end and
+    the larger, hi, its child end.  Each vertex's row, read off its
+    block's entry, holds its block's start, the parent's start up (-1 for
+    the center), the block's size w and c = first edge - up * w - start:
+    the arc is an edge only if lo's block starts at up, and its index is
+    then c + hi + lo * w.  The arc goes to that slot of a list in
+    canonical order, and its direction bit is tail > head.  The first arc
+    in order that is not an edge or repeats one is reported, else the
+    count of missing edges and the first of them.  The new orientation's
+    layout is built from that list, without `tree.edge_pairs`."""
     require_valid(spec)
-    blocks = _blocks(spec)
-    start, size = zip(*blocks.values())
-    # per vertex: its block B, and the row (P, size[B], c[B]) of B, where P
-    # is B's parent block (-1 for the center, whose row no edge reads; the
-    # center for a branch; branch i, block i, for a leaf of branch i) and
-    # c[B] = off[B] - start[P] * size[B] - start[B], so that an edge's
-    # index is c[B] + hi + lo * size[B]
-    block, row, m = [0] * size[0], [(-1, 0, 0)] * size[0], 0
-    for b, (role, i, _) in enumerate(blocks):
-        if role != "c":
-            p = 0 if role == "b" else i
-            block += [b] * size[b]
-            row += [(p, size[b], m - start[p] * size[b] - start[b])] * size[b]
-            m += size[p] * size[b]
+    block, row = [], []
+    for start, w, up, _, first in _blocks(spec).values():
+        block += [start] * w
+        row += [(up, w, first - up * w - start)] * w
+    m = edge_count(spec)
     names = vertex_names(spec)
     index = dict(zip(names, range(len(names))))
     arcs = [None] * m
@@ -158,8 +141,8 @@ def _resolve(spec: TreeSpec, ends) -> Orientation:
             lo, hi = t, h
         else:
             lo, hi = h, t
-        p, w, c = row[hi]
-        if lo < 0 or block[lo] != p:
+        up, w, c = row[hi]
+        if lo < 0 or block[lo] != up:
             # every arc before this one filled one slot
             k = m - arcs.count(None)
             raise UsageError(f"arc {ends[2 * k]}->{ends[2 * k + 1]} is not "
@@ -174,7 +157,7 @@ def _resolve(spec: TreeSpec, ends) -> Orientation:
         raise UsageError(f"{arcs.count(None)} edge(s) left unoriented, e.g. "
                          f"{names[u]} -- {names[v]}")
     d = Orientation(spec, tuple([t > h for t, h in arcs]))
-    object.__setattr__(d, "_layout_cache", _adjacency(arcs, len(names)))
+    d.__dict__["_layout"] = _adjacency(arcs, len(names))
     return d
 
 
@@ -249,7 +232,7 @@ def _twin_sweep(out, inn):
 
 def eccentricities(d: Orientation):
     """Out-eccentricity per vertex; UNREACHABLE where some vertex is missed."""
-    return list(d._distances()[0])
+    return list(d._distances[0])
 
 
 def diameter(d: Orientation):
@@ -259,13 +242,13 @@ def diameter(d: Orientation):
 
 def distance(d: Orientation, u: str, v: str):
     target = 1 << d.vertex_index(v)
-    balls = _balls(d._layout()[1], d.vertex_index(u))
+    balls = _balls(d._layout[1], d.vertex_index(u))
     return next((k for k, b in enumerate(balls) if b & target), UNREACHABLE)
 
 
 def is_strong(d: Orientation) -> bool:
     """Every vertex reaches every other: no eccentricity is UNREACHABLE."""
-    return UNREACHABLE not in d._distances()[0]
+    return UNREACHABLE not in d._distances[0]
 
 
 def reverse(d: Orientation) -> Orientation:
@@ -276,7 +259,7 @@ def reverse(d: Orientation) -> Orientation:
 def shortest_cycle_lengths(d: Orientation):
     """For each vertex, the length of a shortest directed cycle through it
     (UNREACHABLE if none)."""
-    return list(d._distances()[1])
+    return list(d._distances[1])
 
 
 # ============================================================================
@@ -322,18 +305,19 @@ def extend_orientation(d: Orientation, target: TreeSpec, m: int) -> Orientation:
 
 def pull_back(d: Orientation, target: TreeSpec, block_of) -> Orientation:
     """Orient each edge of `target` like its image in `d`.  `block_of` maps
-    each tree vertex of `target`, as its `tree._blocks` key, to one of
-    `d.spec`; copy x of it (counted from 0) goes to copy x mod the size of
-    that block."""
-    blocks = _blocks(d.spec)
-    where = []
-    for key, (_, size) in _blocks(target).items():
-        start, old = blocks[block_of(key)]
-        where.extend(start + x % old for x in range(size))
-    n = len(d._layout()[1])
-    arcs = {t * n + h for t, h in d._layout()[0]}
-    return Orientation(target, tuple(int(where[u] * n + where[v] not in arcs)
-                                     for u, v in edge_pairs(target)[0]))
+    each `tree._blocks` key of `target` to one of `d.spec`, and must map
+    parents to parents; copy x (from 0) goes to copy x mod the image's
+    size.  So the lift tiles: each row of a block, its edges from one
+    parent copy x, is the image's row of parent copy x mod the image
+    parent's size, repeated to the block's size."""
+    image = _blocks(d.spec)
+    bits = []
+    for key, (_, size, _, up_size, _) in _blocks(target).items():
+        _, w, _, q, first = image[block_of(key)]
+        for x in range(up_size):
+            j = first + x % q * w
+            bits += (d.bits[j:j + w] * (size // w + 1))[:size]
+    return Orientation(target, tuple(bits))
 
 
 # ============================================================================
@@ -343,19 +327,19 @@ def pull_back(d: Orientation, target: TreeSpec, block_of) -> Orientation:
 def center_out_set(d: Orientation, v: str) -> int:
     """The center copies branch copy v points to, as a mask (bit x-1 for
     copy x, as in `sperner`)."""
-    return _center_mask(d, v, d._layout()[1])
+    return _center_mask(d, v, d._layout[1])
 
 
 def center_in_set(d: Orientation, v: str) -> int:
     """The center copies that point to branch copy v, as a mask."""
-    return _center_mask(d, v, d._layout()[2])
+    return _center_mask(d, v, d._layout[2])
 
 
 def _center_mask(d, v, adjacency):
     # the center copies are vertices 0..s-1 of the layout; the branch
     # copies come next
     s = d.spec.s
-    i = d._index().get(v, -1)
+    i = d._index.get(v, -1)
     if not s <= i < s + sum(b.multiplicity for b in d.spec.branches):
         raise UsageError(f"{v} is not a branch copy")
     return sum(1 << w for w in adjacency[i] if w < s)
@@ -369,7 +353,7 @@ def to_edge_list(d: Orientation) -> str:
     """One arc per line, `tail -> head`, canonical edge order."""
     names = vertex_names(d.spec)
     return "\n".join(f"{names[t]} -> {names[h]}"
-                     for t, h in d._layout()[0]) + "\n"
+                     for t, h in d._layout[0]) + "\n"
 
 
 def from_edge_list(spec: TreeSpec, text: str) -> Orientation:
@@ -399,6 +383,6 @@ def to_dot(d: Orientation) -> str:
     names = vertex_names(d.spec)
     lines = ["digraph orientation {"]
     lines += [f'  "{v}";' for v in names]
-    lines += [f'  "{names[t]}" -> "{names[h]}";' for t, h in d._layout()[0]]
+    lines += [f'  "{names[t]}" -> "{names[h]}";' for t, h in d._layout[0]]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -9,7 +9,8 @@ with copies adjacent exactly when the originals were.
 A vertex of the multiplied graph is an index in canonical order, and its
 one name is the one the program prints (`vertex_names`): center copies
 `c.x`, branch copies `b<i>.y`, and leaf copies `l<i>.<alpha>.z`, every
-number in decimal from 1, with no sign or leading zero.
+number in decimal from 1, with no sign or leading zero.  The table of
+`_blocks` states this layout, vertex and edge order alike, once.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ class NeighborPartition:
     a3: frozenset
     a4plus: frozenset
     e: frozenset
-    deg_c: int
 
     @property
     def internal(self) -> frozenset:
@@ -124,22 +124,27 @@ def partition(spec: TreeSpec) -> NeighborPartition:
         else:
             a4.add(i)
     return NeighborPartition(frozenset(a2), frozenset(a3), frozenset(a4),
-                             frozenset(e), spec.deg_c)
+                             frozenset(e))
 
 
 def _blocks(spec: TreeSpec) -> dict:
-    """(role, i, alpha) of each tree vertex -> (index of its copy 1, its
-    multiplicity), in canonical vertex order: center, branches, leaves."""
-    sizes = [(("c", 0, 0), spec.s)]
-    sizes += [(("b", i, 0), b.multiplicity)
-              for i, b in enumerate(spec.branches, start=1)]
-    sizes += [(("l", i, alpha), lm)
-              for i, b in enumerate(spec.branches, start=1)
-              for alpha, lm in enumerate(b.leaf_multiplicities, start=1)]
-    blocks, n = {}, 0
-    for key, size in sizes:
-        blocks[key] = (n, size)
-        n += size
+    """The one statement of the layout: (role, i, alpha) of each tree
+    vertex -> (start, size, parent start, parent size, first edge).  The
+    blocks come in canonical order, center, branches, leaves; a block's
+    copies are indices start.., and its edges to its parent block are edge
+    indices first.., parent copy outer, own copy inner.  The center has
+    no parent, (-1, 0), and no edges."""
+    s = spec.s
+    blocks, n, m = {("c", 0, 0): (0, s, -1, 0, 0)}, s, 0
+    for i, b in enumerate(spec.branches, start=1):
+        t = b.multiplicity
+        blocks[("b", i, 0)] = (n, t, 0, s, m)
+        n, m = n + t, m + s * t
+    for i, b in enumerate(spec.branches, start=1):
+        up, t = blocks[("b", i, 0)][:2]
+        for alpha, lm in enumerate(b.leaf_multiplicities, start=1):
+            blocks[("l", i, alpha)] = (n, lm, up, t, m)
+            n, m = n + lm, m + t * lm
     return blocks
 
 
@@ -147,7 +152,7 @@ def vertex_names(spec: TreeSpec) -> list:
     """The name of each vertex of the multiplied graph, as the program
     prints it, in canonical order: the block prefix and the copy number."""
     names = []
-    for key, (_, size) in _blocks(spec).items():
+    for key, (_, size, _, _, _) in _blocks(spec).items():
         prefix = _prefix(*key)
         names += [prefix + str(x) for x in range(1, size + 1)]
     return names
@@ -155,19 +160,12 @@ def vertex_names(spec: TreeSpec) -> list:
 
 def edge_pairs(spec: TreeSpec):
     """Each undirected edge of the multiplied graph once, as an index pair
-    (parent end, child end) into `vertex_names` order; plus the
-    vertex count.  The one statement of the edge order that direction bits
-    follow: center edges branch by branch (center copy outer, branch copy
-    inner), then leaf edges leaf by leaf (branch copy outer, leaf copy
-    inner)."""
-    blocks = _blocks(spec)
-    out = []
-    for (role, i, _), (start, size) in blocks.items():
-        if role != "c":
-            up, up_size = blocks[("c", 0, 0) if role == "b" else ("b", i, 0)]
-            out.extend((up + x, start + y) for x in range(up_size)
-                       for y in range(size))
-    return out, sum(size for _, size in blocks.values())
+    (parent end, child end) into `vertex_names` order, in the edge order
+    `_blocks` states; plus the vertex count."""
+    blocks = _blocks(spec).values()
+    return ([(up + x, start + y) for start, size, up, up_size, _ in blocks
+             for x in range(up_size) for y in range(size)],
+            sum(size for _, size, *_ in blocks))
 
 
 def multiplied_edges(spec: TreeSpec) -> list:

@@ -14,17 +14,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orient4 import build, cli, digraph, tree
-from orient4.build import (ConstructionResult, build_base_orientation,
-                           choose_split, construct_optimal, cyclic_half_sets,
+from orient4.build import (ConstructionResult, _feasible_split,
+                           build_base_orientation, choose_split,
+                           construct_optimal, cyclic_half_sets,
                            make_schedule, reduce, relabel_orientation)
-from orient4.classify import C0, CASE_IDS, classify
+from orient4.classify import C0, CASE_IDS, classify, qualifying_splits
 from orient4.digraph import (Orientation, center_in_set, center_out_set,
                              diameter, distance, extend_orientation,
                              from_arcs, is_strong, reverse,
                              shortest_cycle_lengths)
 from orient4.errors import ConstructionError, Refusal, UsageError
 from orient4.oracle import orientation_number
-from orient4.sperner import is_antichain, members
+from orient4.sperner import is_antichain, kappa, members
 from orient4.tree import BranchSpec, TreeSpec, edge_count
 
 
@@ -237,6 +238,25 @@ def test_choose_split_first_feasible_is_witness():
     spec = mkspec(6, a2=12, a3=8, a4=2, e=2)
     assert classify(spec).k_witness == 13
     assert choose_split(spec) == 13
+
+
+@pytest.mark.parametrize("s", range(2, 15, 2))
+def test_split_shadow_never_shrinks(s):
+    # kappa(s, s/2, k) + k is the shadow size of the first k half-sets, so
+    # `_feasible_split`'s outlet budget never grows with k
+    sizes = [kappa(s, s // 2, k) + k for k in range(comb(s, s // 2) + 1)]
+    assert sizes == sorted(sizes)
+
+
+def test_feasible_splits_are_a_prefix_of_the_qualifying_ones():
+    # so `choose_split` need only check the first qualifying split
+    for s in (4, 6, 8):
+        c, c2 = comb(s, s // 2), comb(s, s // 2 + 1)
+        for n2 in range(1, c):
+            for n3 in range(1, c + c2):
+                ks = list(qualifying_splits(s, n2, n3))
+                ok = [_feasible_split(s, n2, n3, k) for k in ks]
+                assert ok == sorted(ok, reverse=True), (s, n2, n3)
 
 
 def test_choose_split_can_be_infeasible():

@@ -15,8 +15,8 @@ from orient4.digraph import (UNREACHABLE, ExtensionError, Orientation,
                              pull_back, reverse, shortest_cycle_lengths,
                              to_dot, to_edge_list)
 from orient4.errors import UsageError
-from orient4.tree import (BranchSpec, TreeSpec, edge_count, edge_pairs,
-                          multiplied_edges, vertex_names)
+from orient4.tree import (BranchSpec, TreeSpec, _blocks, edge_count,
+                          edge_pairs, multiplied_edges, vertex_names)
 
 
 # Vertex names as the program prints them, built here from the copy
@@ -183,6 +183,20 @@ def test_integer_layout_matches_vertex_ids(spec, data):
                      for u, v in reference_edges(spec)]
     edges = [(name(u), name(v)) for u, v in reference_edges(spec)]
     assert multiplied_edges(spec) == edges
+    # the layout table: each block's copies, its parent block's start and
+    # size, and the position of its first pair (parent copy 1, copy 1)
+    for key, (start, size, up, up_size, first) in _blocks(spec).items():
+        role, i, _ = key
+        assert [ref_index[(*key, x)] for x in range(1, size + 1)] == \
+            list(range(start, start + size))
+        if role == "c":
+            assert (up, up_size) == (-1, 0)
+            continue
+        parent = ("c", 0, 0) if role == "b" else ("b", i, 0)
+        assert up == ref_index[(*parent, 1)]
+        assert up_size == sum(v[:3] == parent for v in verts)
+        assert first == pairs.index((ref_index[(*parent, 1)],
+                                     ref_index[(*key, 1)]))
 
     bits = data.draw(st.lists(st.integers(0, 1), min_size=len(edges),
                               max_size=len(edges)))
@@ -364,7 +378,7 @@ def twin_orientations(draw):
 @settings(max_examples=200, deadline=None)
 @given(twin_orientations())
 def test_quotient_sweep_matches_full_sweep(d):
-    ecc, cyc = full_sweep(d._layout()[1])
+    ecc, cyc = full_sweep(d._layout[1])
     assert eccentricities(d) == ecc
     assert shortest_cycle_lengths(d) == cyc
     assert diameter(d) == max(ecc)
@@ -385,7 +399,7 @@ def test_strong_needs_one_component_not_cycles_everywhere():
     d = Orientation(spec, (0, 1, 1, 0) + (0, 0, 0, 0) + (0, 1, 1, 0) * 2)
     assert shortest_cycle_lengths(d) == [4] * len(d.vertices)
     assert not is_strong(d)
-    assert diameter(d) == UNREACHABLE == max(full_sweep(d._layout()[1])[0])
+    assert diameter(d) == UNREACHABLE == max(full_sweep(d._layout[1])[0])
 
 
 def test_each_orientation_is_swept_once(monkeypatch):
@@ -544,8 +558,12 @@ def test_relabel_matches_vertex_id_slots(spec, data):
         range(1, spec.deg_c + 1))))
     by_user = sorted(zip(slot_to_user, spec.branches), key=lambda p: p[0])
     user_spec = TreeSpec(spec.s, tuple(b for _, b in by_user))
-    assert relabel_orientation(d, slot_to_user, user_spec).bits == \
-        reference_pull_back(d, user_spec, reference_to_slot(slot_to_user))
+    # relabel and grow in one pull-back, as `construct_optimal` does
+    target = data.draw(grown(user_spec))
+    to_slot = reference_to_slot(slot_to_user)
+    donor = reference_donor(user_spec)
+    assert relabel_orientation(d, slot_to_user, target).bits == \
+        reference_pull_back(d, target, lambda v: to_slot(donor(v)))
 
 
 # ----------------------------------------------------------------------------
@@ -721,7 +739,7 @@ def outcome(parse, spec, given):
         d = parse(spec, given)
     except UsageError as exc:
         return str(exc)
-    assert d._layout() == Orientation(spec, d.bits)._layout()
+    assert d._layout == Orientation(spec, d.bits)._layout
     return d.bits
 
 

@@ -54,7 +54,6 @@ def test_partition_of_figure_tree():
     assert part.a2 == frozenset({1, 2})
     assert part.e == frozenset({3, 4})
     assert part.a3 == part.a4plus == frozenset()
-    assert part.deg_c == 4
 
 
 def test_partition_all_heavy():
