@@ -167,7 +167,6 @@ class ReducedSpec:
     n_a4: int = 0                # 4-copy slots
     n_e: int = 0                 # trailing leafless slots
     k: int | None = None         # P312 block split
-    demoted: tuple = ()          # user branch indices given a smaller core t
 
 
 def _feasible_split(s, n2, n3, k):
@@ -243,8 +242,7 @@ def reduce(spec: TreeSpec, case: str) -> ReducedSpec:
     center in-set of each branch copy of one slot.  Leafless branches come
     last with t = 2 and the case's in-set `e_in`.  Promotions (absorb
     spare high-multiplicity branches into a smaller class to fill a block
-    quota) pick the lowest user indices, and a branch is `demoted` when
-    its t is below its class."""
+    quota) pick the lowest user indices."""
     part = partition(spec)
     s = spec.s
     a2, a3, a4 = sorted(part.a2), sorted(part.a3), sorted(part.a4plus)
@@ -260,7 +258,7 @@ def reduce(spec: TreeSpec, case: str) -> ReducedSpec:
         e_in = 0b10
     elif case in ("Thm16a", "P311") or case.startswith("P35_"):
         # every internal branch gets two copies
-        internal = sorted(part.internal)
+        internal = sorted(part.a2 | part.a3 | part.a4plus)
         n2 = len(internal)
         variant = ("D1" if case == "Thm16a" else p35_variant(n2, n_e, s)[-2:]
                    if case == "P311" else case[-2:])
@@ -323,19 +321,15 @@ def reduce(spec: TreeSpec, case: str) -> ReducedSpec:
         raise UsageError(f"unknown construction case {case!r}")
     blocks.append(("n_e", 2, sorted(part.e), (), [(e_in, e_in)] * n_e))
 
-    order, branches, demoted, slots = [], [], [], []
+    order, branches, slots = [], [], []
     for _, t, users, pattern, rows in blocks:
         for u in users:
-            b = spec.branch(u)
             order.append(u)
-            branches.append(BranchSpec(t, (2,) * b.leaf_count))
-            if b.leaf_count and t < min(b.multiplicity, 4):
-                demoted.append(u)
+            branches.append(BranchSpec(t, (2,) * spec.branch(u).leaf_count))
         slots += [(pattern, row) for row in rows]
     counts = {field: len(users) for field, _, users, _, _ in blocks}
     return ReducedSpec(case, TreeSpec(center_t, tuple(branches)),
-                       tuple(order), tuple(slots), k=split,
-                       demoted=tuple(demoted), **counts)
+                       tuple(order), tuple(slots), k=split, **counts)
 
 
 def _core_bits(case, h, rows):

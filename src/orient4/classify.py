@@ -48,9 +48,14 @@ def _c1(rule, note):
     return Classification(C1, rule, note)
 
 
-def _decide(holds, rule, note, case):
-    """C0 by `case`'s recipe when the rule's sufficient bound holds, else
-    C1."""
+def _at_most(rule, case, quantity, value, bound, name="", why=""):
+    """C0 by `case`'s recipe when value <= bound, the rule's sufficient
+    bound, else C1; the note states the same comparison, as
+    `quantity=value <= name=bound (why)`, with `>` when it fails."""
+    holds = value <= bound
+    rhs = f"{name}={bound}" if name else f"{bound}"
+    note = f"{quantity}={value} {'<=' if holds else '>'} {rhs}"
+    note += f" ({why})" if why else ""
     return _c0(rule, note, case) if holds else _c1(rule, note)
 
 
@@ -95,13 +100,12 @@ def classify(spec: TreeSpec) -> Classification:
 
     if n3 == 0 and n4 == 0:
         # all internal branches have multiplicity 2
+        name = f"C({s},{(s + 1) // 2})"
         if n2 == deg:
-            bound = c
-            note = f"|A2|={n2} {'<=' if n2 <= bound else '>'} C({s},{(s + 1) // 2})={bound} (|A2|=deg_T(c))"
-        else:
-            bound = c - 1
-            note = f"|A2|={n2} {'<=' if n2 <= bound else '>'} C({s},{(s + 1) // 2})-1={bound} (|A2|<deg_T(c))"
-        return _decide(n2 <= bound, "Prop3.5", note, p35)
+            return _at_most("Prop3.5", p35, "|A2|", n2, c, name,
+                            "|A2|=deg_T(c)")
+        return _at_most("Prop3.5", p35, "|A2|", n2, c - 1, name + "-1",
+                        "|A2|<deg_T(c)")
 
     if s % 2 == 0:
         return _classify_even(s, n2, n3, n4, deg, c, p35)
@@ -112,11 +116,9 @@ def _classify_even(s, n2, n3, n4, deg, c, p35):
     c2 = comb(s, s // 2 + 1)
 
     if n2 == 0 and n3 >= 1:
-        bound = c + c2 - 2
-        note = (f"|A3|={n3} {'<=' if n3 <= bound else '>'} "
-                f"C({s},{s // 2})+C({s},{s // 2 + 1})-2={bound}")
-        return _decide(n3 <= bound, "Prop3.9", note,
-                       "P39" if n3 + n4 >= c else p35)
+        return _at_most("Prop3.9", "P39" if n3 + n4 >= c else p35, "|A3|",
+                        n3, c + c2 - 2,
+                        f"C({s},{s // 2})+C({s},{s // 2 + 1})-2")
 
     if n2 >= 1 and n3 == 0 and n4 >= 1:
         if n4 >= 2 or n2 + n3 + n4 < deg:
@@ -125,16 +127,14 @@ def _classify_even(s, n2, n3, n4, deg, c, p35):
         else:
             # a single absorber at full degree: demote everything
             bound, why, case = c - 1, "|A>=4|=1 and |A>=2|=deg_T(c)", p35
-        note = f"|A2|={n2} {'<=' if n2 <= bound else '>'} {bound} ({why})"
-        return _decide(n2 <= bound, "Prop3.10", note, case)
+        return _at_most("Prop3.10", case, "|A2|", n2, bound, why=why)
 
     if n2 >= 1 and n3 == 1 and n4 == 0:
         if n2 + n3 < deg:
             bound, why = c - 2, "|A>=2|<deg_T(c)"
         else:
             bound, why = c - 1, "|A>=2|=deg_T(c)"
-        note = f"|A2|={n2} {'<=' if n2 <= bound else '>'} {bound} ({why})"
-        return _decide(n2 <= bound, "Prop3.11", note, "P311")
+        return _at_most("Prop3.11", "P311", "|A2|", n2, bound, why=why)
 
     # remaining even regime: A2 nonempty with |A3|>=2, or |A3|=1 and A4 nonempty
     weight = 2 * n2 + n3
@@ -165,23 +165,17 @@ def _classify_even(s, n2, n3, n4, deg, c, p35):
 
 def _classify_odd(s, n2, n3, n4, c, p35):
     if n2 == 0 and n3 >= 1:
-        bound = 2 * c - 2
-        note = f"|A3|={n3} {'<=' if n3 <= bound else '>'} 2C({s},{(s + 1) // 2})-2={bound}"
-        return _decide(n3 <= bound, "Prop4.1", note,
-                       "P41" if n3 + n4 >= c else p35)
+        return _at_most("Prop4.1", "P41" if n3 + n4 >= c else p35, "|A3|",
+                        n3, 2 * c - 2, f"2C({s},{(s + 1) // 2})-2")
 
     if n2 >= 1 and n3 == 0 and n4 >= 1:
-        bound = c - 1
-        note = f"|A2|={n2} {'<=' if n2 <= bound else '>'} C-1={bound}"
-        return _decide(n2 <= bound, "Prop4.11", note,
-                       "P411" if n2 + n4 >= c else p35)
+        return _at_most("Prop4.11", "P411" if n2 + n4 >= c else p35, "|A2|",
+                        n2, c - 1, "C-1")
 
     if n2 >= 1 and n4 == 0:
         if n3 == 1:
-            bound = c - 1
-            note = f"|A2|={n2} {'<=' if n2 <= bound else '>'} C-1={bound} (|A3|=1)"
-            return _decide(n2 <= bound, "Prop4.3", note,
-                           "P43_D1" if n2 == c - 1 else p35)
+            return _at_most("Prop4.3", "P43_D1" if n2 == c - 1 else p35,
+                            "|A2|", n2, c - 1, "C-1", "|A3|=1")
         weight = 2 * n2 + n3
         if weight <= 2 * c - 2:
             return _c0("Prop4.3", f"2|A2|+|A3|={weight} <= 2C-2={2 * c - 2}",
@@ -201,13 +195,10 @@ def _classify_odd(s, n2, n3, n4, c, p35):
     case = ("P413" if n2 + n3 >= c else
             "P411" if n2 + n3 + n4 >= s else p35)
     if n3 == 1:
-        bound = c - 2
-        note = f"|A2|={n2} {'<=' if n2 <= bound else '>'} C-2={bound} (|A3|=1, A>=4 nonempty)"
-        return _decide(n2 <= bound, "Prop4.13", note, case)
-    weight = 2 * n2 + n3
-    bound = 2 * c - 2
-    note = f"2|A2|+|A3|={weight} {'<=' if weight <= bound else '>'} 2C-2={bound}"
-    return _decide(weight <= bound, "Prop4.13", note, case)
+        return _at_most("Prop4.13", case, "|A2|", n2, c - 2, "C-2",
+                        "|A3|=1, A>=4 nonempty")
+    return _at_most("Prop4.13", case, "2|A2|+|A3|", 2 * n2 + n3, 2 * c - 2,
+                    "2C-2")
 
 
 # ============================================================================

@@ -346,7 +346,7 @@ def _parser():
     p.add_argument("--format", choices=("edgelist", "dot"),
                    default="edgelist")
     p.add_argument("--verify", action="store_true",
-                   help="re-check diameter and strongness, print a summary")
+                   help="print the verification that construct always runs")
     p.add_argument("--explain", action="store_true",
                    help="print case id, schedules and the slot permutation")
     p.add_argument("--json", action="store_true")

@@ -28,8 +28,8 @@ from functools import cached_property
 from itertools import repeat
 
 from .errors import UsageError
-from .tree import (TreeSpec, _blocks, edge_count, edge_pairs, require_valid,
-                   vertex_names)
+from .tree import (TreeSpec, _blocks, _prefix, edge_count, edge_pairs,
+                   require_valid, vertex_names)
 
 UNREACHABLE = math.inf
 
@@ -266,32 +266,22 @@ def shortest_cycle_lengths(d: Orientation):
 # Extension: new copies mimic existing ones
 # ============================================================================
 
-def _check_same_shape(small: TreeSpec, big: TreeSpec):
-    if small.deg_c != big.deg_c:
-        raise UsageError("branch counts differ")
-    for i in range(1, small.deg_c + 1):
-        if small.branch(i).leaf_count != big.branch(i).leaf_count:
-            raise UsageError(f"leaf counts differ on branch {i}")
-    if small.s > big.s:
-        raise UsageError("center multiplicity would shrink")
-    for i in range(1, small.deg_c + 1):
-        a, b = small.branch(i), big.branch(i)
-        if a.multiplicity > b.multiplicity:
-            raise UsageError(f"branch {i} multiplicity would shrink")
-        for alpha in range(a.leaf_count):
-            if a.leaf_multiplicities[alpha] > b.leaf_multiplicities[alpha]:
-                raise UsageError(f"leaf {alpha + 1} of branch {i} would shrink")
-
-
 def extend_orientation(d: Orientation, target: TreeSpec, m: int) -> Orientation:
     """Lift `d` to larger multiplicities; every new copy mimics a donor copy.
 
+    `target` must have the blocks of `d.spec` (`tree._blocks`), none
+    smaller; the first block in one tree only, or shrinking, is named.
     Valid when every vertex of `d` lies on a directed cycle of length <= m
     and `d` is strong; the result's diameter is then at most
     max(m, diameter(d)).  Donors rotate round-robin over the original copies
     of the same tree vertex.  The returned `Orientation` validates `target`.
     """
-    _check_same_shape(d.spec, target)
+    image, blocks = _blocks(d.spec), _blocks(target)
+    for key in [*blocks, *image]:
+        if key not in image or key not in blocks:
+            raise UsageError(f"block {_prefix(*key)} is not in both trees")
+        if blocks[key][1] < image[key][1]:
+            raise UsageError(f"block {_prefix(*key)} would shrink")
     if not is_strong(d):
         raise ExtensionError("extension lemma inapplicable: base not strong")
     cyc = shortest_cycle_lengths(d)
@@ -326,23 +316,20 @@ def pull_back(d: Orientation, target: TreeSpec, block_of) -> Orientation:
 
 def center_out_set(d: Orientation, v: str) -> int:
     """The center copies branch copy v points to, as a mask (bit x-1 for
-    copy x, as in `sperner`)."""
-    return _center_mask(d, v, d._layout[1])
+    copy x, as in `sperner`): every center copy is adjacent to every
+    branch copy, one way, so this is the complement of `center_in_set`."""
+    return (1 << d.spec.s) - 1 ^ center_in_set(d, v)
 
 
 def center_in_set(d: Orientation, v: str) -> int:
     """The center copies that point to branch copy v, as a mask."""
-    return _center_mask(d, v, d._layout[2])
-
-
-def _center_mask(d, v, adjacency):
     # the center copies are vertices 0..s-1 of the layout; the branch
     # copies come next
     s = d.spec.s
     i = d._index.get(v, -1)
     if not s <= i < s + sum(b.multiplicity for b in d.spec.branches):
         raise UsageError(f"{v} is not a branch copy")
-    return sum(1 << w for w in adjacency[i] if w < s)
+    return sum(1 << w for w in d._layout[2][i] if w < s)
 
 
 # ============================================================================

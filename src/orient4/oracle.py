@@ -4,9 +4,7 @@ Every one of the 2^|E| direction assignments is ranked by an integer whose
 bit j gives edge j's direction (0: as listed canonically, 1: reversed).
 Assignments are processed in rank order, vectorized with numpy, so the
 reported witness is the numerically smallest optimal rank; numpy loads on
-the first search, not on import.  The rank space may be split into
-contiguous ranges and the partial results merged; the outcome is
-independent of the partitioning.
+the first search, not on import.
 
 A strong orientation has no source and no sink.  Each rank splits into
 its low log2(_BATCH) bits and its high bits; whether a vertex is a source
@@ -34,7 +32,7 @@ from dataclasses import dataclass
 
 from .digraph import Orientation
 from .errors import Refusal, UsageError
-from .tree import (TreeSpec, edge_count, edge_pairs, require_valid,
+from .tree import (TreeSpec, _blocks, edge_count, edge_pairs, require_valid,
                    vertex_names)
 
 DEFAULT_MAX_EDGES = 24
@@ -234,7 +232,7 @@ def _batch_diameters(graph: EnumGraph, ranks: np.ndarray) -> np.ndarray:
 
 
 def search_rank_range(graph: EnumGraph, lo: int, hi: int) -> RangeResult:
-    """Scan assignment ranks [lo, hi); results merge associatively."""
+    """Count the strong ranks in [lo, hi); find the smallest-rank optimum."""
     import numpy as np
     if not 0 <= lo <= hi <= 1 << graph.m:
         raise UsageError(f"rank range [{lo},{hi}) outside 0..2^{graph.m}")
@@ -251,21 +249,6 @@ def search_rank_range(graph: EnumGraph, lo: int, hi: int) -> RangeResult:
                 best = float(lot)
                 best_rank = int(ranks[finite][diams[finite] == lot][0])
     return RangeResult(hi - lo, strong, best, best_rank)
-
-
-def merge_results(parts) -> RangeResult:
-    """Combine range results: min diameter, then smallest witness rank."""
-    examined = sum(p.examined for p in parts)
-    strong = sum(p.strong_count for p in parts)
-    best = math.inf
-    best_rank = None
-    for p in parts:
-        if p.best_rank is None:
-            continue
-        if p.best_diameter < best or (p.best_diameter == best
-                                      and p.best_rank < best_rank):
-            best, best_rank = p.best_diameter, p.best_rank
-    return RangeResult(examined, strong, best, best_rank)
 
 
 # ============================================================================
@@ -311,8 +294,7 @@ def orientation_number(spec: TreeSpec,
     """Minimum diameter over all strong orientations of the multiplied tree,
     with the smallest-rank optimal assignment as witness."""
     require_valid(spec)
-    n = spec.s + sum(b.multiplicity + sum(b.leaf_multiplicities)
-                     for b in spec.branches)
+    n = sum(size for _, size, *_ in _blocks(spec).values())
     _refuse_oversized(n, edge_count(spec), max_edges)
     graph = graph_from_spec(spec)
     res = _run(graph, symmetry)

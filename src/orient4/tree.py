@@ -69,10 +69,6 @@ class NeighborPartition:
     a4plus: frozenset
     e: frozenset
 
-    @property
-    def internal(self) -> frozenset:
-        return self.a2 | self.a3 | self.a4plus
-
     def counts(self):
         return len(self.a2), len(self.a3), len(self.a4plus), len(self.e)
 
@@ -228,6 +224,7 @@ def load_spec(path) -> TreeSpec:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:  # also undecodable bytes, over-long ints
+        except (ValueError, RecursionError) as exc:
+            # also undecodable bytes, over-long ints and too deep nesting
             raise UsageError(f"not valid JSON: {exc}") from exc
     return spec_from_dict(doc)

@@ -150,6 +150,15 @@ def test_malformed_input_exits_two(tmp_path, capsys):
     huge.write_text('{"center_multiplicity": %s, "branches": []}'
                     % ("9" * 5000))
     assert main(["classify", str(huge)]) == 2
+    capsys.readouterr()
+    # nested deeper than the JSON parser goes, for every command that
+    # reads a spec
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    for argv in (["classify"], ["construct"], ["verify", str(deep)],
+                 ["oracle"]):
+        assert main(argv[:1] + [str(deep)] + argv[1:]) == 2
+        assert capsys.readouterr().err.startswith("error: not valid JSON")
 
 
 def test_construction_failure_exits_three(tmp_path, capsys):

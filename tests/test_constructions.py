@@ -220,7 +220,6 @@ def test_reduce_promotes_lowest_indices_first():
     spec = mkspec(4, a3=2, a4=4)
     rspec = reduce(spec, "P39")
     assert rspec.n_bi == 4
-    assert rspec.demoted == (3, 4)
     assert [b.multiplicity for b in rspec.h_spec.branches] == [3, 3, 3, 3, 4, 4]
     assert rspec.slot_to_user == (1, 2, 3, 4, 5, 6)
 

@@ -450,14 +450,21 @@ def test_extend_lifts_leaf_multiplicities_to_three():
 
 
 def test_extend_requires_same_shape():
-    d = built(p5_all2())
-    with pytest.raises(UsageError):
-        extend_orientation(d, TreeSpec(2, (BranchSpec(2, (2,)),
-                                           BranchSpec(2, (2,)),
-                                           BranchSpec(2, ()))), 4)
-    with pytest.raises(UsageError):
-        extend_orientation(
-            d, TreeSpec(2, (BranchSpec(2, (2, 2)), BranchSpec(2, (2,)))), 4)
+    d = built(TreeSpec(3, (BranchSpec(3, (3,)), BranchSpec(2, (2,)))))
+    for s, branches, message in [
+        # a branch more, a leaf more, a leaf fewer: the blocks differ
+        (3, ((3, (3,)), (2, (2,)), (2, ())), "block b3. is not in both trees"),
+        (3, ((3, (3,)), (2, (2, 2))), "block l2.2. is not in both trees"),
+        (3, ((3, (3,)), (2, ())), "block l2.1. is not in both trees"),
+        # the center, a branch, a leaf shrinks
+        (2, ((3, (3,)), (2, (2,))), "block c. would shrink"),
+        (3, ((2, (3,)), (2, (2,))), "block b1. would shrink"),
+        (3, ((3, (2,)), (2, (2,))), "block l1.1. would shrink"),
+    ]:
+        target = TreeSpec(s, tuple(BranchSpec(*b) for b in branches))
+        with pytest.raises(UsageError) as err:
+            extend_orientation(d, target, 4)
+        assert str(err.value) == message
 
 
 def test_extend_requires_short_cycles():

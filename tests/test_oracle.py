@@ -13,8 +13,8 @@ from orient4.errors import Refusal
 from orient4.oracle import (_BATCH, EnumGraph, _batch_diameters,
                             _survivors, bipartite_graph,
                             bipartite_orientation_number, find_bridge,
-                            graph_from_spec, merge_results,
-                            orientation_number, search_rank_range)
+                            graph_from_spec, orientation_number,
+                            search_rank_range)
 from orient4.tree import BranchSpec, TreeSpec
 
 
@@ -79,16 +79,6 @@ def test_result_invariant_under_branch_relabeling():
     b = TreeSpec(2, (BranchSpec(3, (2,)), BranchSpec(2, (2,))))
     assert orientation_number(a).orientation_number == \
         orientation_number(b).orientation_number
-
-
-def test_partitioned_search_matches_full_scan():
-    graph = graph_from_spec(p5_all2())
-    full = search_rank_range(graph, 0, 1 << 16)
-    parts = [search_rank_range(graph, lo, hi)
-             for lo, hi in ((0, 999), (999, 40000), (40000, 1 << 16))]
-    merged = merge_results(parts)
-    assert merged == full
-    assert merged.examined == 1 << 16
 
 
 def test_symmetry_halving_same_witness_and_count():
