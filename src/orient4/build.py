@@ -3,9 +3,11 @@
 The pipeline follows the sufficiency recipe that the classifier's C0
 verdict names (`Classification.case`): shrink the instance to a small core
 `H` (multiplicities in {2,3,4} plus the center), orient `H` from a
-deterministic schedule of half-sized center subsets, check the result, then
-lift to the full multiplicities by letting new copies mimic old ones (Koh
-and Tay's extension lemma).
+deterministic schedule of half-sized center subsets, lift to the full
+multiplicities by letting new copies mimic old ones (Koh and Tay's
+extension lemma), then check the lift.  The lift fixes the core's copies
+and maps every copy back to one of them along arcs, a retraction, so one
+sweep of the lift also answers the lemma's checks on the core.
 
 Each construction case is data, stated once in `reduce`: an ordered list
 of *slot blocks*, each with its user branches (2-copy, inlet-style and
@@ -355,26 +357,30 @@ def _core_bits(case, h, rows):
 
 
 def build_base_orientation(rspec: ReducedSpec) -> Orientation:
-    """Orient every edge of the core instance from its slot rows, then
-    check the extension lemma's hypothesis: a directed cycle of length at
-    most 4 through every vertex, and diameter exactly 4 (which implies
-    strong)."""
+    """Orient every edge of the core instance from its slot rows.
+
+    The extension lemma's hypothesis, a directed cycle of length at most 4
+    through every vertex and diameter exactly 4, is not swept here:
+    `construct_optimal` reads it off the lifted witness, in which the core
+    sits as a retract (`pull_back`), and sweeps the core only when the
+    lift fails its check."""
     case, h, rows = rspec.case, rspec.h_spec, rspec.slots
     if len(rows) != h.deg_c:
         raise ConstructionError(f"recipe {case}: the schedule gives "
                                 f"{len(rows)} rows for {h.deg_c} slots")
-    d = Orientation(h, _core_bits(case, h, rows))
+    return Orientation(h, _core_bits(case, h, rows))
 
-    worst_cycle = max(shortest_cycle_lengths(d))
+
+def _check_core(case, worst_cycle, dia):
+    """The extension lemma's hypothesis on the core, given its worst
+    shortest-cycle length and its diameter."""
     if worst_cycle > 4:
         raise ConstructionError(
             f"recipe {case}: a vertex's shortest directed cycle is "
             f"{worst_cycle} > 4")
-    dia = diameter(d)
     if dia != 4:
         raise ConstructionError(f"recipe {case}: core diameter is {dia}, "
                                 f"expected 4")
-    return d
 
 
 # ============================================================================
@@ -406,15 +412,33 @@ def relabel_orientation(d: Orientation, slot_to_user: tuple,
     return pull_back(d, user_spec, lambda key: (key[0], slot[key[1]], key[2]))
 
 
+def _core_image(rspec: ReducedSpec, user_spec: TreeSpec):
+    """The vertex indices of `user_spec`'s multiplied graph that the core
+    sits on in `relabel_orientation`'s lift: for each core block, copies
+    x < its size of the user block with the same key (slot j is user
+    branch `slot_to_user[j - 1]`).  The lift fixes those copies, so the
+    core is its induced sub-orientation there."""
+    user = _blocks(user_spec)
+    for (role, j, alpha), (_, size, *_) in _blocks(rspec.h_spec).items():
+        start = user[role, j and rspec.slot_to_user[j - 1], alpha][0]
+        yield from range(start, start + size)
+
+
 def construct_optimal(spec: TreeSpec) -> ConstructionResult:
     """Classify, which names the recipe, then reduce to the core (the
-    P312 split is chosen and the slot rows are read there), build and
-    check the core, relabel and lift it, verify.
+    P312 split is chosen and the slot rows are read there), build the
+    core, relabel and lift it, verify.
 
     Relabelling slots to user branches is an isomorphism and the mimic step
-    only copies, so the two are one pull-back (`relabel_orientation`).  The
-    extension lemma's hypothesis is checked once, on the core, by
-    `build_base_orientation`.
+    only copies, so the two are one pull-back (`relabel_orientation`).
+    The lifted witness is swept once, on its own arcs; diameter 4 and
+    strong is the proof.  The core is a retract of the lift (`pull_back`)
+    on `_core_image`, where the core's distances and shortest-cycle
+    lengths are the lift's, so that sweep also answers the extension
+    lemma's hypothesis: the core's diameter is then 4 (not less, as its
+    underlying graph has diameter 4), and its worst cycle is read off the
+    image.  Only a lift that fails has the core swept, to name the
+    hypothesis that broke first.
 
     Raises `Refusal` for orientation-number-5 instances and for the open
     regime; raises `ConstructionError` (an internal failure, never a normal
@@ -433,7 +457,11 @@ def construct_optimal(spec: TreeSpec) -> ConstructionResult:
     final = relabel_orientation(base, rspec.slot_to_user, spec)
 
     if diameter(final) != 4 or not is_strong(final):
+        _check_core(rspec.case, max(shortest_cycle_lengths(base)),
+                    diameter(base))
         raise ConstructionError(
             f"internal verification failure for case {rspec.case}: lifted "
             f"orientation is not a strong diameter-4 orientation")
+    cyc = shortest_cycle_lengths(final)
+    _check_core(rspec.case, max(cyc[v] for v in _core_image(rspec, spec)), 4)
     return ConstructionResult(final, cls, rspec)

@@ -1,8 +1,8 @@
 """Command-line front end: classify, construct, verify, oracle, sperner.
 
 Exit codes: 0 success, 1 principled refusal (orientation number 5, open
-case, enumeration, edge or edge-list budget), 2 bad input or arguments, 3
-internal failure.
+case, enumeration, spec-size, edge or edge-list budget), 2 bad input or
+arguments, 3 internal failure.
 """
 
 from __future__ import annotations
@@ -34,6 +34,14 @@ MAX_EDGE_LIST_BYTES = 64 << 20
 # `sperner` level: threshold notes print C(s, ceil(s/2)), which stays under
 # Python's 4,300-digit int-to-str limit
 MAX_CENTER = 10_000
+# bytes of spec file every spec command reads.  Every multiplicity is at
+# least 2, so each branch and each leaf adds at least 4 multiplied edges:
+# a spec within MAX_EDGES has at most 25,000 of them together, with every
+# multiplicity at most 50,000 and the center at most MAX_CENTER, 5 digits
+# each.  Pretty-printed by `json.dumps` with indent 8, such a spec takes
+# at most 3.35 MB, when all 25,000 are leafless branches of 134 bytes each
+# (a leaf takes 39); with indent 2, as `--json` prints, 1.85 MB
+MAX_SPEC_BYTES = 4 << 20
 # sets a `sperner` tool enumerates
 MAX_SETS = 100_000
 # members of whole sets `--explain` prints per schedule sequence (every
@@ -45,9 +53,25 @@ def _print_json(doc):
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
+def _read_at_most(fh, limit):
+    """Up to `limit` bytes of `fh`, read in 64 KiB chunks: one read of
+    `limit` would allocate a buffer that large for any file."""
+    chunks = []
+    while limit > 0 and (chunk := fh.read(min(limit, 1 << 16))):
+        chunks.append(chunk)
+        limit -= len(chunk)
+    return b"".join(chunks)
+
+
 def _load(path):
-    """A valid spec whose center multiplicity is at most MAX_CENTER."""
-    spec = tree.load_spec(path)
+    """A valid spec of at most MAX_SPEC_BYTES bytes whose center
+    multiplicity is at most MAX_CENTER; a larger file is refused before it
+    is decoded or parsed."""
+    with open(path, "rb") as fh:
+        raw = _read_at_most(fh, MAX_SPEC_BYTES + 1)
+    if len(raw) > MAX_SPEC_BYTES:
+        raise Refusal(f"spec exceeds the bound {MAX_SPEC_BYTES} bytes")
+    spec = tree.load_spec(raw)
     tree.require_valid(spec)
     if spec.s > MAX_CENTER:
         raise Refusal(f"center multiplicity {spec.s} exceeds the bound "
@@ -193,16 +217,6 @@ def _print_explain(result):
 # ============================================================================
 # verify
 # ============================================================================
-
-def _read_at_most(fh, limit):
-    """Up to `limit` bytes of `fh`, read in 64 KiB chunks: one read of
-    `limit` would allocate a buffer that large for any file."""
-    chunks = []
-    while limit > 0 and (chunk := fh.read(min(limit, 1 << 16))):
-        chunks.append(chunk)
-        limit -= len(chunk)
-    return b"".join(chunks)
-
 
 def cmd_verify(args):
     spec = _load_within_budget(args.spec)

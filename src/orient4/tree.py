@@ -15,6 +15,7 @@ number in decimal from 1, with no sign or leading zero.  The table of
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 
@@ -220,11 +221,12 @@ def spec_to_dict(spec: TreeSpec) -> dict:
     }
 
 
-def load_spec(path) -> TreeSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            # also undecodable bytes, over-long ints and too deep nesting
-            raise UsageError(f"not valid JSON: {exc}") from exc
+def load_spec(raw: bytes) -> TreeSpec:
+    """A spec from the bytes of its JSON file, read as UTF-8 text with
+    universal newlines, as `open(path, encoding="utf-8")` reads it."""
+    try:
+        doc = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # also undecodable bytes, over-long ints and too deep nesting
+        raise UsageError(f"not valid JSON: {exc}") from exc
     return spec_from_dict(doc)

@@ -252,6 +252,38 @@ def test_verify_refuses_an_edge_list_over_the_byte_bound(tmp_path, capsys,
         f"refused: edge list exceeds the bound {len(edges)} bytes\n")
 
 
+def test_spec_commands_refuse_a_spec_over_the_byte_bound(tmp_path, capsys,
+                                                        monkeypatch):
+    # the most branches MAX_EDGES allows, printed with indent 8, is served
+    doc = {"center_multiplicity": 2,
+           "branches": [{"multiplicity": 2, "leaf_multiplicities": [2]}] * 2
+           + [{"multiplicity": 2, "leaf_multiplicities": []}] * 24_996}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc, indent=8))
+    assert tree.edge_count(tree.spec_from_dict(doc)) == cli.MAX_EDGES
+    assert path.stat().st_size < cli.MAX_SPEC_BYTES
+    assert main(["classify", str(path)]) == 0
+    # padded with spaces to exactly the bound, a valid spec still loads
+    text = json.dumps(c0_doc()).encode()
+    path.write_bytes(text + b" " * (cli.MAX_SPEC_BYTES - len(text)))
+    assert main(["classify", str(path)]) == 0
+    capsys.readouterr()
+
+    # one byte more is refused before it is decoded or parsed, by every
+    # command that reads a spec
+    def parse(raw):
+        raise AssertionError("parsed a spec over the bound")
+
+    monkeypatch.setattr(tree, "load_spec", parse)
+    with path.open("ab") as fh:
+        fh.write(b" ")
+    for argv in (["classify"], ["construct"], ["verify", str(path)],
+                 ["oracle"]):
+        assert main(argv[:1] + [str(path)] + argv[1:]) == cli.EXIT_REFUSAL
+        assert capsys.readouterr().err == (
+            f"refused: spec exceeds the bound {cli.MAX_SPEC_BYTES} bytes\n")
+
+
 def test_verify_bounds_an_edge_list_read_from_a_pipe(tmp_path):
     spec_path = write_spec(tmp_path, c0_doc())
     src = pathlib.Path(cli.__file__).parents[1]

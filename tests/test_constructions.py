@@ -432,9 +432,43 @@ def test_mis_sized_slot_raises_construction_error(change):
         build_base_orientation(rspec)
 
 
+def with_first_in_set(rspec, in_set):
+    """`rspec` with the first in-set of slot 1, a 2-copy slot, replaced."""
+    (pattern, (_, second)), *rest = rspec.slots
+    return dataclasses.replace(rspec,
+                               slots=((pattern, (in_set, second)), *rest))
+
+
+# in-sets that break the P43_D2 core of (3; 1,2,0,2), whose recipe reads
+# slot 1's first in-set as {1}
+BROKEN_CORES = {
+    "long cycle": (0b110, "a vertex's shortest directed cycle is 6 > 4"),
+    "diameter 5": (0b000, "core diameter is 5, expected 4"),
+}
+
+
+@pytest.mark.parametrize("in_set,message", BROKEN_CORES.values(),
+                         ids=BROKEN_CORES)
+def test_broken_core_names_the_broken_lemma_hypothesis(
+        in_set, message, monkeypatch, tmp_path, capsys):
+    spec = mkspec(3, a2=1, a3=2, e=2)
+    broken = with_first_in_set(reduce(spec, "P43_D2"), in_set)
+    monkeypatch.setattr(build, "reduce", lambda *args: broken)
+    with pytest.raises(ConstructionError) as exc:
+        construct_optimal(spec)
+    assert str(exc.value) == f"recipe P43_D2: {message}"
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(tree.spec_to_dict(spec)))
+    assert cli.main(["construct", str(path)]) == cli.EXIT_INTERNAL
+    assert capsys.readouterr().err == (f"internal failure: recipe P43_D2: "
+                                       f"{message}\n")
+
+
 def test_construct_sweeps_core_and_witness_once_each(monkeypatch):
-    # one sweep checks the core, one verifies the lifted witness; the
-    # relabel-and-lift pull-back is not swept in between
+    # a witness that passes is swept once, on its own arcs, and that sweep
+    # also answers the core's lemma checks; only a failing lift has the
+    # core swept as well, to name what broke.  The relabel-and-lift
+    # pull-back is never swept in between
     calls = []
 
     def counted(out, inn):
@@ -443,10 +477,19 @@ def test_construct_sweeps_core_and_witness_once_each(monkeypatch):
 
     sweep = digraph._twin_sweep
     monkeypatch.setattr(digraph, "_twin_sweep", counted)
-    spec = mkspec(4, a2=1, a3=3, a4=2)
+    spec = mkspec(3, a2=1, a3=2, e=2)
     res = construct_optimal(spec)
     assert diameter(res.orientation) == 4 and is_strong(res.orientation)
-    assert len(calls) == 2
+    n = len(res.orientation.vertices)
+    n_core = len(tree.vertex_names(res.reduced.h_spec))
+    assert calls == [n]
+
+    calls.clear()
+    broken = with_first_in_set(res.reduced, 0)
+    monkeypatch.setattr(build, "reduce", lambda *args: broken)
+    with pytest.raises(ConstructionError, match="core diameter is 5"):
+        construct_optimal(spec)
+    assert calls == [n, n_core]
 
 
 INVALID_SPECS = {

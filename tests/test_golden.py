@@ -13,7 +13,9 @@ Two kinds of entry, one test:
   elsewhere.
 
 A third test pins the cores of a whole grid of count tuples, so that every
-promotion and split route is covered, not only one spec per case.
+promotion and split route is covered, not only one spec per case; a
+fourth checks on that grid that the lifted witness's sweep gives the
+core's lemma checks, as `construct_optimal` reads them.
 
 To re-pin after an intended change of witnesses, print
 `_digest(_produce(...))` for each entry and say why in CHANGES.md.
@@ -28,10 +30,13 @@ import pytest
 from test_acceptance import REFERENCE_SETS
 from test_constructions import CORE_CASES, build_case, mkspec
 
+from orient4.build import (_core_image, build_base_orientation,
+                           construct_optimal)
 from orient4.classify import C0, CASE_IDS, classify
 from orient4.cli import main
+from orient4.digraph import diameter, shortest_cycle_lengths
 from orient4.errors import ConstructionError
-from orient4.tree import BranchSpec, TreeSpec, spec_to_dict
+from orient4.tree import BranchSpec, TreeSpec, _blocks, spec_to_dict
 
 
 def _reversed(spec):
@@ -205,24 +210,51 @@ def test_witness_digest_is_pinned(name, kind, case, spec, tmp_path, capsys):
 CORE_GRID = "b4b1354ed8d7ea5f4cc0a05347a059689bf77e0daff393d0183e6d8033ee9f5e"
 
 
-def test_core_grid_digest_is_pinned():
-    lines, failed = [], 0
+def _core_grid():
+    """(counts, spec, case) of every C0 count tuple of the grid."""
     for counts in itertools.product(range(2, 8), range(11), range(11),
                                     range(3), range(2)):
         if sum(counts[1:4]) < 2:
             continue
         spec = mkspec(*counts, first_two_leaves=False)
         cls = classify(spec)
-        if cls.verdict != C0:
-            continue
+        if cls.verdict == C0:
+            yield counts, spec, cls.case
+
+
+def test_core_grid_digest_is_pinned():
+    lines, failed = [], 0
+    for counts, spec, case in _core_grid():
         try:
-            d, r = build_case(spec, cls.case)
+            d, r = build_case(spec, case)
         except ConstructionError as exc:
             # the known P312 gap: no split completes the schedule
             failed += 1
-            lines.append(f"{counts} {cls.case} {exc}")
+            lines.append(f"{counts} {case} {exc}")
             continue
-        lines.append(f"{counts} {cls.case} {r.slot_to_user} {r.k} "
+        lines.append(f"{counts} {case} {r.slot_to_user} {r.k} "
                      f"{''.join(map(str, d.bits))}")
     assert (len(lines), failed) == (2122, 22)
     assert _digest("\n".join(lines)) == CORE_GRID
+
+
+def test_witness_sweep_answers_the_core_checks_on_the_grid():
+    # `construct_optimal` reads the core's lemma checks off the lifted
+    # witness's sweep; here each is also swept on the core itself
+    built = 0
+    for counts, spec, case in _core_grid():
+        try:
+            res = construct_optimal(spec)
+        except ConstructionError:
+            continue   # the P312 gap, pinned above
+        core, user = res.reduced.h_spec, _blocks(spec)
+        for (role, j, alpha), (_, size, *_) in _blocks(core).items():
+            key = (role, j and res.reduced.slot_to_user[j - 1], alpha)
+            assert size <= user[key][1], (counts, key)
+        base = build_base_orientation(res.reduced)
+        cyc = shortest_cycle_lengths(res.orientation)
+        assert (max(cyc[v] for v in _core_image(res.reduced, spec))
+                == max(shortest_cycle_lengths(base))), counts
+        assert diameter(base) == 4, counts
+        built += 1
+    assert built == 2100
