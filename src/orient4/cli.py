@@ -250,6 +250,8 @@ def cmd_verify(args):
 
 def cmd_oracle(args):
     t0 = time.perf_counter()
+    if args.bipartite and args.spec is not None:
+        raise UsageError("give a spec file or --bipartite P Q, not both")
     if args.bipartite:
         p, q = args.bipartite
         res = oracle.bipartite_orientation_number(

@@ -9,16 +9,20 @@ the first search, not on import.
 A strong orientation has no source and no sink.  Each rank splits into
 its low log2(_BATCH) bits and its high bits; whether a vertex is a source
 or a sink on its low edges is judged once per search for every low value,
-and on its high edges once per block of ranks that share their high bits.
-So a block costs a few boolean ANDs, or nothing when a vertex with only high
-edges rejects it whole, and no rank with a source or a sink is ever built.
+held in the narrowest unsigned type (uint16 at 16 low bits), and on its
+high edges once per block of ranks that share their high bits.  So a block
+costs a few boolean ANDs, or nothing when a vertex with only high edges
+rejects it whole, and no rank with a source or a sink is ever built.
 The survivors get reach sets, one row per vertex in the narrowest unsigned
 type that holds n bits (uint8, uint16 or uint32, so at most 32 vertices),
 grown one step per round by pushing along each edge in its direction.
-Survivors are gathered across blocks so that each push is wide.  On the
-24-edge C1 spec (2; (2,[]), (2,[2]), (2,[2,2])) all 2^24 ranks take about
-0.025 s, and on the 28-edge (4; (2,[2]), (2,[2,2])) all 2^28 take about
-1.1 s (2 cores, Python 3.11, numpy 2.4).
+Survivors are gathered across blocks so that each push is wide.  A column
+retires when its rows are full or stop growing; retired columns are
+compacted out only once at most half the columns are live, and until then
+they ride along unchanged, since pushing a full or a stagnant column is a
+no-op.  On the 24-edge C1 spec (2; (2,[]), (2,[2]), (2,[2,2])) all 2^24
+ranks take about 0.02 s, and on the 28-edge (4; (2,[2]), (2,[2,2])) all
+2^28 take 0.75-0.88 s (2 cores, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -154,7 +158,7 @@ def _survivors(graph: EnumGraph, lo: int, hi: int):
     import numpy as np
     low = min(graph.m, _BATCH.bit_length() - 1)
     size = 1 << low
-    values = np.arange(size, dtype=np.int64)
+    values = np.arange(size, dtype=np.min_scalar_type(size - 1))
     base = np.ones(size, dtype=bool)
     split = []    # (high M_v, high S_v, low "not a sink", low "not a source")
     for v in range(graph.n):
@@ -199,12 +203,22 @@ def _batch_diameters(graph: EnumGraph, ranks: np.ndarray) -> np.ndarray:
     One column per rank.  reach[v] holds the vertices within t steps of v, in
     the narrowest unsigned type that holds n bits; fwd[j] is all ones where
     edge j points u -> v (bit 0).  A rank with a source or a sink stops
-    growing before its rows are full and reads inf."""
+    growing before its rows are full and reads inf.
+
+    A column stays live until its rows are all full, when its diameter is
+    written (once: `live` masks the write), or until it stops growing, when
+    it keeps inf.  Retired columns are compacted out only once at most half
+    the columns are live; until then they ride along, and pushing them
+    changes nothing, since a full column stays full and a stagnant one is at
+    its fixed point.  Each compaction at least halves the width, so every
+    push is at most twice the live width, and all compactions together copy
+    at most twice what one compaction of the whole batch copies."""
     import numpy as np
     n, edges = graph.n, graph.edges
     row = np.min_scalar_type((1 << n) - 1)
     diam = np.full(len(ranks), math.inf)
     idx = np.arange(len(ranks))
+    live = np.ones(len(ranks), dtype=bool)
     # row by row, so no (m, ranks) int64 temporary is made
     fwd = np.empty((len(edges), len(ranks)), dtype=row)
     for j, f in enumerate(fwd):
@@ -220,14 +234,16 @@ def _batch_diameters(graph: EnumGraph, ranks: np.ndarray) -> np.ndarray:
             nxt[u] |= reach[v] & f
             nxt[v] |= reach[u] & ~f
         t += 1
-        done = (nxt == full).all(axis=0)
+        done = live & (nxt == full).all(axis=0)
         diam[idx[done]] = t
-        keep = ~done & (nxt != reach).any(axis=0)
-        if not keep.all():
-            # compress keeps the rows contiguous, unlike nxt[:, keep]
-            idx = idx[keep]
-            nxt, fwd = nxt.compress(keep, axis=1), fwd.compress(keep, axis=1)
+        live &= ~done & (nxt != reach).any(axis=0)
         reach = nxt
+        if 2 * np.count_nonzero(live) <= live.size:
+            # compress keeps the rows contiguous, unlike reach[:, live]
+            idx = idx[live]
+            reach = reach.compress(live, axis=1)
+            fwd = fwd.compress(live, axis=1)
+            live = live[live]
     return diam
 
 

@@ -395,6 +395,24 @@ def test_oracle_bipartite(capsys):
     assert doc["orientation_number"] == 4
 
 
+def test_oracle_spec_with_bipartite_is_refused_before_search(
+        tmp_path, capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched despite conflicting arguments")
+    monkeypatch.setattr(cli.oracle, "orientation_number", no_search)
+    monkeypatch.setattr(cli.oracle, "bipartite_orientation_number",
+                        no_search)
+    spec_path = write_spec(tmp_path, {
+        "center_multiplicity": 2,
+        "branches": [{"multiplicity": 2, "leaf_multiplicities": [2]},
+                     {"multiplicity": 2, "leaf_multiplicities": [2]}]})
+    assert main(["oracle", spec_path, "--bipartite", "2", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: give a spec file or --bipartite P Q, not both\n"
+
+
 def test_construct_verify_roundtrip_over_corpus(tmp_path, capsys):
     corpus = [
         {"center_multiplicity": 2,
