@@ -5,9 +5,7 @@ verdict names (`Classification.case`): shrink the instance to a small core
 `H` (multiplicities in {2,3,4} plus the center), orient `H` from a
 deterministic schedule of half-sized center subsets, lift to the full
 multiplicities by letting new copies mimic old ones (Koh and Tay's
-extension lemma), then check the lift.  The lift fixes the core's copies
-and maps every copy back to one of them along arcs, a retraction, so one
-sweep of the lift also answers the lemma's checks on the core.
+extension lemma), then check the lift, whose one sweep is the proof.
 
 Each construction case is data, stated once in `reduce`: an ordered list
 of *slot blocks*, each with its user branches (2-copy, inlet-style and
@@ -182,24 +180,6 @@ def _feasible_split(s, n2, n3, k):
     return n_bo <= c2 - (kappa(s, s // 2, k) + k)
 
 
-def choose_split(spec: TreeSpec) -> int:
-    """Construction split for the mixed even regime: the first qualifying
-    split, the classifier's `k_witness`, if its schedule is completable.
-    No later split is: kappa(s, s/2, k) + k, the shadow size of the first
-    k half-sets, never shrinks as k grows, so the outlet budget of
-    `_feasible_split` never grows."""
-    part = partition(spec)
-    s = spec.s
-    n2, n3 = len(part.a2), len(part.a3)
-    k = next(qualifying_splits(s, n2, n3), None)
-    if k is not None and _feasible_split(s, n2, n3, k):
-        return k
-    raise ConstructionError(
-        "the sufficiency schedule cannot be completed for this instance: "
-        "every qualifying split leaves an outlet block that must reuse a "
-        "half-set superset already claimed by the 2-copy block")
-
-
 def _fill(base, donors, quota, block):
     """Absorb the lowest-index donors into `base` until it has `quota`
     branches; returns the filled block and the donors left over."""
@@ -291,7 +271,16 @@ def reduce(spec: TreeSpec, case: str) -> ReducedSpec:
             raise ConstructionError("no 4-copy slot left after promotion")
         blocks, e_in = _one_level(sched, a2, [], [], a4)
     elif case == "P312":
-        split = choose_split(spec)
+        # the first qualifying split is the classifier's `k_witness`; if it
+        # is infeasible, so is every later one: kappa(s, s/2, k) + k, the
+        # shadow of the first k half-sets, never shrinks as k grows
+        split = next(qualifying_splits(s, len(a2), len(a3)), None)
+        if split is None or not _feasible_split(s, len(a2), len(a3), split):
+            raise ConstructionError(
+                "the sufficiency schedule cannot be completed for this "
+                "instance: every qualifying split leaves an outlet block that "
+                "must reuse a half-set superset already claimed by the 2-copy "
+                "block")
         a2, a3 = _fill(a2, a3, split - 1, "2-copy")
         n_bi = (c - 2) - len(a2)
         a3, a4 = _fill(a3, a4, n_bi, "inlet")
@@ -357,30 +346,14 @@ def _core_bits(case, h, rows):
 
 
 def build_base_orientation(rspec: ReducedSpec) -> Orientation:
-    """Orient every edge of the core instance from its slot rows.
-
-    The extension lemma's hypothesis, a directed cycle of length at most 4
-    through every vertex and diameter exactly 4, is not swept here:
-    `construct_optimal` reads it off the lifted witness, in which the core
-    sits as a retract (`pull_back`), and sweeps the core only when the
-    lift fails its check."""
+    """Orient every edge of the core instance from its slot rows.  The
+    extension lemma's hypothesis is not swept here: `construct_optimal`
+    sweeps the core only when the lift fails its check."""
     case, h, rows = rspec.case, rspec.h_spec, rspec.slots
     if len(rows) != h.deg_c:
         raise ConstructionError(f"recipe {case}: the schedule gives "
                                 f"{len(rows)} rows for {h.deg_c} slots")
     return Orientation(h, _core_bits(case, h, rows))
-
-
-def _check_core(case, worst_cycle, dia):
-    """The extension lemma's hypothesis on the core, given its worst
-    shortest-cycle length and its diameter."""
-    if worst_cycle > 4:
-        raise ConstructionError(
-            f"recipe {case}: a vertex's shortest directed cycle is "
-            f"{worst_cycle} > 4")
-    if dia != 4:
-        raise ConstructionError(f"recipe {case}: core diameter is {dia}, "
-                                f"expected 4")
 
 
 # ============================================================================
@@ -412,18 +385,6 @@ def relabel_orientation(d: Orientation, slot_to_user: tuple,
     return pull_back(d, user_spec, lambda key: (key[0], slot[key[1]], key[2]))
 
 
-def _core_image(rspec: ReducedSpec, user_spec: TreeSpec):
-    """The vertex indices of `user_spec`'s multiplied graph that the core
-    sits on in `relabel_orientation`'s lift: for each core block, copies
-    x < its size of the user block with the same key (slot j is user
-    branch `slot_to_user[j - 1]`).  The lift fixes those copies, so the
-    core is its induced sub-orientation there."""
-    user = _blocks(user_spec)
-    for (role, j, alpha), (_, size, *_) in _blocks(rspec.h_spec).items():
-        start = user[role, j and rspec.slot_to_user[j - 1], alpha][0]
-        yield from range(start, start + size)
-
-
 def construct_optimal(spec: TreeSpec) -> ConstructionResult:
     """Classify, which names the recipe, then reduce to the core (the
     P312 split is chosen and the slot rows are read there), build the
@@ -432,13 +393,12 @@ def construct_optimal(spec: TreeSpec) -> ConstructionResult:
     Relabelling slots to user branches is an isomorphism and the mimic step
     only copies, so the two are one pull-back (`relabel_orientation`).
     The lifted witness is swept once, on its own arcs; diameter 4 and
-    strong is the proof.  The core is a retract of the lift (`pull_back`)
-    on `_core_image`, where the core's distances and shortest-cycle
-    lengths are the lift's, so that sweep also answers the extension
-    lemma's hypothesis: the core's diameter is then 4 (not less, as its
-    underlying graph has diameter 4), and its worst cycle is read off the
-    image.  Only a lift that fails has the core swept, to name the
-    hypothesis that broke first.
+    strong is the proof, and it also gives the extension lemma's
+    hypothesis on the witness: for an arc v -> w the path back from w has
+    length <= 4, so v lies on a cycle of length <= 5, and the multiplied
+    graph is bipartite, so that cycle is even, of length 4.  Only a lift
+    that fails has the core swept, to name the hypothesis that broke
+    first.
 
     Raises `Refusal` for orientation-number-5 instances and for the open
     regime; raises `ConstructionError` (an internal failure, never a normal
@@ -455,13 +415,16 @@ def construct_optimal(spec: TreeSpec) -> ConstructionResult:
     rspec = reduce(spec, cls.case)
     base = build_base_orientation(rspec)
     final = relabel_orientation(base, rspec.slot_to_user, spec)
+    if diameter(final) == 4 and is_strong(final):
+        return ConstructionResult(final, cls, rspec)
 
-    if diameter(final) != 4 or not is_strong(final):
-        _check_core(rspec.case, max(shortest_cycle_lengths(base)),
-                    diameter(base))
-        raise ConstructionError(
-            f"internal verification failure for case {rspec.case}: lifted "
-            f"orientation is not a strong diameter-4 orientation")
-    cyc = shortest_cycle_lengths(final)
-    _check_core(rspec.case, max(cyc[v] for v in _core_image(rspec, spec)), 4)
-    return ConstructionResult(final, cls, rspec)
+    case, worst = rspec.case, max(shortest_cycle_lengths(base))
+    if worst > 4:
+        raise ConstructionError(f"recipe {case}: a vertex's shortest "
+                                f"directed cycle is {worst} > 4")
+    if diameter(base) != 4:
+        raise ConstructionError(f"recipe {case}: core diameter is "
+                                f"{diameter(base)}, expected 4")
+    raise ConstructionError(
+        f"internal verification failure for case {case}: lifted "
+        f"orientation is not a strong diameter-4 orientation")

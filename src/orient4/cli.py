@@ -1,8 +1,9 @@
 """Command-line front end: classify, construct, verify, oracle, sperner.
 
 Exit codes: 0 success, 1 principled refusal (orientation number 5, open
-case, enumeration, spec-size, edge or edge-list budget), 2 bad input or
-arguments, 3 internal failure.
+case, enumeration, spec-size, edge or edge-list budget, or a center
+multiplicity or `sperner` n above MAX_CENTER), 2 bad input or arguments,
+3 internal failure.
 """
 
 from __future__ import annotations

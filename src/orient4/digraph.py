@@ -299,15 +299,7 @@ def pull_back(d: Orientation, target: TreeSpec, block_of) -> Orientation:
     parents to parents; copy x (from 0) goes to copy x mod the image's
     size.  So the lift tiles: each row of a block, its edges from one
     parent copy x, is the image's row of parent copy x mod the image
-    parent's size, repeated to the block's size.
-
-    Where no block of `target` is smaller than its image, copies x below
-    the image's size map to themselves: `d` is the induced sub-orientation
-    of the lift on them, and copy x -> x mod size maps every arc of the
-    lift to an arc of `d`, a retraction.  Paths of `d` stay paths, and
-    walks of the lift map to walks of the same length, so distances and
-    shortest-cycle lengths among those copies are the same in `d` and in
-    the lift."""
+    parent's size, repeated to the block's size."""
     image = _blocks(d.spec)
     bits = []
     for key, (_, size, _, up_size, _) in _blocks(target).items():

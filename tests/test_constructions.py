@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from orient4 import build, cli, digraph, tree
 from orient4.build import (ConstructionResult, _feasible_split,
-                           build_base_orientation, choose_split,
-                           construct_optimal, cyclic_half_sets,
-                           make_schedule, reduce, relabel_orientation)
+                           build_base_orientation, construct_optimal,
+                           cyclic_half_sets, make_schedule, reduce,
+                           relabel_orientation)
 from orient4.classify import C0, CASE_IDS, classify, qualifying_splits
 from orient4.digraph import (Orientation, center_in_set, center_out_set,
                              diameter, distance, extend_orientation,
@@ -233,10 +233,10 @@ def test_reduce_p312_split_bookkeeping():
     assert [b.multiplicity for b in rspec.h_spec.branches] == [2, 3, 3, 3, 4, 4]
 
 
-def test_choose_split_first_feasible_is_witness():
+def test_reduce_p312_split_is_the_witness():
     spec = mkspec(6, a2=12, a3=8, a4=2, e=2)
     assert classify(spec).k_witness == 13
-    assert choose_split(spec) == 13
+    assert reduce(spec, "P312").k == 13
 
 
 @pytest.mark.parametrize("s", range(2, 15, 2))
@@ -248,7 +248,7 @@ def test_split_shadow_never_shrinks(s):
 
 
 def test_feasible_splits_are_a_prefix_of_the_qualifying_ones():
-    # so `choose_split` need only check the first qualifying split
+    # so `reduce` need only check the first qualifying split for P312
     for s in (4, 6, 8):
         c, c2 = comb(s, s // 2), comb(s, s // 2 + 1)
         for n2 in range(1, c):
@@ -258,14 +258,18 @@ def test_feasible_splits_are_a_prefix_of_the_qualifying_ones():
                 assert ok == sorted(ok, reverse=True), (s, n2, n3)
 
 
-def test_choose_split_can_be_infeasible():
+def test_reduce_p312_split_can_be_infeasible():
     # sufficiency holds (k=5) but no qualifying split leaves enough unused
     # up-sets for the outlet block
     spec = mkspec(4, a2=1, a3=5)
     cls = classify(spec)
     assert cls.verdict == "C0" and cls.rule == "Prop3.12b"
-    with pytest.raises(ConstructionError):
-        choose_split(spec)
+    with pytest.raises(ConstructionError, match="^the sufficiency schedule "
+                       "cannot be completed for this instance: every "
+                       "qualifying split leaves an outlet block that must "
+                       "reuse a half-set superset already claimed by the "
+                       "2-copy block$"):
+        reduce(spec, "P312")
     with pytest.raises(ConstructionError):
         construct_optimal(spec)
 
@@ -465,10 +469,11 @@ def test_broken_core_names_the_broken_lemma_hypothesis(
 
 
 def test_construct_sweeps_core_and_witness_once_each(monkeypatch):
-    # a witness that passes is swept once, on its own arcs, and that sweep
-    # also answers the core's lemma checks; only a failing lift has the
-    # core swept as well, to name what broke.  The relabel-and-lift
-    # pull-back is never swept in between
+    # a witness that passes is swept once, on its own arcs, and needs no
+    # core check (diameter 4 and strong in a bipartite graph put every
+    # vertex on a 4-cycle); only a failing lift has the core swept as
+    # well, to name what broke.  The relabel-and-lift pull-back is never
+    # swept in between
     calls = []
 
     def counted(out, inn):

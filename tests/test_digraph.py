@@ -311,6 +311,10 @@ def test_reach_sets_match_reference_bfs(d):
     assert diameter(d) == max(eccs)
     assert shortest_cycle_lengths(d) == cycles
     assert is_strong(d) == (max(eccs) != UNREACHABLE)
+    if is_strong(d) and diameter(d) <= 4:
+        # the multiplied graph is bipartite and has no 2-cycles: the path
+        # back along an arc closes a cycle of length <= 5, so of length 4
+        assert cycles == [4] * len(verts)
     for u in verts[::3]:
         for v in verts:
             assert distance(d, u, v) == table[u].get(v, UNREACHABLE)
