@@ -54,13 +54,17 @@ def _print_json(doc):
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _read_at_most(fh, limit):
-    """Up to `limit` bytes of `fh`, read in 64 KiB chunks: one read of
-    `limit` would allocate a buffer that large for any file."""
-    chunks = []
-    while limit > 0 and (chunk := fh.read(min(limit, 1 << 16))):
-        chunks.append(chunk)
-        limit -= len(chunk)
+def _read_bounded(path, limit, what):
+    """The bytes of `path`, refused as `what` if there are more than `limit`.
+    At most `limit` + 1 are read, in 64 KiB chunks: one read of `limit`
+    would allocate a buffer that large for any file."""
+    chunks, left = [], limit + 1
+    with open(path, "rb") as fh:
+        while left and (chunk := fh.read(min(left, 1 << 16))):
+            chunks.append(chunk)
+            left -= len(chunk)
+    if not left:
+        raise Refusal(f"{what} exceeds the bound {limit} bytes")
     return b"".join(chunks)
 
 
@@ -68,11 +72,7 @@ def _load(path):
     """A valid spec of at most MAX_SPEC_BYTES bytes whose center
     multiplicity is at most MAX_CENTER; a larger file is refused before it
     is decoded or parsed."""
-    with open(path, "rb") as fh:
-        raw = _read_at_most(fh, MAX_SPEC_BYTES + 1)
-    if len(raw) > MAX_SPEC_BYTES:
-        raise Refusal(f"spec exceeds the bound {MAX_SPEC_BYTES} bytes")
-    spec = tree.load_spec(raw)
+    spec = tree.load_spec(_read_bounded(path, MAX_SPEC_BYTES, "spec"))
     tree.require_valid(spec)
     if spec.s > MAX_CENTER:
         raise Refusal(f"center multiplicity {spec.s} exceeds the bound "
@@ -221,11 +221,7 @@ def _print_explain(result):
 
 def cmd_verify(args):
     spec = _load_within_budget(args.spec)
-    with open(args.edges, "rb") as fh:
-        raw = _read_at_most(fh, MAX_EDGE_LIST_BYTES + 1)
-    if len(raw) > MAX_EDGE_LIST_BYTES:
-        raise Refusal(f"edge list exceeds the bound {MAX_EDGE_LIST_BYTES} "
-                      f"bytes")
+    raw = _read_bounded(args.edges, MAX_EDGE_LIST_BYTES, "edge list")
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -99,7 +99,7 @@ def bipartite_graph(p: int, q: int) -> EnumGraph:
 
 
 # ============================================================================
-# Bridges (Robbins guard)
+# Bridges
 # ============================================================================
 
 def find_bridge(n: int, edges):
@@ -257,13 +257,13 @@ def search_rank_range(graph: EnumGraph, lo: int, hi: int) -> RangeResult:
     strong = 0
     for ranks in _survivors(graph, lo, hi):
         diams = _batch_diameters(graph, ranks)
-        finite = np.isfinite(diams)
-        strong += int(finite.sum())
-        if finite.any():
-            lot = diams[finite].min()
-            if lot < best:
-                best = float(lot)
-                best_rank = int(ranks[finite][diams[finite] == lot][0])
+        strong += int(np.isfinite(diams).sum())
+        # batches are never empty and ascend, so argmin's first minimum is
+        # the smallest optimal rank; a later batch must be strictly better
+        i = int(diams.argmin())
+        if diams[i] < best:
+            best = float(diams[i])
+            best_rank = int(ranks[i])
     return RangeResult(hi - lo, strong, best, best_rank)
 
 
@@ -284,24 +284,22 @@ def _refuse_oversized(n: int, m: int, max_edges: int) -> None:
         raise Refusal(f"too many edges for int64 ranks: {m}")
 
 
-def _run(graph: EnumGraph, symmetry: bool) -> RangeResult:
-    bridge = find_bridge(graph.n, graph.edges)
-    if bridge is not None:
-        u, v = graph.edges[bridge]
-        raise Refusal(f"graph has a bridge ({graph.names[u]} -- "
-                      f"{graph.names[v]}); no strong orientation exists")
-    # Reversal maps rank r to its bit complement and preserves the diameter,
-    # so fixing the top edge's direction scans exactly one representative per
-    # reversal pair and still finds the smallest-rank optimum.
-    span = 1 << (graph.m - 1 if symmetry else graph.m)
-    res = search_rank_range(graph, 0, span)
-    if symmetry:
-        res = RangeResult(res.examined, 2 * res.strong_count,
-                          res.best_diameter, res.best_rank)
-    if res.best_rank is None:
-        raise Refusal("no strong orientation found (unexpected for a "
-                      "bridgeless graph)")
-    return res
+def _search(graph: EnumGraph, symmetry: bool,
+            spec: TreeSpec | None = None) -> OracleResult:
+    """Scan every rank, or with `symmetry` one per reversal pair: reversal
+    maps rank r to its bit complement and keeps the diameter, so fixing the
+    top edge's direction still finds the smallest-rank optimum.  Some rank
+    is strong: every edge of a valid multiplied tree, and of K(p,q) with
+    p, q >= 2, joins two blocks of at least two copies, so lies on a 4-cycle,
+    and by Robbins' theorem (1939) a connected bridgeless graph has a strong
+    orientation.  The witness is an `Orientation` of `spec`, if given."""
+    res = search_rank_range(graph, 0,
+                            1 << (graph.m - 1 if symmetry else graph.m))
+    bits = tuple((res.best_rank >> j) & 1 for j in range(graph.m))
+    return OracleResult(int(res.best_diameter),
+                        None if spec is None else Orientation(spec, bits),
+                        graph.arcs_of_rank(res.best_rank), res.examined,
+                        res.strong_count * (2 if symmetry else 1))
 
 
 def orientation_number(spec: TreeSpec,
@@ -312,13 +310,7 @@ def orientation_number(spec: TreeSpec,
     require_valid(spec)
     n = sum(size for _, size, *_ in _blocks(spec).values())
     _refuse_oversized(n, edge_count(spec), max_edges)
-    graph = graph_from_spec(spec)
-    res = _run(graph, symmetry)
-    bits = tuple((res.best_rank >> j) & 1 for j in range(graph.m))
-    witness = Orientation(spec, bits)
-    return OracleResult(int(res.best_diameter), witness,
-                        graph.arcs_of_rank(res.best_rank),
-                        res.examined, res.strong_count)
+    return _search(graph_from_spec(spec), symmetry, spec)
 
 
 def bipartite_orientation_number(p: int, q: int,
@@ -329,8 +321,4 @@ def bipartite_orientation_number(p: int, q: int,
     if p < 2 or q < 2:
         raise UsageError("both sides need at least 2 vertices")
     _refuse_oversized(p + q, p * q, max_edges)
-    graph = bipartite_graph(p, q)
-    res = _run(graph, symmetry)
-    return OracleResult(int(res.best_diameter), None,
-                        graph.arcs_of_rank(res.best_rank),
-                        res.examined, res.strong_count)
+    return _search(bipartite_graph(p, q), symmetry)

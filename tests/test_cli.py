@@ -413,6 +413,31 @@ def test_oracle_spec_with_bipartite_is_refused_before_search(
         "error: give a spec file or --bipartite P Q, not both\n"
 
 
+def test_oracle_without_an_instance_is_a_usage_error(capsys):
+    assert main(["oracle"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need a spec file or --bipartite P Q\n"
+
+
+@pytest.mark.parametrize("arcs, want", [
+    ("constructed", '{\n  "diameter": 4,\n  "edges_match": true,\n'
+                    '  "strong": true\n}\n'),
+    # every edge from parent to child: the leaf copies are sinks
+    ("parent to child", '{\n  "diameter": null,\n  "edges_match": true,\n'
+                        '  "strong": false\n}\n'),
+])
+def test_verify_json(tmp_path, capsys, arcs, want):
+    spec_path = write_spec(tmp_path, c0_doc())
+    spec = tree.spec_from_dict(c0_doc())
+    d = (build.construct_optimal(spec).orientation if arcs == "constructed"
+         else digraph.Orientation(spec, (0,) * tree.edge_count(spec)))
+    edge_path = tmp_path / "edges.txt"
+    edge_path.write_text(digraph.to_edge_list(d))
+    assert main(["verify", spec_path, str(edge_path), "--json"]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_construct_verify_roundtrip_over_corpus(tmp_path, capsys):
     corpus = [
         {"center_multiplicity": 2,

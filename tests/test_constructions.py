@@ -311,6 +311,46 @@ def test_unknown_case_rejected():
         reduce(spec, "P99")
 
 
+def construct_with_a_flipped_lift(monkeypatch):
+    # the core of (3; three (2,[2])) passes its checks; its lift, with one
+    # bit flipped, does not
+    lift = build.relabel_orientation
+
+    def flipped(*args):
+        d = lift(*args)
+        return Orientation(d.spec, (1 - d.bits[0],) + d.bits[1:])
+
+    monkeypatch.setattr(build, "relabel_orientation", flipped)
+    construct_optimal(mkspec(3, a2=3, first_two_leaves=False))
+
+
+# each raise with an input that reaches it
+RAISES = {
+    "schedule below s=2": (lambda mp: make_schedule(1, "P39"), UsageError,
+                           "^center multiplicity 1 < 2$"),
+    "fill shortfall": (
+        lambda mp: reduce(mkspec(4, a2=2, first_two_leaves=False), "P310"),
+        ConstructionError, "^not enough high-multiplicity branches to fill "
+        "the 2-copy block$"),
+    "D1 with a leafless branch": (
+        lambda mp: reduce(mkspec(3, a2=2, e=1, first_two_leaves=False),
+                          "P35_D1"),
+        ConstructionError, "^variant D1 admits no leafless branches$"),
+    "no 4-copy slot": (
+        lambda mp: reduce(mkspec(4, a2=5, first_two_leaves=False), "P310"),
+        ConstructionError, "^no 4-copy slot left after promotion$"),
+    "lift fails": (construct_with_a_flipped_lift, ConstructionError,
+                   "^internal verification failure for case P35_D1: lifted "
+                   "orientation is not a strong diameter-4 orientation$"),
+}
+
+
+@pytest.mark.parametrize("run, error, message", RAISES.values(), ids=RAISES)
+def test_raises_name_their_cause(run, error, message, monkeypatch):
+    with pytest.raises(error, match=message):
+        run(monkeypatch)
+
+
 # ----------------------------------------------------------------------------
 # structural properties of built cores
 # ----------------------------------------------------------------------------

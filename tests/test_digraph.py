@@ -86,6 +86,18 @@ def test_direction_bits_must_equal_0_or_1(bit):
     assert str(err.value) == "direction bits must be 0 or 1"
 
 
+@pytest.mark.parametrize("run, error, message", [
+    (lambda: Orientation(p5_all2(), (0, 1, 0)), UsageError,
+     "^need 16 direction bits, got 3$"),
+    (lambda: extend_orientation(Orientation(p5_all2(), (0,) * 16), p5_all2(),
+                                4),
+     ExtensionError, "^extension lemma inapplicable: base not strong$"),
+], ids=["bit-count", "base-not-strong"])
+def test_raises_name_their_cause(run, error, message):
+    with pytest.raises(error, match=message):
+        run()
+
+
 def test_direction_bits_equal_to_0_or_1_become_ints():
     d = Orientation(p5_all2(), (True, 0.0) * 8)
     assert d.bits == (1, 0) * 8

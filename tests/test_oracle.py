@@ -1,6 +1,7 @@
 """Exhaustive-search oracle: known values, determinism, partitioning."""
 
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -8,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orient4 import oracle
-from orient4.digraph import Orientation, diameter, is_strong
-from orient4.errors import Refusal
+from orient4.digraph import Orientation, diameter, from_arcs, is_strong
+from orient4.errors import Refusal, UsageError
 from orient4.oracle import (_BATCH, EnumGraph, _batch_diameters,
                             _survivors, bipartite_graph,
                             bipartite_orientation_number, find_bridge,
                             graph_from_spec, orientation_number,
                             search_rank_range)
-from orient4.tree import BranchSpec, TreeSpec
+from orient4.tree import BranchSpec, TreeSpec, validate
 
 
 def p5_all2():
@@ -99,6 +100,26 @@ def test_witness_is_smallest_rank():
         before.best_diameter > full.best_diameter
 
 
+@pytest.mark.parametrize("spec", [deg3_all2(), c1_24_edges()],
+                         ids=["20-edges", "24-edges"])
+def test_smallest_rank_wins_across_batches(monkeypatch, spec):
+    # with one batch per block of _BATCH ranks, the optimum is reached in
+    # many batches, and only the first may set the witness
+    graph = graph_from_spec(spec)
+    full = search_rank_range(graph, 0, 1 << graph.m)
+    monkeypatch.setattr(oracle, "_PUSH", 1)
+    assert search_rank_range(graph, 0, 1 << graph.m) == full
+    before = search_rank_range(graph, 0, full.best_rank)
+    assert before.best_rank is None or \
+        before.best_diameter > full.best_diameter
+
+
+@pytest.mark.parametrize("symmetry", [False, True])
+def test_witness_is_the_orientation_of_its_arcs(symmetry):
+    res = orientation_number(deg3_all2(), symmetry=symmetry)
+    assert res.witness == from_arcs(deg3_all2(), res.witness_arcs)
+
+
 # ----------------------------------------------------------------------------
 # guards
 # ----------------------------------------------------------------------------
@@ -116,6 +137,17 @@ def test_bipartite_budget_refusal():
         bipartite_orientation_number(5, 6, max_edges=24)
 
 
+def valid_specs():
+    """Every valid spec with s in {2, 3} and two or three branches of
+    multiplicity 2-3, each with 0-2 leaves of multiplicity 2-3."""
+    branches = [BranchSpec(mult, leaves) for mult in (2, 3)
+                for count in range(3)
+                for leaves in combinations_with_replacement((2, 3), count)]
+    return [spec for s in (2, 3) for width in (2, 3)
+            for chosen in combinations_with_replacement(branches, width)
+            if not validate(spec := TreeSpec(s, chosen))]
+
+
 def test_bridge_detection():
     # a path graph has bridges everywhere
     assert find_bridge(3, ((0, 1), (1, 2))) is not None
@@ -123,6 +155,35 @@ def test_bridge_detection():
     assert find_bridge(4, ((0, 1), (1, 2), (2, 3), (3, 0))) is None
     graph = graph_from_spec(p5_all2())
     assert find_bridge(graph.n, graph.edges) is None
+    # the premise of the search, which runs no bridge check: every edge of
+    # a valid spec's graph, and of K(p,q) with p, q >= 2, joins two blocks
+    # of at least two copies, so lies on a 4-cycle
+    specs = valid_specs()
+    assert len(specs) == 770
+    for spec in specs:
+        graph = graph_from_spec(spec)
+        assert find_bridge(graph.n, graph.edges) is None, spec
+    for p in range(2, 8):
+        for q in range(p, 63 // p + 1):
+            graph = bipartite_graph(p, q)
+            assert find_bridge(graph.n, graph.edges) is None, (p, q)
+    # a branch of one copy, which validate rejects, leaves each of its leaf
+    # copies a single edge, a bridge
+    one_copy = TreeSpec(2, (BranchSpec(1, (2,)), BranchSpec(2, (2,))))
+    assert validate(one_copy)
+    graph = graph_from_spec(one_copy)
+    assert find_bridge(graph.n, graph.edges) is not None
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda: search_rank_range(bipartite_graph(2, 3), 0, 128),
+     r"^rank range \[0,128\) outside 0\.\.2\^6$"),
+    (lambda: bipartite_orientation_number(1, 3),
+     "^both sides need at least 2 vertices$"),
+], ids=["rank-range", "bipartite-side"])
+def test_usage_errors(run, message):
+    with pytest.raises(UsageError, match=message):
+        run()
 
 
 def test_strong_count_positive_and_diameters_finite():

@@ -157,6 +157,16 @@ def test_shadow_rejects_mixed_family():
         shade([mask({1}), mask({1, 2})], 4)
 
 
+@pytest.mark.parametrize("run, message", [
+    (lambda: shadow((0,)), "^shadow undefined for k=0 members$"),
+    (lambda: shade((0b111,), 3), "^shade undefined for k=n members$"),
+    (lambda: shadow_size_kkt(5, 0, 1), "^shadow size needs k >= 1$"),
+], ids=["shadow-k0", "shade-kn", "cascade-k0"])
+def test_undefined_levels_are_refused(run, message):
+    with pytest.raises(UsageError, match=message):
+        run()
+
+
 def test_shadow_output_sorted_squashed():
     for sh in (shadow(last_m(6, 3, 7)), shade(first_m(6, 3, 7), 6)):
         assert list(sh) == sorted(sh, key=squash_key)
