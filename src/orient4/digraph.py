@@ -51,7 +51,7 @@ class Orientation:
         m = edge_count(self.spec)
         if len(bits) != m:
             raise UsageError(f"need {m} direction bits, got {len(bits)}")
-        if any(b not in (0, 1) for b in bits):   # before int() truncates
+        if bits.count(0) + bits.count(1) != m:   # before int() truncates
             raise UsageError("direction bits must be 0 or 1")
         object.__setattr__(self, "bits", tuple(map(int, bits)))
 

@@ -6,31 +6,38 @@ Assignments are processed in rank order, vectorized with numpy, so the
 reported witness is the numerically smallest optimal rank; numpy loads on
 the first search, not on import.
 
-A strong orientation has no source and no sink.  Each rank splits into
-its low log2(_BATCH) bits and its high bits; whether a vertex is a source
-or a sink on its low edges is judged once per search for every low value,
-held in the narrowest unsigned type (uint16 at 16 low bits), and on its
-high edges once per block of ranks that share their high bits.  So a block
-costs a few boolean ANDs, or nothing when a vertex with only high edges
-rejects it whole, and no rank with a source or a sink is ever built.
-The survivors get reach sets, one row per vertex in the narrowest unsigned
-type that holds n bits (uint8, uint16 or uint32, so at most 32 vertices),
-grown one step per round by pushing along each edge in its direction.
+A strong orientation has no source and no sink, and no branch subtree
+(a branch's copies and their leaf copies) with its center edges all
+pointing in or all out.  Each rank splits into its low log2(_BATCH) bits
+and its high bits; whether a vertex or a subtree is a source or a sink on
+its low edges is judged once per search for every low value, held in the
+narrowest unsigned type (uint16 at 16 low bits), and on its high edges
+once per block of ranks that share their high bits.  So a block costs a
+few boolean ANDs, or nothing when a vertex with only high edges rejects it
+whole, and no rank that fails either rule is ever built.
+The survivors get reach sets grown one step per round by pushing along
+each edge in its direction.  The graph is bipartite, so each row is kept
+as two halves, the vertex's own side and the other side, in the narrowest
+unsigned type that holds the larger side (uint8, uint16 or uint32), and a
+round grows only the halves whose side its distance parity reaches.
 Survivors are gathered across blocks so that each push is wide.  A column
 retires when its rows are full or stop growing; retired columns are
 compacted out only once at most half the columns are live, and until then
 they ride along unchanged, since pushing a full or a stagnant column is a
 no-op.  On the 24-edge C1 spec (2; (2,[]), (2,[2]), (2,[2,2])) all 2^24
-ranks take about 0.02 s, and on the 28-edge (4; (2,[2]), (2,[2,2])) all
-2^28 take 0.75-0.88 s (2 cores, Python 3.11, numpy 2.4).
+ranks take 0.009-0.013 s, and on the 28-edge (4; (2,[2]), (2,[2,2])),
+whose halves are uint16, all 2^28 take 0.68-0.79 s, against 0.017-0.020 s
+and 0.72-0.84 s for full rows in the same six alternating runs (2 cores,
+Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
-# numpy is imported inside the three functions of the search that use it,
+# numpy is imported inside the four functions of the search that use it,
 # the only numpy users in the package, so `import orient4` and every
 # command but the oracle start without it
 
@@ -46,10 +53,12 @@ _PUSH = 1 << 15     # most survivors per reach push, unless one block has more
 
 @dataclass(frozen=True)
 class EnumGraph:
-    """An undirected graph prepared for orientation enumeration."""
+    """An undirected bipartite graph prepared for orientation enumeration."""
 
     names: tuple   # printable vertex names
     edges: tuple   # (u, v) index pairs in canonical order
+    # vertex sets that the source/sink filter judges like single vertices
+    cuts: tuple = ()
 
     @property
     def n(self) -> int:
@@ -58,6 +67,29 @@ class EnumGraph:
     @property
     def m(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def sides(self) -> tuple:
+        """Each vertex's side, 0 or 1, with the first vertex of every
+        component on side 0; a graph with an odd cycle is refused."""
+        adj = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        side = [None] * self.n
+        for root in range(self.n):
+            if side[root] is None:
+                side[root], stack = 0, [root]
+                while stack:
+                    u = stack.pop()
+                    for w in adj[u]:
+                        if side[w] is None:
+                            side[w] = 1 - side[u]
+                            stack.append(w)
+        if any(side[u] == side[v] for u, v in self.edges):
+            raise UsageError("graph is not bipartite: the reach push needs "
+                             "two sides")
+        return tuple(side)
 
     def arcs_of_rank(self, rank: int):
         out = []
@@ -88,7 +120,16 @@ class OracleResult:
 
 
 def graph_from_spec(spec: TreeSpec) -> EnumGraph:
-    return EnumGraph(tuple(vertex_names(spec)), tuple(edge_pairs(spec)[0]))
+    """The multiplied graph, with one cut per branch: its subtree, the
+    branch's copies and their leaf copies, joined to the rest by the
+    branch's center edges alone."""
+    blocks = _blocks(spec).items()
+    cuts = tuple(tuple(v for (role, j, _), (start, size, *_) in blocks
+                       if role != "c" and j == i
+                       for v in range(start, start + size))
+                 for i in range(1, spec.deg_c + 1))
+    return EnumGraph(tuple(vertex_names(spec)), tuple(edge_pairs(spec)[0]),
+                     cuts)
 
 
 def bipartite_graph(p: int, q: int) -> EnumGraph:
@@ -146,35 +187,60 @@ def find_bridge(n: int, edges):
 # ============================================================================
 
 def _survivors(graph: EnumGraph, lo: int, hi: int):
-    """Ranks in [lo, hi) that leave no vertex a source or a sink, ascending,
-    gathered across blocks into arrays of at most _PUSH ranks (or one
-    block's survivors, if more).
+    """Ranks in [lo, hi) that leave no vertex a source or a sink, and no cut
+    of `graph.cuts` with its crossing edges all pointing in or all out,
+    ascending, gathered across blocks into arrays of at most _PUSH ranks
+    (or one block's survivors, if more).  The last array is yielded once
+    the filter's tables are freed, so they do not stay alive through the
+    reach push of a search that fits one array."""
+    import numpy as np
+    pending, count = [], 0
+    for kept in _block_survivors(graph, lo, hi):
+        if count and count + kept.size > _PUSH:
+            yield np.concatenate(pending)
+            pending, count = [], 0
+        pending.append(kept)
+        count += kept.size
+    if count:
+        yield np.concatenate(pending)
 
-    Vertex v is a sink iff its edges' rank bits (mask M_v) equal S_v, every
-    edge into v, and a source iff they equal S_v ^ M_v; M_v = 0 counts as
-    both.  Split M_v and S_v at bit L = min(m, log2(_BATCH)): the low halves
-    are judged once per call for all 2^L low values, and the high halves
-    once per block of 2^L ranks."""
+
+def _block_survivors(graph: EnumGraph, lo: int, hi: int):
+    """The survivors of [lo, hi) block by block, one array per block of
+    2^L ranks that is not rejected whole.
+
+    A cut is judged as one more vertex.  Set X is a sink iff its crossing
+    edges' rank bits (mask M_X) equal S_X, every crossing edge into X, and a
+    source iff they equal S_X ^ M_X; M_X = 0 counts as both.  Split M_X and
+    S_X at bit L = min(m, log2(_BATCH)): the low halves are judged once per
+    call for all 2^L low values, and the high halves once per block of 2^L
+    ranks."""
     import numpy as np
     low = min(graph.m, _BATCH.bit_length() - 1)
     size = 1 << low
     values = np.arange(size, dtype=np.min_scalar_type(size - 1))
     base = np.ones(size, dtype=bool)
-    split = []    # (high M_v, high S_v, low "not a sink", low "not a source")
-    for v in range(graph.n):
-        m_v = sum(1 << j for j, e in enumerate(graph.edges) if v in e)
-        s_v = sum(1 << j for j, e in enumerate(graph.edges) if e[0] == v)
-        m_lo, s_lo = m_v & (size - 1), s_v & (size - 1)
-        bits = values & m_lo
-        no_sink, no_source = bits != s_lo, bits != s_lo ^ m_lo
-        if m_v >> low == 0:
-            base &= no_sink & no_source
+    bits, mask = np.empty_like(values), np.empty_like(base)   # scratch
+    split = []    # (high M_X, high S_X, low "not a sink", low "not a source")
+    for part in [(x,) for x in range(graph.n)] + list(graph.cuts):
+        m_x = s_x = 0
+        for j, (u, v) in enumerate(graph.edges):
+            if (u in part) != (v in part):
+                m_x |= 1 << j
+                s_x |= (u in part) << j
+        m_lo, s_lo = m_x & (size - 1), s_x & (size - 1)
+        np.bitwise_and(values, m_lo, out=bits)
+        if m_x >> low == 0:
+            base &= np.not_equal(bits, s_lo, out=mask)
+            base &= np.not_equal(bits, s_lo ^ m_lo, out=mask)
+        elif m_lo:
+            split.append((m_x >> low, s_x >> low,
+                          bits != s_lo, bits != s_lo ^ m_lo))
         else:
-            # None: v has no low edges, so a block that points its high
-            # edges all into v or all out of v is rejected whole
-            lows = (no_sink, no_source) if m_lo else (None, None)
-            split.append((m_v >> low, s_v >> low, *lows))
-    pending, count = [], 0
+            # X has no low edges, so a block that points its high edges
+            # all into X or all out of X is rejected whole; such parts go
+            # first, so that a block they reject costs no AND
+            split.insert(0, (m_x >> low, s_x >> low, None, None))
     for h in range(lo >> low, (hi + size - 1) >> low):
         alive = base
         for m_hi, s_hi, no_sink, no_source in split:
@@ -183,67 +249,91 @@ def _survivors(graph: EnumGraph, lo: int, hi: int):
                 continue
             if no_sink is None:
                 break
-            alive = alive & (no_sink if b == s_hi else no_source)
+            alive = np.logical_and(alive, no_sink if b == s_hi else no_source,
+                                   out=mask)
         else:
             start = h << low
             first, last = max(lo - start, 0), min(hi - start, size)
-            kept = np.flatnonzero(alive[first:last]) + (start + first)
-            if count and count + kept.size > _PUSH:
-                yield np.concatenate(pending)
-                pending, count = [], 0
-            pending.append(kept)
-            count += kept.size
-    if count:
-        yield np.concatenate(pending)
+            yield np.flatnonzero(alive[first:last]) + (start + first)
 
 
 def _batch_diameters(graph: EnumGraph, ranks: np.ndarray) -> np.ndarray:
     """Exact diameter (math.inf if not strong) for each assignment rank.
 
-    One column per rank.  reach[v] holds the vertices within t steps of v, in
-    the narrowest unsigned type that holds n bits; fwd[j] is all ones where
-    edge j points u -> v (bit 0).  A rank with a source or a sink stops
-    growing before its rows are full and reads inf.
+    One column per rank; fwd[j] is all ones where edge j points u -> v
+    (bit 0).  After round t, v's reach row holds the vertices within t
+    steps of v, kept as two halves, reach[0][v] over v's own side and
+    reach[1][v] over the other side, one bit per vertex of that side in the
+    narrowest unsigned type that holds the larger side.  The graph is
+    bipartite, so a vertex at distance exactly t from v lies on v's side
+    iff t is even: round t grows only the halves reach[t % 2], from the
+    out-neighbours' other halves.  No half is both read and written in a
+    round, so the push is in place.  The bits past a side's size are set
+    from the start, so a half is full when it is all ones.  A rank with a
+    source or a sink stops growing before its rows are full and reads inf.
 
-    A column stays live until its rows are all full, when its diameter is
-    written (once: `live` masks the write), or until it stops growing, when
-    it keeps inf.  Retired columns are compacted out only once at most half
-    the columns are live; until then they ride along, and pushing them
-    changes nothing, since a full column stays full and a stagnant one is at
-    its fixed point.  Each compaction at least halves the width, so every
-    push is at most twice the live width, and all compactions together copy
-    at most twice what one compaction of the whole batch copies."""
+    sums[p] holds each column's sum of its halves reach[p] as integers.  A
+    half only gains bits, so its value only grows: a column's rows are all
+    full exactly when both sums reach n times all ones, and the rows a
+    round writes grew exactly when their sum changed.  A column stays live
+    until its rows are all full, when its diameter is written (once: `live`
+    masks the write), or until a round grows none of its rows, when it is
+    at its fixed point and keeps inf.  Retired columns are compacted out
+    only once at most half the columns are live; until then they ride
+    along, and pushing them changes nothing, since a full column stays full
+    and a stagnant one is at its fixed point.  Each compaction at least
+    halves the width, so every push is at most twice the live width, and
+    all compactions together copy at most twice what one compaction of the
+    whole batch copies."""
     import numpy as np
+    side = graph.sides    # refuses a graph with an odd cycle, before any push
     n, edges = graph.n, graph.edges
-    row = np.min_scalar_type((1 << n) - 1)
+    size = (side.count(0), side.count(1))
+    half = np.min_scalar_type((1 << max(size)) - 1)
+    ones = int(np.iinfo(half).max)
+    full = n * ones   # a column's sum over n full halves
+    wide = np.min_scalar_type(full)
     diam = np.full(len(ranks), math.inf)
     idx = np.arange(len(ranks))
     live = np.ones(len(ranks), dtype=bool)
-    # row by row, so no (m, ranks) int64 temporary is made
-    fwd = np.empty((len(edges), len(ranks)), dtype=row)
-    for j, f in enumerate(fwd):
-        f[...] = (ranks >> j) & 1
-    fwd -= row.type(1)
-    reach = np.repeat(row.type(1) << np.arange(n, dtype=row),
-                      idx.size).reshape(n, idx.size)
-    full = row.type((1 << n) - 1)
+    # the ranks' bytes as 8 rows, unpacked to one row of 0/1 per edge
+    octets = np.ascontiguousarray(ranks, dtype="<i8").view(np.uint8)
+    fwd = np.unpackbits(octets.reshape(-1, 8).T.copy(), axis=0,
+                        count=len(edges), bitorder="little")
+    fwd = fwd.astype(half, copy=False)
+    fwd -= half.type(1)
+    pad = [ones ^ ((1 << k) - 1) for k in size]
+    start = np.array([[pad[s] | 1 << side[:v].count(s)
+                       for v, s in enumerate(side)],
+                      [pad[1 - s] for s in side]], dtype=half)
+    reach = np.repeat(start, len(ranks)).reshape(2, n, len(ranks))
+    sums = np.repeat(start.sum(axis=1, dtype=wide),
+                     len(ranks)).reshape(2, len(ranks))
+    step = np.empty(len(ranks), dtype=half)   # scratch row for every push
     t = 0
     while idx.size:
-        nxt = reach.copy()
-        for (u, v), f in zip(edges, fwd):
-            nxt[u] |= reach[v] & f
-            nxt[v] |= reach[u] & ~f
         t += 1
-        done = live & (nxt == full).all(axis=0)
+        p = t % 2
+        write, read = reach[p], reach[1 - p]
+        for (u, v), f in zip(edges, fwd):
+            to_u, to_v = write[u], write[v]
+            np.bitwise_or(to_u, np.bitwise_and(read[v], f, out=step), out=to_u)
+            np.invert(f, out=step)
+            np.bitwise_or(to_v, np.bitwise_and(read[u], step, out=step),
+                          out=to_v)
+        grown = write.sum(axis=0, dtype=wide)
+        done = live & (grown == full) & (sums[1 - p] == full)
         diam[idx[done]] = t
-        live &= ~done & (nxt != reach).any(axis=0)
-        reach = nxt
+        live &= ~done & (grown != sums[p])
+        sums[p] = grown
         if 2 * np.count_nonzero(live) <= live.size:
-            # compress keeps the rows contiguous, unlike reach[:, live]
-            idx = idx[live]
-            reach = reach.compress(live, axis=1)
-            fwd = fwd.compress(live, axis=1)
-            live = live[live]
+            keep = np.flatnonzero(live)
+            idx = idx[keep]
+            reach = reach.take(keep, axis=2)
+            fwd = fwd.take(keep, axis=1)
+            sums = sums.take(keep, axis=1)
+            step = step[:keep.size]
+            live = np.ones(keep.size, dtype=bool)
     return diam
 
 
@@ -274,7 +364,8 @@ def search_rank_range(graph: EnumGraph, lo: int, hi: int) -> RangeResult:
 def _refuse_oversized(n: int, m: int, max_edges: int) -> None:
     """Refuse, from the vertex and edge counts before any graph is built,
     what the engine cannot search: more than `max_edges` edges, more than
-    32 vertices (a uint32 reach row), more than 63 edges (an int64 rank)."""
+    32 vertices (so a side fits a uint32 reach half), more than 63 edges
+    (an int64 rank)."""
     if m > max_edges:
         raise Refusal(f"edge budget exceeded: {m} edges > "
                       f"max_edges={max_edges}")
@@ -292,7 +383,12 @@ def _search(graph: EnumGraph, symmetry: bool,
     is strong: every edge of a valid multiplied tree, and of K(p,q) with
     p, q >= 2, joins two blocks of at least two copies, so lies on a 4-cycle,
     and by Robbins' theorem (1939) a connected bridgeless graph has a strong
-    orientation.  The witness is an `Orientation` of `spec`, if given."""
+    orientation; conversely a strong orientation crosses every cut both
+    ways, so the filter may drop a rank that points a branch subtree's
+    center edges all one way.  Both graphs are bipartite, as the reach push
+    requires: the center and leaf copies against the branch copies, and
+    K(p,q)'s two sides.  The witness is an `Orientation` of `spec`, if
+    given."""
     res = search_rank_range(graph, 0,
                             1 << (graph.m - 1 if symmetry else graph.m))
     bits = tuple((res.best_rank >> j) & 1 for j in range(graph.m))

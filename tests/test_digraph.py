@@ -1,5 +1,7 @@
 """Orientation metrics, duality, the extension step, and center sets."""
 
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -84,6 +86,16 @@ def test_direction_bits_must_equal_0_or_1(bit):
     with pytest.raises(UsageError) as err:
         Orientation(p5_all2(), (bit,) * 16)
     assert str(err.value) == "direction bits must be 0 or 1"
+
+
+@pytest.mark.parametrize("bit", [2, 2.0, math.nan, "1", [1]],
+                         ids=["2", "2.0", "nan", "str", "list"])
+def test_one_bad_direction_bit_is_refused(bit):
+    # fifteen good bits beside it, so only the bad one can fail the check
+    bits = [0, 1] * 8
+    bits[5] = bit
+    with pytest.raises(UsageError, match="^direction bits must be 0 or 1$"):
+        Orientation(p5_all2(), tuple(bits))
 
 
 @pytest.mark.parametrize("run, error, message", [

@@ -1,6 +1,7 @@
 """Exhaustive-search oracle: known values, determinism, partitioning."""
 
 import math
+import re
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -30,6 +31,12 @@ def deg3_all2():
 
 def mixed_spec():
     return TreeSpec(2, (BranchSpec(2, (2,)), BranchSpec(3, (2,))))
+
+
+def sides_9_4():
+    # 22 edges; the center and leaf copies make a side of 9 vertices and
+    # the branch copies one of 4, so the reach halves are uint16
+    return TreeSpec(2, (BranchSpec(2, (2, 3)), BranchSpec(2, (2,))))
 
 
 def c1_24_edges():
@@ -193,7 +200,7 @@ def test_strong_count_positive_and_diameters_finite():
 
 
 @pytest.mark.parametrize("p, q, message", [
-    (2, 31, "too many vertices"),   # a uint32 reach row holds 32 vertices
+    (2, 31, "too many vertices"),   # more than 32, the engine's bound
     (5, 13, "too many edges"),      # an int64 rank holds 63 edge bits
 ])
 def test_oversized_graph_refused_before_search(monkeypatch, p, q, message):
@@ -328,12 +335,20 @@ def dfs_rank(graph):
     return rank
 
 
-# reach rows are uint8 up to 8 vertices, uint16 up to 16 and uint32 up to 32
+def isolated_vertex():
+    k = bipartite_graph(2, 9)
+    return EnumGraph(k.names + ("z",), k.edges)
+
+
+# reach halves are uint8 up to 8 vertices on the larger side, uint16 up to
+# 16 and uint32 up to 32
 KERNEL_GRAPHS = [(spec, graph_from_spec(spec))
-                 for spec in (p5_all2(), deg3_all2(), mixed_spec())] + \
+                 for spec in (p5_all2(), deg3_all2(), mixed_spec(),
+                              sides_9_4())] + \
     [(None, bipartite_graph(p, q))
      for p, q in ((2, 2), (2, 3), (3, 3), (3, 4), (2, 6), (4, 4), (3, 6),
-                  (2, 14), (2, 15), (2, 30))]
+                  (2, 14), (2, 15), (2, 30))] + \
+    [(None, isolated_vertex())]
 
 
 @settings(max_examples=100, deadline=None)
@@ -357,7 +372,10 @@ def test_batch_diameters_match_reference_and_digraph(data):
     got = _batch_diameters(graph, ranks)
     assert np.array_equal(got, reference_diameters(graph, ranks))
     assert math.isinf(got[hi - lo]) and math.isinf(got[hi - lo + 1])
-    assert math.isfinite(got[hi - lo + 2])
+    # the search from vertex 0 orients its component; a vertex without
+    # edges is reached by none
+    spanning = {v for e in graph.edges for v in e} == set(range(graph.n))
+    assert math.isfinite(got[hi - lo + 2]) == spanning
     if spec is None:
         return
     finite = np.flatnonzero(np.isfinite(got))
@@ -388,14 +406,39 @@ def test_batch_diameters_compact_lazily():
                               reference_diameters(graph, batch))
 
 
+def test_odd_cycle_is_refused_before_any_push():
+    # the push keeps one reach half per side, so a triangle has no layout;
+    # ranks=None shows that nothing is computed before the refusal
+    triangle = EnumGraph(("x", "y", "z"), ((0, 1), (1, 2), (0, 2)))
+    with pytest.raises(UsageError, match="^graph is not bipartite"):
+        _batch_diameters(triangle, None)
+    # ranks 3 and 4 orient the triangle as a directed cycle, so they pass
+    # the source/sink filter and reach the kernel
+    assert [int(r) for b in _survivors(triangle, 0, 8) for r in b] == [3, 4]
+    with pytest.raises(UsageError, match="^graph is not bipartite"):
+        search_rank_range(triangle, 0, 8)
+
+
 # ----------------------------------------------------------------------------
 # the block filter against the rank-wise one
 # ----------------------------------------------------------------------------
 
+def branch_subtrees(graph):
+    """The vertex set of each branch's copies b<i>.y and their leaf copies
+    l<i>.<alpha>.z, read off the printed names; none for K(p,q)."""
+    subtrees = {}
+    for v, name in enumerate(graph.names):
+        if hit := re.match(r"[bl](\d+)\.", name):
+            subtrees.setdefault(hit[1], set()).add(v)
+    return list(subtrees.values())
+
+
 def reference_survivors(graph, lo, hi):
     """Every rank of [lo, hi) built, then one compare of its bits per vertex:
     v is a sink iff its edges' bits (mask M_v) equal S_v, every edge into v,
-    and a source iff they equal S_v ^ M_v; M_v = 0 counts as both."""
+    and a source iff they equal S_v ^ M_v; M_v = 0 counts as both.  Then,
+    edge by edge, an arc out of and an arc into every branch subtree, as a
+    strong orientation crosses every cut both ways."""
     ranks = np.arange(lo, hi, dtype=np.int64)
     edges = graph.edges
     alive = np.ones(len(ranks), dtype=bool)
@@ -404,6 +447,15 @@ def reference_survivors(graph, lo, hi):
         s_v = sum(1 << j for j, e in enumerate(edges) if e[0] == v)
         bits = ranks & m_v
         alive &= (bits != s_v) & (bits != s_v ^ m_v)
+    for subtree in branch_subtrees(graph):
+        out = np.zeros(len(ranks), dtype=bool)
+        into = np.zeros(len(ranks), dtype=bool)
+        for j, (u, v) in enumerate(edges):
+            if (u in subtree) != (v in subtree):
+                leaves = ((ranks >> j) & 1 == 0) == (u in subtree)
+                out |= leaves
+                into |= ~leaves
+        alive &= out & into
     return ranks[alive]
 
 
@@ -415,16 +467,16 @@ def high_edges_only():
     return EnumGraph(k.names + ("x",), k.edges + ((0, 10), (1, 10)))
 
 
-def isolated_vertex():
-    k = bipartite_graph(2, 9)
-    return EnumGraph(k.names + ("z",), k.edges)
-
-
 # m below, at and above log2(_BATCH) = 16; K(5,5) has blocks with more
-# than _PUSH survivors
+# than _PUSH survivors.  Branch subtrees cross at their center edges, the
+# first edges: the three small specs cross below bit 16, (3; (3,[2]),
+# (3,[2])) has branch 2 across bit 16 (edges 9-17), and five (2,[2])
+# branches have branch 5 above it (edges 16-19)
 FILTER_GRAPHS = [bipartite_graph(2, 3), graph_from_spec(mixed_spec()),
                  graph_from_spec(p5_all2()), graph_from_spec(deg3_all2()),
-                 bipartite_graph(5, 5), high_edges_only(), isolated_vertex()]
+                 bipartite_graph(5, 5), high_edges_only(), isolated_vertex(),
+                 graph_from_spec(TreeSpec(3, (BranchSpec(3, (2,)),) * 2)),
+                 graph_from_spec(TreeSpec(2, (BranchSpec(2, (2,)),) * 5))]
 
 
 @settings(max_examples=100, deadline=None)
@@ -444,3 +496,19 @@ def test_survivors_match_rank_wise_filter(data):
     got = np.concatenate(blocks) if blocks else np.array([], dtype=np.int64)
     assert np.array_equal(got, reference_survivors(graph, lo, hi))
 
+
+@pytest.mark.parametrize("spec", [p5_all2(), deg3_all2(), mixed_spec()],
+                         ids=["p5", "deg3", "mixed"])
+def test_filter_drops_only_non_strong_ranks(spec):
+    # every rank of the full scan that the filter drops, by the vertex rule
+    # or the subtree rule, is not strong; and the subtree rule drops ranks
+    # that the vertex rule keeps
+    graph = graph_from_spec(spec)
+    kept = np.concatenate(list(_survivors(graph, 0, 1 << graph.m)))
+    vertex_rule = EnumGraph(graph.names, graph.edges)
+    assert kept.size < sum(b.size for b in
+                           _survivors(vertex_rule, 0, 1 << graph.m))
+    for lo in range(0, 1 << graph.m, _BATCH):
+        block = np.arange(lo, lo + _BATCH, dtype=np.int64)
+        dropped = np.setdiff1d(block, kept, assume_unique=True)
+        assert np.isinf(reference_diameters(graph, dropped)).all()
