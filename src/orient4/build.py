@@ -242,8 +242,8 @@ def reduce(spec: TreeSpec, case: str) -> ReducedSpec:
         # every internal branch gets two copies
         internal = sorted(part.a2 | part.a3 | part.a4plus)
         n2 = len(internal)
-        variant = ("D1" if case == "Thm16a" else p35_variant(n2, n_e, s)[-2:]
-                   if case == "P311" else case[-2:])
+        variant = (case if case.startswith("P35_")
+                   else p35_variant(n2, n_e, s))[-2:]
         if variant in ("D1", "D3") and n_e:
             raise ConstructionError(f"variant {variant} admits no leafless "
                                     f"branches")

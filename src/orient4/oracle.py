@@ -6,40 +6,21 @@ Assignments are processed in rank order, vectorized with numpy, so the
 reported witness is the numerically smallest optimal rank; numpy loads on
 the first search, not on import.
 
-A strong orientation has no source and no sink, and no branch subtree
-(a branch's copies and their leaf copies) with its center edges all
-pointing in or all out.  Each rank splits into its low log2(_BATCH) bits
-and its high bits; whether a vertex or a subtree is a source or a sink on
-its low edges is judged once per search for every low value, held in the
-narrowest unsigned type (uint16 at 16 low bits), and on its high edges
-once per block of ranks that share their high bits.  So a block costs a
-few boolean ANDs, or nothing when a vertex with only high edges rejects it
-whole, and no rank that fails either rule is ever built.
-The survivors get reach sets grown one step per round by pushing along
-each edge in its direction.  The graph is bipartite, so each row is kept
-as two halves, the vertex's own side and the other side, in the narrowest
-unsigned type that holds the larger side (uint8, uint16 or uint32), and a
-round grows only the halves whose side its distance parity reaches.
-Survivors are gathered across blocks so that each push is wide.  A column
-retires when its rows are full or stop growing; retired columns are
-compacted out only once at most half the columns are live, and until then
-they ride along unchanged, since pushing a full or a stagnant column is a
-no-op.  On the 24-edge C1 spec (2; (2,[]), (2,[2]), (2,[2,2])) all 2^24
-ranks take 0.009-0.013 s, and on the 28-edge (4; (2,[2]), (2,[2,2])),
-whose halves are uint16, all 2^28 take 0.68-0.79 s, against 0.017-0.020 s
-and 0.72-0.84 s for full rows in the same six alternating runs (2 cores,
-Python 3.11, numpy 2.4).
+A strong orientation has no source or sink, and no branch subtree with
+its center edges all pointing one way, so a filter drops such ranks block
+by block before any is built (`_survivors`).  The survivors' distances
+are found by a vectorized reach push over the graph's two sides
+(`_batch_diameters`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
-# numpy is imported inside the four functions of the search that use it,
-# the only numpy users in the package, so `import orient4` and every
-# command but the oracle start without it
+# numpy is imported inside the search functions that use it, the only
+# numpy users in the package, so `import orient4` and every command but
+# the oracle start without it
 
 from .digraph import Orientation
 from .errors import Refusal, UsageError
@@ -57,6 +38,7 @@ class EnumGraph:
 
     names: tuple   # printable vertex names
     edges: tuple   # (u, v) index pairs in canonical order
+    sides: tuple   # each vertex's side, 0 or 1; every edge joins the two
     # vertex sets that the source/sink filter judges like single vertices
     cuts: tuple = ()
 
@@ -67,37 +49,6 @@ class EnumGraph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def sides(self) -> tuple:
-        """Each vertex's side, 0 or 1, with the first vertex of every
-        component on side 0; a graph with an odd cycle is refused."""
-        adj = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        side = [None] * self.n
-        for root in range(self.n):
-            if side[root] is None:
-                side[root], stack = 0, [root]
-                while stack:
-                    u = stack.pop()
-                    for w in adj[u]:
-                        if side[w] is None:
-                            side[w] = 1 - side[u]
-                            stack.append(w)
-        if any(side[u] == side[v] for u, v in self.edges):
-            raise UsageError("graph is not bipartite: the reach push needs "
-                             "two sides")
-        return tuple(side)
-
-    def arcs_of_rank(self, rank: int):
-        out = []
-        for j, (u, v) in enumerate(self.edges):
-            if (rank >> j) & 1:
-                u, v = v, u
-            out.append((self.names[u], self.names[v]))
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -120,23 +71,24 @@ class OracleResult:
 
 
 def graph_from_spec(spec: TreeSpec) -> EnumGraph:
-    """The multiplied graph, with one cut per branch: its subtree, the
+    """The multiplied graph: the branch copies on side 1, the center and
+    leaf copies on side 0, and one cut per branch: its subtree, the
     branch's copies and their leaf copies, joined to the rest by the
     branch's center edges alone."""
-    blocks = _blocks(spec).items()
-    cuts = tuple(tuple(v for (role, j, _), (start, size, *_) in blocks
-                       if role != "c" and j == i
-                       for v in range(start, start + size))
-                 for i in range(1, spec.deg_c + 1))
+    sides, cuts = [], [[] for _ in spec.branches]
+    for (role, i, _), (start, size, *_) in _blocks(spec).items():
+        sides += [int(role == "b")] * size
+        if role != "c":
+            cuts[i - 1] += range(start, start + size)
     return EnumGraph(tuple(vertex_names(spec)), tuple(edge_pairs(spec)[0]),
-                     cuts)
+                     tuple(sides), tuple(map(tuple, cuts)))
 
 
 def bipartite_graph(p: int, q: int) -> EnumGraph:
     names = tuple(f"a{i}" for i in range(1, p + 1)) + \
         tuple(f"b{j}" for j in range(1, q + 1))
     edges = tuple((i, p + j) for i in range(p) for j in range(q))
-    return EnumGraph(names, edges)
+    return EnumGraph(names, edges, (0,) * p + (1,) * q)
 
 
 # ============================================================================
@@ -189,32 +141,16 @@ def find_bridge(n: int, edges):
 def _survivors(graph: EnumGraph, lo: int, hi: int):
     """Ranks in [lo, hi) that leave no vertex a source or a sink, and no cut
     of `graph.cuts` with its crossing edges all pointing in or all out,
-    ascending, gathered across blocks into arrays of at most _PUSH ranks
-    (or one block's survivors, if more).  The last array is yielded once
-    the filter's tables are freed, so they do not stay alive through the
-    reach push of a search that fits one array."""
-    import numpy as np
-    pending, count = [], 0
-    for kept in _block_survivors(graph, lo, hi):
-        if count and count + kept.size > _PUSH:
-            yield np.concatenate(pending)
-            pending, count = [], 0
-        pending.append(kept)
-        count += kept.size
-    if count:
-        yield np.concatenate(pending)
-
-
-def _block_survivors(graph: EnumGraph, lo: int, hi: int):
-    """The survivors of [lo, hi) block by block, one array per block of
-    2^L ranks that is not rejected whole.
+    ascending, gathered across blocks of 2^L ranks into arrays of at most
+    _PUSH ranks (or one block's survivors, if more).
 
     A cut is judged as one more vertex.  Set X is a sink iff its crossing
     edges' rank bits (mask M_X) equal S_X, every crossing edge into X, and a
     source iff they equal S_X ^ M_X; M_X = 0 counts as both.  Split M_X and
     S_X at bit L = min(m, log2(_BATCH)): the low halves are judged once per
-    call for all 2^L low values, and the high halves once per block of 2^L
-    ranks."""
+    call for all 2^L low values, and the high halves once per block.  The
+    last array is yielded once the low tables are released, so they do not
+    stay alive through the reach push of a search that fits one array."""
     import numpy as np
     low = min(graph.m, _BATCH.bit_length() - 1)
     size = 1 << low
@@ -241,6 +177,7 @@ def _block_survivors(graph: EnumGraph, lo: int, hi: int):
             # all into X or all out of X is rejected whole; such parts go
             # first, so that a block they reject costs no AND
             split.insert(0, (m_x >> low, s_x >> low, None, None))
+    pending, count = [], 0
     for h in range(lo >> low, (hi + size - 1) >> low):
         alive = base
         for m_hi, s_hi, no_sink, no_source in split:
@@ -254,7 +191,15 @@ def _block_survivors(graph: EnumGraph, lo: int, hi: int):
         else:
             start = h << low
             first, last = max(lo - start, 0), min(hi - start, size)
-            yield np.flatnonzero(alive[first:last]) + (start + first)
+            kept = np.flatnonzero(alive[first:last]) + (start + first)
+            if count and count + kept.size > _PUSH:
+                yield np.concatenate(pending)
+                pending, count = [], 0
+            pending.append(kept)
+            count += kept.size
+    values = base = bits = mask = split = alive = no_sink = no_source = None
+    if count:
+        yield np.concatenate(pending)
 
 
 def _batch_diameters(graph: EnumGraph, ranks: np.ndarray) -> np.ndarray:
@@ -286,8 +231,10 @@ def _batch_diameters(graph: EnumGraph, ranks: np.ndarray) -> np.ndarray:
     all compactions together copy at most twice what one compaction of the
     whole batch copies."""
     import numpy as np
-    side = graph.sides    # refuses a graph with an odd cycle, before any push
-    n, edges = graph.n, graph.edges
+    n, edges, side = graph.n, graph.edges, graph.sides
+    if any(side[u] == side[v] for u, v in edges):
+        raise UsageError("graph is not bipartite: the reach push needs two "
+                         "sides")
     size = (side.count(0), side.count(1))
     half = np.min_scalar_type((1 << max(size)) - 1)
     ones = int(np.iinfo(half).max)
@@ -386,15 +333,16 @@ def _search(graph: EnumGraph, symmetry: bool,
     orientation; conversely a strong orientation crosses every cut both
     ways, so the filter may drop a rank that points a branch subtree's
     center edges all one way.  Both graphs are bipartite, as the reach push
-    requires: the center and leaf copies against the branch copies, and
-    K(p,q)'s two sides.  The witness is an `Orientation` of `spec`, if
-    given."""
+    requires.  The witness is an `Orientation` of `spec`, if given."""
     res = search_rank_range(graph, 0,
                             1 << (graph.m - 1 if symmetry else graph.m))
     bits = tuple((res.best_rank >> j) & 1 for j in range(graph.m))
+    names = graph.names
+    arcs = tuple((names[v], names[u]) if b else (names[u], names[v])
+                 for (u, v), b in zip(graph.edges, bits))
     return OracleResult(int(res.best_diameter),
                         None if spec is None else Orientation(spec, bits),
-                        graph.arcs_of_rank(res.best_rank), res.examined,
+                        arcs, res.examined,
                         res.strong_count * (2 if symmetry else 1))
 
 

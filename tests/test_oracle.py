@@ -162,18 +162,22 @@ def test_bridge_detection():
     assert find_bridge(4, ((0, 1), (1, 2), (2, 3), (3, 0))) is None
     graph = graph_from_spec(p5_all2())
     assert find_bridge(graph.n, graph.edges) is None
-    # the premise of the search, which runs no bridge check: every edge of
+    # the premises of the search, which runs no bridge check: every edge of
     # a valid spec's graph, and of K(p,q) with p, q >= 2, joins two blocks
-    # of at least two copies, so lies on a 4-cycle
+    # of at least two copies, so lies on a 4-cycle; and, as the reach push
+    # needs, every edge joins the two stated sides, and side 1 is exactly
+    # the vertices named b... (branch copies, or K(p,q)'s second side)
     specs = valid_specs()
     assert len(specs) == 770
-    for spec in specs:
-        graph = graph_from_spec(spec)
-        assert find_bridge(graph.n, graph.edges) is None, spec
-    for p in range(2, 8):
-        for q in range(p, 63 // p + 1):
-            graph = bipartite_graph(p, q)
-            assert find_bridge(graph.n, graph.edges) is None, (p, q)
+    graphs = [(spec, graph_from_spec(spec)) for spec in specs] + \
+        [((p, q), bipartite_graph(p, q)) for p in range(2, 8)
+         for q in range(p, 63 // p + 1)]
+    for label, graph in graphs:
+        assert find_bridge(graph.n, graph.edges) is None, label
+        assert all(graph.sides[u] != graph.sides[v]
+                   for u, v in graph.edges), label
+        assert graph.sides == tuple(int(name.startswith("b"))
+                                    for name in graph.names), label
     # a branch of one copy, which validate rejects, leaves each of its leaf
     # copies a single edge, a bridge
     one_copy = TreeSpec(2, (BranchSpec(1, (2,)), BranchSpec(2, (2,))))
@@ -243,6 +247,8 @@ def test_oversized_graph_refused_before_it_is_built(monkeypatch, run,
     (p5_all2(), (65_536, 1_604, 4, 26_172)),
     (deg3_all2(), (1_048_576, 7_952, 5, 209_750)),
     (c1_24_edges(), (16_777_216, 36_944, 5, 3_356_003)),
+    (sides_9_4(), (4_194_304, 15_156, 4, 1_603_132)),
+    (mixed_spec(), (1_048_576, 59_676, 4, 366_716)),
 ])
 def test_full_scan_counts(spec, want):
     graph = graph_from_spec(spec)
@@ -337,7 +343,7 @@ def dfs_rank(graph):
 
 def isolated_vertex():
     k = bipartite_graph(2, 9)
-    return EnumGraph(k.names + ("z",), k.edges)
+    return EnumGraph(k.names + ("z",), k.edges, k.sides + (0,))
 
 
 # reach halves are uint8 up to 8 vertices on the larger side, uint16 up to
@@ -406,10 +412,12 @@ def test_batch_diameters_compact_lazily():
                               reference_diameters(graph, batch))
 
 
-def test_odd_cycle_is_refused_before_any_push():
-    # the push keeps one reach half per side, so a triangle has no layout;
-    # ranks=None shows that nothing is computed before the refusal
-    triangle = EnumGraph(("x", "y", "z"), ((0, 1), (1, 2), (0, 2)))
+def test_edge_within_a_side_is_refused_before_any_push():
+    # the push keeps one reach half per side, so a triangle, whose edge x-z
+    # joins two vertices of side 0, has no layout; ranks=None shows that
+    # nothing is computed before the refusal
+    triangle = EnumGraph(("x", "y", "z"), ((0, 1), (1, 2), (0, 2)),
+                         (0, 1, 0))
     with pytest.raises(UsageError, match="^graph is not bipartite"):
         _batch_diameters(triangle, None)
     # ranks 3 and 4 orient the triangle as a directed cycle, so they pass
@@ -464,7 +472,8 @@ def high_edges_only():
     # alone, so every block whose two high bits make x a source or a sink
     # is rejected whole
     k = bipartite_graph(2, 8)
-    return EnumGraph(k.names + ("x",), k.edges + ((0, 10), (1, 10)))
+    return EnumGraph(k.names + ("x",), k.edges + ((0, 10), (1, 10)),
+                     k.sides + (1,))
 
 
 # m below, at and above log2(_BATCH) = 16; K(5,5) has blocks with more
@@ -505,7 +514,7 @@ def test_filter_drops_only_non_strong_ranks(spec):
     # that the vertex rule keeps
     graph = graph_from_spec(spec)
     kept = np.concatenate(list(_survivors(graph, 0, 1 << graph.m)))
-    vertex_rule = EnumGraph(graph.names, graph.edges)
+    vertex_rule = EnumGraph(graph.names, graph.edges, graph.sides)
     assert kept.size < sum(b.size for b in
                            _survivors(vertex_rule, 0, 1 << graph.m))
     for lo in range(0, 1 << graph.m, _BATCH):
