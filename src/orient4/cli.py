@@ -373,7 +373,7 @@ def _parser():
     p.add_argument("spec", nargs="?")
     p.add_argument("--max-edges", type=int, default=oracle.DEFAULT_MAX_EDGES)
     p.add_argument("--symmetry", action="store_true",
-                   help="halve the search space via arc reversal")
+                   help="report one assignment per reversal pair as examined")
     p.add_argument("--bipartite", nargs=2, type=int, metavar=("P", "Q"),
                    help="run on the complete bipartite graph K(P,Q) instead")
     p.add_argument("--json", action="store_true")

@@ -2,9 +2,10 @@
 
 Every one of the 2^|E| direction assignments is ranked by an integer whose
 bit j gives edge j's direction (0: as listed canonically, 1: reversed).
-Assignments are processed in rank order, vectorized with numpy, so the
-reported witness is the numerically smallest optimal rank; numpy loads on
-the first search, not on import.
+The ranks below 2^(|E|-1), one per reversal pair (`_search`), are processed
+in rank order, vectorized with numpy, so the reported witness is the
+numerically smallest optimal rank; numpy loads on the first search, not on
+import.
 
 A strong orientation has no source or sink, and no branch subtree with
 its center edges all pointing one way, so a filter drops such ranks block
@@ -66,7 +67,7 @@ class OracleResult:
     orientation_number: int
     witness: Orientation | None
     witness_arcs: tuple
-    orientations_examined: int
+    orientations_examined: int   # ranks decided: 2^m, 2^(m-1) with symmetry
     strong_count: int
 
 
@@ -324,26 +325,27 @@ def _refuse_oversized(n: int, m: int, max_edges: int) -> None:
 
 def _search(graph: EnumGraph, symmetry: bool,
             spec: TreeSpec | None = None) -> OracleResult:
-    """Scan every rank, or with `symmetry` one per reversal pair: reversal
-    maps rank r to its bit complement and keeps the diameter, so fixing the
-    top edge's direction still finds the smallest-rank optimum.  Some rank
-    is strong: every edge of a valid multiplied tree, and of K(p,q) with
-    p, q >= 2, joins two blocks of at least two copies, so lies on a 4-cycle,
-    and by Robbins' theorem (1939) a connected bridgeless graph has a strong
+    """Decide each reversal pair once: reversing every arc keeps strong
+    connectivity and the diameter, and maps rank r to its bit complement,
+    so the ranks below 2^(m-1) hold one of each pair, half the strong
+    ranks, and the smallest optimal rank.  `examined` counts the ranks
+    decided, 2^m, or with `symmetry` one per pair.  Some rank is strong:
+    every edge of a valid multiplied tree, and of K(p,q) with p, q >= 2,
+    joins two blocks of at least two copies, so lies on a 4-cycle, and by
+    Robbins' theorem (1939) a connected bridgeless graph has a strong
     orientation; conversely a strong orientation crosses every cut both
     ways, so the filter may drop a rank that points a branch subtree's
     center edges all one way.  Both graphs are bipartite, as the reach push
     requires.  The witness is an `Orientation` of `spec`, if given."""
-    res = search_rank_range(graph, 0,
-                            1 << (graph.m - 1 if symmetry else graph.m))
+    res = search_rank_range(graph, 0, 1 << (graph.m - 1))
     bits = tuple((res.best_rank >> j) & 1 for j in range(graph.m))
     names = graph.names
     arcs = tuple((names[v], names[u]) if b else (names[u], names[v])
                  for (u, v), b in zip(graph.edges, bits))
     return OracleResult(int(res.best_diameter),
                         None if spec is None else Orientation(spec, bits),
-                        arcs, res.examined,
-                        res.strong_count * (2 if symmetry else 1))
+                        arcs, res.examined * (1 if symmetry else 2),
+                        2 * res.strong_count)
 
 
 def orientation_number(spec: TreeSpec,

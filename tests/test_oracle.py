@@ -2,6 +2,7 @@
 
 import math
 import re
+from functools import partial
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -17,7 +18,7 @@ from orient4.oracle import (_BATCH, EnumGraph, _batch_diameters,
                             bipartite_orientation_number, find_bridge,
                             graph_from_spec, orientation_number,
                             search_rank_range)
-from orient4.tree import BranchSpec, TreeSpec, validate
+from orient4.tree import BranchSpec, TreeSpec, edge_count, validate
 
 
 def p5_all2():
@@ -90,12 +91,27 @@ def test_result_invariant_under_branch_relabeling():
 
 
 def test_symmetry_halving_same_witness_and_count():
-    res0 = orientation_number(deg3_all2())
-    res1 = orientation_number(deg3_all2(), symmetry=True)
-    assert res1.orientation_number == res0.orientation_number
-    assert res1.witness_arcs == res0.witness_arcs
-    assert res1.strong_count == res0.strong_count
-    assert res1.orientations_examined == res0.orientations_examined // 2
+    # both modes decide each reversal pair once; each must report what a
+    # scan of every rank finds, and differ only in the count examined
+    specs = [spec for spec in valid_specs() if edge_count(spec) <= 24]
+    assert len(specs) == 26
+    cases = [(spec, graph_from_spec(spec), partial(orientation_number, spec))
+             for spec in specs] + \
+        [((p, q), bipartite_graph(p, q),
+          partial(bipartite_orientation_number, p, q))
+         for p in range(2, 5) for q in range(p, 20 // p + 1)]
+    for label, graph, run in cases:
+        full = search_rank_range(graph, 0, 1 << graph.m)
+        for symmetry in (False, True):
+            res = run(symmetry=symmetry)
+            rank = sum(1 << j for j, (u, v) in enumerate(graph.edges)
+                       if res.witness_arcs[j] == (graph.names[v],
+                                                   graph.names[u]))
+            assert (res.orientation_number, rank, res.strong_count) == \
+                (full.best_diameter, full.best_rank, full.strong_count), \
+                (label, symmetry)
+            assert res.orientations_examined == \
+                1 << (graph.m - symmetry), (label, symmetry)
 
 
 def test_witness_is_smallest_rank():
