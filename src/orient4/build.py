@@ -8,8 +8,9 @@ multiplicities by letting new copies mimic old ones (Koh and Tay's
 extension lemma), then check the lift, whose one sweep is the proof.
 
 Each construction case is data, stated once in `reduce`: an ordered list
-of *slot blocks*, each with its user branches (2-copy, inlet-style and
-outlet-style 3-copy, 4-copy, leafless), core multiplicity, leaf pattern
+of *slot blocks*, each with its kind (`two_copy`, `inlet_three_copy`,
+`outlet_three_copy`, `four_copy` or `leafless`, the names `--explain`
+prints its size under), user branches, core multiplicity, leaf pattern
 and one row per slot, the center in-set of every branch copy, read off
 one level of the case's set schedule in order.  The blocks fix the slot
 order and the slot-to-user permutation; `build_base_orientation` walks
@@ -161,11 +162,7 @@ class ReducedSpec:
     h_spec: TreeSpec
     slot_to_user: tuple          # slot j (1-based) -> user branch index
     slots: tuple                 # per slot: (leaf pattern, in-set per copy)
-    n_a2: int = 0                # 2-copy slots
-    n_bi: int = 0                # inlet-style 3-copy slots
-    n_bo: int = 0                # outlet-style 3-copy slots
-    n_a4: int = 0                # 4-copy slots
-    n_e: int = 0                 # trailing leafless slots
+    block_sizes: tuple           # (block kind, slot count), all five kinds
     k: int | None = None         # P312 block split
 
 
@@ -205,13 +202,13 @@ def _one_level(sched, a2, bi, bo, a4):
                        n2 + max(len(bi), len(bo))))
     outlet_in = (islice(sched.psi(), len(bo)) if even
                  else rest[n2:n2 + len(bo)])
-    return [("n_a2", 2, a2, C4_WITHIN if even else TWO_IN_ONE_OUT,
+    return [("two_copy", 2, a2, C4_WITHIN if even else TWO_IN_ONE_OUT,
              [(x, x) if even else (full ^ x, x) for x in rest[:n2]]),
-            ("n_bi", 3, bi, THREE_SINK,
+            ("inlet_three_copy", 3, bi, THREE_SINK,
              [(second, first, x) for x in rest[n2:n2 + len(bi)]]),
-            ("n_bo", 3, bo, THREE_SOURCE,
+            ("outlet_three_copy", 3, bo, THREE_SOURCE,
              [(first, second, full ^ z) for z in outlet_in]),
-            ("n_a4", 4, a4, FOUR_C4, [(second, first, first, second)]
+            ("four_copy", 4, a4, FOUR_C4, [(second, first, first, second)]
              * len(a4))], first
 
 
@@ -219,8 +216,9 @@ def reduce(spec: TreeSpec, case: str) -> ReducedSpec:
     """Apply the case's core multiplicities and quota promotions, and read
     each slot's row off the case's schedule.
 
-    Each case lists its blocks in slot order as (ReducedSpec count field,
-    core multiplicity t, user branches, leaf pattern, rows); a row is the
+    Each case lists its blocks in slot order as (kind, core multiplicity
+    t, user branches, leaf pattern, rows), the kind being the name under
+    which `ReducedSpec.block_sizes` counts its slots; a row is the
     center in-set of each branch copy of one slot.  Leafless branches come
     last with t = 2 and the case's in-set `e_in`.  Promotions (absorb
     spare high-multiplicity branches into a smaller class to fill a block
@@ -235,7 +233,7 @@ def reduce(spec: TreeSpec, case: str) -> ReducedSpec:
     full = (1 << center_t) - 1
 
     if case == "P34":
-        blocks = [("n_a4", 4, a4, FOUR_C4_P34,
+        blocks = [("four_copy", 4, a4, FOUR_C4_P34,
                    [(0b10, 0b10, 0b01, 0b01)] * len(a4))]
         e_in = 0b10
     elif case in ("Thm16a", "P311") or case.startswith("P35_"):
@@ -256,7 +254,7 @@ def reduce(spec: TreeSpec, case: str) -> ReducedSpec:
             ins = [full ^ 1 << j for j in range(n2)]
         else:  # D3 / D4
             ins = list(islice(sched.lam(), n2))
-        blocks = [("n_a2", 2, internal, C4_WITHIN, [(x, x) for x in ins])]
+        blocks = [("two_copy", 2, internal, C4_WITHIN, [(x, x) for x in ins])]
         e_in = (full & (1 << n2) - 1 if variant == "D2"
                 else sched.lam_last())
     elif case in ("P39", "P41"):
@@ -295,22 +293,22 @@ def reduce(spec: TreeSpec, case: str) -> ReducedSpec:
         mu = list(islice(sched.mu(), n2 + len(bo)))
         gamma = list(islice(sched.gamma(), n2 + len(bi)))
         hub = e_in = full ^ (1 << s // 2) - 1  # gamma's last set
-        blocks = [("n_a2", 2, a2, TWO_IN_ONE_OUT,
+        blocks = [("two_copy", 2, a2, TWO_IN_ONE_OUT,
                    [(full ^ m, g) for m, g in zip(mu[:n2], gamma[:n2])]),
-                  ("n_bo", 3, bo, THREE_SPLIT_OUT,
+                  ("outlet_three_copy", 3, bo, THREE_SPLIT_OUT,
                    [(hub, full ^ m, full ^ m) for m in mu[n2:]]),
-                  ("n_bi", 3, bi, THREE_SPLIT_IN,
+                  ("inlet_three_copy", 3, bi, THREE_SPLIT_IN,
                    [(hub, g, g) for g in gamma[n2:]])]
     elif case == "P43_D1":  # exactly one 3-copy slot, an outlet
         first, *rest = islice(sched.lam(), len(a2) + 1)
-        blocks = [("n_bo", 3, a3, THREE_SPLIT_OUT,
+        blocks = [("outlet_three_copy", 3, a3, THREE_SPLIT_OUT,
                    [(first, full ^ first, full ^ first)]),
-                  ("n_a2", 2, a2, TWO_IN_ONE_OUT,
+                  ("two_copy", 2, a2, TWO_IN_ONE_OUT,
                    [(full ^ x, x) for x in rest])]
         e_in = first
     else:
         raise UsageError(f"unknown construction case {case!r}")
-    blocks.append(("n_e", 2, sorted(part.e), (), [(e_in, e_in)] * n_e))
+    blocks.append(("leafless", 2, sorted(part.e), (), [(e_in, e_in)] * n_e))
 
     order, branches, slots = [], [], []
     for _, t, users, pattern, rows in blocks:
@@ -318,9 +316,12 @@ def reduce(spec: TreeSpec, case: str) -> ReducedSpec:
             order.append(u)
             branches.append(BranchSpec(t, (2,) * spec.branch(u).leaf_count))
         slots += [(pattern, row) for row in rows]
-    counts = {field: len(users) for field, _, users, _, _ in blocks}
+    counts = {kind: len(users) for kind, _, users, _, _ in blocks}
+    sizes = tuple((kind, counts.get(kind, 0)) for kind in (
+        "two_copy", "inlet_three_copy", "outlet_three_copy", "four_copy",
+        "leafless"))
     return ReducedSpec(case, TreeSpec(center_t, tuple(branches)),
-                       tuple(order), tuple(slots), k=split, **counts)
+                       tuple(order), tuple(slots), sizes, split)
 
 
 def _core_bits(case, h, rows):

@@ -176,13 +176,7 @@ def _explain_doc(result):
             "branches": [b.multiplicity
                          for b in result.reduced.h_spec.branches],
         },
-        "block_sizes": {
-            "two_copy": result.reduced.n_a2,
-            "inlet_three_copy": result.reduced.n_bi,
-            "outlet_three_copy": result.reduced.n_bo,
-            "four_copy": result.reduced.n_a4,
-            "leafless": result.reduced.n_e,
-        },
+        "block_sizes": dict(result.reduced.block_sizes),
         "k": result.reduced.k,
     }
     for key, name in EXPLAINED:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 # numpy users in the package, so `import orient4` and every command but
 # the oracle start without it
 
-from .digraph import Orientation
 from .errors import Refusal, UsageError
 from .tree import (TreeSpec, _blocks, edge_count, edge_pairs, require_valid,
                    vertex_names)
@@ -65,8 +64,7 @@ class RangeResult:
 @dataclass(frozen=True)
 class OracleResult:
     orientation_number: int
-    witness: Orientation | None
-    witness_arcs: tuple
+    witness_arcs: tuple          # (tail, head) names, smallest optimal rank
     orientations_examined: int   # ranks decided: 2^m, 2^(m-1) with symmetry
     strong_count: int
 
@@ -323,8 +321,7 @@ def _refuse_oversized(n: int, m: int, max_edges: int) -> None:
         raise Refusal(f"too many edges for int64 ranks: {m}")
 
 
-def _search(graph: EnumGraph, symmetry: bool,
-            spec: TreeSpec | None = None) -> OracleResult:
+def _search(graph: EnumGraph, symmetry: bool) -> OracleResult:
     """Decide each reversal pair once: reversing every arc keeps strong
     connectivity and the diameter, and maps rank r to its bit complement,
     so the ranks below 2^(m-1) hold one of each pair, half the strong
@@ -336,15 +333,15 @@ def _search(graph: EnumGraph, symmetry: bool,
     orientation; conversely a strong orientation crosses every cut both
     ways, so the filter may drop a rank that points a branch subtree's
     center edges all one way.  Both graphs are bipartite, as the reach push
-    requires.  The witness is an `Orientation` of `spec`, if given."""
+    requires.  The witness is the smallest optimal rank's arcs, as
+    (tail, head) names of `graph`."""
     res = search_rank_range(graph, 0, 1 << (graph.m - 1))
     bits = tuple((res.best_rank >> j) & 1 for j in range(graph.m))
     names = graph.names
     arcs = tuple((names[v], names[u]) if b else (names[u], names[v])
                  for (u, v), b in zip(graph.edges, bits))
-    return OracleResult(int(res.best_diameter),
-                        None if spec is None else Orientation(spec, bits),
-                        arcs, res.examined * (1 if symmetry else 2),
+    return OracleResult(int(res.best_diameter), arcs,
+                        res.examined * (1 if symmetry else 2),
                         2 * res.strong_count)
 
 
@@ -356,7 +353,7 @@ def orientation_number(spec: TreeSpec,
     require_valid(spec)
     n = sum(size for _, size, *_ in _blocks(spec).values())
     _refuse_oversized(n, edge_count(spec), max_edges)
-    return _search(graph_from_spec(spec), symmetry, spec)
+    return _search(graph_from_spec(spec), symmetry)
 
 
 def bipartite_orientation_number(p: int, q: int,

@@ -15,6 +15,8 @@ import random
 import time
 from math import comb
 
+from test_oracle import check_witness
+
 from orient4.build import build_base_orientation, construct_optimal, reduce
 from orient4.classify import classify
 from orient4.digraph import (diameter, distance, extend_orientation,
@@ -89,6 +91,7 @@ def test_criterion_1_classifier_oracle_agreement():
     for spec in specs:
         verdict = classify(spec).verdict
         got = orientation_number(spec, max_edges=SWEEP_MAX_EDGES)
+        check_witness(spec, got)
         if expected[verdict] != got.orientation_number:
             disagreements.append((spec, verdict, got.orientation_number))
     elapsed = time.perf_counter() - t0
@@ -109,7 +112,7 @@ def test_criterion_1_even_center_ground_truth():
         assert classify(spec).verdict == "C0"
         got = orientation_number(spec, max_edges=26, symmetry=True)
         assert got.orientation_number == 4
-        assert diameter(got.witness) == 4
+        check_witness(spec, got)
         assert got.strong_count == strong
         checked.append((edges, got.orientation_number))
     print(f"\nACCEPTANCE 1 PASS (s = 4): {checked}, classifier C0, oracle "

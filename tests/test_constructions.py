@@ -219,7 +219,9 @@ def test_reduce_promotes_lowest_indices_first():
     # branches are absorbed in index order
     spec = mkspec(4, a3=2, a4=4)
     rspec = reduce(spec, "P39")
-    assert rspec.n_bi == 4
+    assert rspec.block_sizes == (
+        ("two_copy", 0), ("inlet_three_copy", 4), ("outlet_three_copy", 0),
+        ("four_copy", 2), ("leafless", 0))
     assert [b.multiplicity for b in rspec.h_spec.branches] == [3, 3, 3, 3, 4, 4]
     assert rspec.slot_to_user == (1, 2, 3, 4, 5, 6)
 
@@ -228,8 +230,9 @@ def test_reduce_p312_split_bookkeeping():
     spec = mkspec(4, a2=1, a3=3, a4=2)
     rspec = reduce(spec, "P312")
     assert rspec.k == 2
-    assert rspec.n_a2 == 1
-    assert rspec.n_bi == 3 and rspec.n_bo == 0
+    assert rspec.block_sizes == (
+        ("two_copy", 1), ("inlet_three_copy", 3), ("outlet_three_copy", 0),
+        ("four_copy", 2), ("leafless", 0))
     assert [b.multiplicity for b in rspec.h_spec.branches] == [2, 3, 3, 3, 4, 4]
 
 
@@ -586,11 +589,10 @@ def test_outlet_projections_form_an_antichain():
     # two-copy slots expose one outlet copy each; their center out-sets are
     # pairwise incomparable
     d, rspec = build_case(mkspec(5, a2=9, e=2), "P35_D4")
-    outs = [center_out_set(d, branch_copy(i, 1))
-            for i in range(1, rspec.n_a2 + 1)]
+    n2 = dict(rspec.block_sizes)["two_copy"]
+    outs = [center_out_set(d, branch_copy(i, 1)) for i in range(1, n2 + 1)]
     assert is_antichain(outs)
-    ins = [center_in_set(d, branch_copy(i, 2))
-           for i in range(1, rspec.n_a2 + 1)]
+    ins = [center_in_set(d, branch_copy(i, 2)) for i in range(1, n2 + 1)]
     assert is_antichain(ins)
 
 

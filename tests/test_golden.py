@@ -1,12 +1,15 @@
 """Pinned witnesses: sha256 digests of construction output that must not
 change when the construction code is reorganised.
 
-Two kinds of entry, one test:
+Three kinds of entry, one test:
 
 - `construct`: the stdout of `orient4 construct --explain --verify` on one
   routed spec per case id.  The branch order of every mkspec spec is
   reversed, so classes are interleaved and slot order differs from user
   order; two hand-written specs add larger leaf multiplicities.
+- `json`: the stdout of `orient4 construct --json --explain` on the same
+  routed specs, so the machine-readable block sizes, zeros included, are
+  pinned as well as the text form.
 - `core`: the direction bits of the core `build_base_orientation` returns
   for every acceptance `REFERENCE_SETS` entry and every `CORE_CASES` entry,
   including the recipes those entries force on specs the router would send
@@ -71,6 +74,8 @@ ROUTED = [
 ENTRIES = (
     [(f"construct-{j}-{case}", "construct", case, spec)
      for j, (case, spec) in enumerate(ROUTED)]
+    + [(f"json-{j}-{case}", "json", case, spec)
+       for j, (case, spec) in enumerate(ROUTED)]
     + [(f"core-ref{j}-{case}", "core", case, spec)
        for j, (case, spec) in enumerate(REFERENCE_SETS)]
     + [(f"core-case{j}-{case}", "core", case, spec)
@@ -115,6 +120,44 @@ DIGESTS = {
         "62be547593cb06a5512feb3265437faaa28ab02b876a41b0110ebe5ed342c289",
     "construct-18-Thm16a":
         "60de43f48751b920892a44eb316548e47dd4980b2a5d54d27f81d0ba4b2e9a70",
+    "json-0-P34":
+        "52c1fa8076aa77f6cee25f14e2e86dcf46b01b702d00fe53d264b289688ae002",
+    "json-1-P35_D1":
+        "ed7979b22cb36ff50a26143ef25894daa71515b2bac6ef9fff5455766ced10c8",
+    "json-2-P35_D2":
+        "ebee521cdcb0a2c70aeb7dfd37c66ef9a819d0978e133701f604e9e26799bb8c",
+    "json-3-P35_D3":
+        "a2e27feb75a92cca751593613b703e10229cee0064417d47ea6a71ae12aed66a",
+    "json-4-P35_D4":
+        "7d1e8cff3ad54fcfe0e224d99251e2cef40520ca9a76cbed7ec00a2badcbe2e3",
+    "json-5-P39":
+        "d60e3f6fc7494ef72947c0ceab70b3f462bd43dd741125b49e45d9c49fa5c563",
+    "json-6-P310":
+        "9b09a985209b5284cd699daa24a4b279db88f687b2d0aad7fb9af00b62e8780d",
+    "json-7-P310":
+        "31d491513474049aefed8bd3140e1824b02cdf2fd7de2a01ee095f3b587ba502",
+    "json-8-P311":
+        "524117555c136296832edf94f2c3e2854a38479fb226deded70d1b65bd994e9a",
+    "json-9-P312":
+        "18517a9801984fb39974f14060512e4deca80e121e3bcd7123acfd77b5758329",
+    "json-10-P312":
+        "0223ee6f6c17106ff46870158e954101701130ce3f1caa62f5851d8d8a95ac6b",
+    "json-11-P41":
+        "ac5f4ea6b3fb4b243c51c8d64a065fcfdc33455c94c551b78dadf227dd65e90e",
+    "json-12-P43_D1":
+        "9ef3a1b4e0d9f602d1f2b5f002c113eb2b5fbae93c18436e439530fc823162e8",
+    "json-13-P43_D2":
+        "69b01795675eb88d92953d0c7b4255a72c12482d5e0e1a5d4c8ac23772e2f036",
+    "json-14-P43_D3":
+        "4c40a9bcc7cad3a55578256f5e42fd662bf4e0ec659b5ee1299381f6275ef691",
+    "json-15-P411":
+        "958585c2fa4ccd68f10373e8b3229e8deb1be1eb685aad0b381b09135bec827b",
+    "json-16-P411":
+        "3e8f2f2fc17b680fe09c1cd020698ce8e873d8c4da2a777c8bf6011b9ec9db6b",
+    "json-17-P413":
+        "d441e689aa1b6f6beaed2ec95fb76258c76505440a24bcd696e4dce40e05135a",
+    "json-18-Thm16a":
+        "9caa93101dd5b2f1a2487de02006ee7b7d6d402310c82c108556b82e2c0b79d7",
     "core-ref0-P34":
         "1ea26385562ed0b0af0a896220c69b6507ad6de283f800e236c3ddde759e4370",
     "core-ref1-P35_D1":
@@ -182,6 +225,11 @@ def _produce(kind, case, spec, tmp_path, capsys):
         return "".join(map(str, d.bits))
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec_to_dict(spec)))
+    if kind == "json":
+        assert main(["construct", str(path), "--json", "--explain"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["explain"]["case"] == case
+        return out
     assert main(["construct", str(path), "--explain", "--verify"]) == 0
     out = capsys.readouterr().out
     assert f"# case: {case}\n" in out
