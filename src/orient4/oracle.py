@@ -222,13 +222,9 @@ def _batch_diameters(graph: EnumGraph, ranks: np.ndarray) -> np.ndarray:
     round writes grew exactly when their sum changed.  A column stays live
     until its rows are all full, when its diameter is written (once: `live`
     masks the write), or until a round grows none of its rows, when it is
-    at its fixed point and keeps inf.  Retired columns are compacted out
-    only once at most half the columns are live; until then they ride
-    along, and pushing them changes nothing, since a full column stays full
-    and a stagnant one is at its fixed point.  Each compaction at least
-    halves the width, so every push is at most twice the live width, and
-    all compactions together copy at most twice what one compaction of the
-    whole batch copies."""
+    at its fixed point and keeps inf.  A retired column rides along to the
+    end of the batch, and pushing it changes nothing, since a full column
+    stays full and a stagnant one is at its fixed point."""
     import numpy as np
     n, edges, side = graph.n, graph.edges, graph.sides
     if any(side[u] == side[v] for u, v in edges):
@@ -240,7 +236,6 @@ def _batch_diameters(graph: EnumGraph, ranks: np.ndarray) -> np.ndarray:
     full = n * ones   # a column's sum over n full halves
     wide = np.min_scalar_type(full)
     diam = np.full(len(ranks), math.inf)
-    idx = np.arange(len(ranks))
     live = np.ones(len(ranks), dtype=bool)
     # the ranks' bytes as 8 rows, unpacked to one row of 0/1 per edge
     octets = np.ascontiguousarray(ranks, dtype="<i8").view(np.uint8)
@@ -257,7 +252,7 @@ def _batch_diameters(graph: EnumGraph, ranks: np.ndarray) -> np.ndarray:
                      len(ranks)).reshape(2, len(ranks))
     step = np.empty(len(ranks), dtype=half)   # scratch row for every push
     t = 0
-    while idx.size:
+    while live.any():
         t += 1
         p = t % 2
         write, read = reach[p], reach[1 - p]
@@ -269,17 +264,9 @@ def _batch_diameters(graph: EnumGraph, ranks: np.ndarray) -> np.ndarray:
                           out=to_v)
         grown = write.sum(axis=0, dtype=wide)
         done = live & (grown == full) & (sums[1 - p] == full)
-        diam[idx[done]] = t
+        diam[done] = t
         live &= ~done & (grown != sums[p])
         sums[p] = grown
-        if 2 * np.count_nonzero(live) <= live.size:
-            keep = np.flatnonzero(live)
-            idx = idx[keep]
-            reach = reach.take(keep, axis=2)
-            fwd = fwd.take(keep, axis=1)
-            sums = sums.take(keep, axis=1)
-            step = step[:keep.size]
-            live = np.ones(keep.size, dtype=bool)
     return diam
 
 

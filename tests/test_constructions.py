@@ -14,11 +14,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orient4 import build, cli, digraph, tree
-from orient4.build import (ConstructionResult, _feasible_split,
+from orient4.build import (ConstructionResult, _core_bits, _feasible_split,
                            build_base_orientation, construct_optimal,
                            cyclic_half_sets, make_schedule, reduce,
                            relabel_orientation)
-from orient4.classify import C0, CASE_IDS, classify, qualifying_splits
+from orient4.classify import (C0, CASE_IDS, UNKNOWN_GAP, classify,
+                              qualifying_splits)
 from orient4.digraph import (Orientation, center_in_set, center_out_set,
                              diameter, distance, extend_orientation,
                              from_arcs, is_strong, reverse,
@@ -695,3 +696,106 @@ def test_construct_cost_is_bounded_at_a_large_center(spec, case):
     assert res.case == case
     assert diameter(res.orientation) == 4
     assert peak < 4 * 2 ** 20, peak
+
+
+# ----------------------------------------------------------------------------
+# the P312 gap (ROADMAP item 2) and the known s = 4 core certificates
+# ----------------------------------------------------------------------------
+
+# the C0 count tuples (|A2|, |A3|, |A4+|, |E|) at s = 4 of the sweep grid
+# below whose Prop3.12b recipe P312 finds no completable schedule; a fix of
+# the P312 recipe must shrink this list
+P312_GAP = {(a2, a3, a4, e) for a2, a3 in ((1, 5), (1, 6), (2, 4))
+            for a4 in (0, 1, 2) for e in (0, 1)} | \
+    {(3, 2, a4, e) for a4 in (1, 2) for e in (0, 1)}
+
+
+def test_sweep_grid_constructs_every_c0_tuple_but_the_p312_gap():
+    # |A2|, |A3| < C(s, ceil(s/2)) + C(s, s//2 + 1) + 2, |A4+| <= 2,
+    # |E| <= 1, one 2-copy leaf per internal branch, two leafy branches
+    failed = set()
+    for s in range(2, 6):
+        bound = comb(s, (s + 1) // 2) + comb(s, s // 2 + 1) + 2
+        c0 = 0
+        for a2, a3, a4, e in itertools.product(range(bound), range(bound),
+                                               range(3), range(2)):
+            if a2 + a3 + a4 < 2:
+                continue
+            spec = mkspec(s, a2, a3, a4, e, first_two_leaves=False)
+            cls = classify(spec)
+            if cls.verdict != C0:
+                continue
+            c0 += 1
+            if s == 4 and (a2, a3, a4, e) in P312_GAP:
+                assert (cls.rule, cls.case) == ("Prop3.12b", "P312")
+                with pytest.raises(ConstructionError):
+                    construct_optimal(spec)
+                failed.add((a2, a3, a4, e))
+            else:
+                assert construct_optimal(spec).case == cls.case
+        assert c0
+    assert failed == P312_GAP and len(P312_GAP) == 22
+
+
+# core rows found by search, one line per branch in slot order: the leaf
+# pattern (one word per leaf copy, one letter per branch copy, as in
+# build.py) and each branch copy's center in-set, leftmost bit center copy 4
+CORE_CERTIFICATES = {
+    (1, 6): """oi oi    0010 1110
+               ooi ooi  1001 0110 1101
+               ioi ioi  0101 1000 1010
+               oio oio  1001 0111 0110
+               ooi ooi  0110 1001 1011
+               oii oii  0100 0011 1100
+               ioi ioi  0110 0001 1001""",
+    (1, 5): """oi oi    0101 1101
+               oii oii  0011 0111 1110
+               ioi ioi  0111 1001 1110
+               ioi ioi  0111 1010 1110
+               oio oio  0111 1011 1110
+               iio ioi  0111 1100 1100""",
+    (2, 4): """oi oi    1010 1101
+               io io    1011 1100
+               oii oii  0011 0110 1001
+               oii oii  0101 0110 1001
+               ooi ooi  0110 1001 1110
+               oio oio  0110 0111 1001""",
+    (4, 2): """io oi    0101 0101
+               io oi    1100 1100
+               io oi    0011 0011
+               oi io    1001 1001
+               oii ioo  0110 0110 0110
+               iio ooi  1010 1010 1010""",
+    (3, 3): """io oi    0101 0101
+               io oi    0110 0110
+               io oi    1010 1010
+               oio ioi  0011 0011 0011
+               ioo oii  1001 1001 1001
+               ioo oii  1100 1100 1100""",
+}
+
+CERTIFIED_VERDICTS = {
+    (1, 6): (C0, "Prop3.12b"), (1, 5): (C0, "Prop3.12b"),
+    (2, 4): (C0, "Prop3.12b"), (4, 2): (UNKNOWN_GAP, "Prop3.12"),
+    (3, 3): (UNKNOWN_GAP, "Prop3.12"),
+}
+
+
+@pytest.mark.parametrize("counts", CORE_CERTIFICATES, ids=str)
+def test_core_certificate_has_diameter_4(counts):
+    rows = []
+    for line in CORE_CERTIFICATES[counts].splitlines():
+        words = line.split()   # two leaf copies, then the in-sets
+        rows.append((tuple(words[:2]), tuple(int(w, 2) for w in words[2:])))
+    spec = TreeSpec(4, tuple(BranchSpec(len(row), (2,)) for _, row in rows))
+    assert spec == mkspec(4, *counts, first_two_leaves=False)
+    d = Orientation(spec, _core_bits("certificate", spec, rows))
+    assert diameter(d) == 4 and is_strong(d)
+    assert set(shortest_cycle_lengths(d)) == {4}
+    cls = classify(spec)
+    assert (cls.verdict, cls.rule) == CERTIFIED_VERDICTS[counts]
+    if cls.verdict == C0:
+        # the P312 gap: the recipe misses what the certificate shows
+        assert counts + (0, 0) in P312_GAP
+        with pytest.raises(ConstructionError):
+            construct_optimal(spec)

@@ -413,14 +413,13 @@ def test_batch_diameters_match_reference_and_digraph(data):
         assert is_strong(d) == math.isfinite(got[i])
 
 
-def test_batch_diameters_compact_lazily():
+def test_batch_diameters_retire_columns_in_place():
     # eight K(3,4) columns that retire in rounds 2, 4, 5, 5, 5, 6, 6, 6.
     # Rank 0 points every edge from side a to side b, so no row grows after
     # round 1 and its column stagnates in round 2; the diameter-4 column is
-    # full from round 4 on and must keep 4.  Both ride along, since rounds 2
-    # and 4 each retire one of eight or seven live columns, until round 5
-    # retires exactly half of the six live columns and the batch is
-    # compacted to three
+    # full from round 4 on.  A retired column rides along to the end of the
+    # batch, so the diameter-4 column must keep 4 and rank 0 must keep inf
+    # through the pushes of rounds 5 and 6
     graph = bipartite_graph(3, 4)
     scan = reference_diameters(graph, np.arange(1 << graph.m, dtype=np.int64))
     d4, d5, d6 = (np.flatnonzero(scan == d)[:3] for d in (4, 5, 6))
@@ -428,6 +427,10 @@ def test_batch_diameters_compact_lazily():
                      dtype=np.int64)
     assert _batch_diameters(graph, ranks).tolist() == \
         [6, 5, math.inf, 6, 4, 5, 6, 5]
+    # riding along changes no column: the batch agrees with each rank
+    # pushed alone
+    assert _batch_diameters(graph, ranks).tolist() == \
+        [_batch_diameters(graph, ranks[i:i + 1])[0] for i in range(8)]
     for batch in (ranks, np.array([], dtype=np.int64)):
         assert np.array_equal(_batch_diameters(graph, batch),
                               reference_diameters(graph, batch))
