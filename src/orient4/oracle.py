@@ -94,42 +94,18 @@ def bipartite_graph(p: int, q: int) -> EnumGraph:
 # Bridges
 # ============================================================================
 
+# no search calls this (see `_search`); it stays only because
+# `bench/tracing.TARGETS` wraps it, until ROADMAP item 4
 def find_bridge(n: int, edges):
-    """Some bridge edge index, or None.  Iterative lowlink."""
-    adj = [[] for _ in range(n)]
+    """Some bridge edge index, or None: the first edge whose two ends the
+    other edges leave in different components."""
     for j, (u, v) in enumerate(edges):
-        adj[u].append((v, j))
-        adj[v].append((u, j))
-    disc = [-1] * n
-    low = [0] * n
-    timer = 0
-    for root in range(n):
-        if disc[root] >= 0:
-            continue
-        stack = [(root, -1, iter(adj[root]))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            u, pedge, it = stack[-1]
-            advanced = False
-            for (w, j) in it:
-                if j == pedge:
-                    continue
-                if disc[w] < 0:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, j, iter(adj[w])))
-                    advanced = True
-                    break
-                low[u] = min(low[u], disc[w])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                parent = stack[-1][0]
-                low[parent] = min(low[parent], low[u])
-                if low[u] > disc[parent]:
-                    return pedge
+        comp = list(range(n))   # a component label per vertex
+        for a, b in edges[:j] + edges[j + 1:]:
+            old, new = comp[a], comp[b]
+            comp = [new if c == old else c for c in comp]
+        if comp[u] != comp[v]:
+            return j
     return None
 
 

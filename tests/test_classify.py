@@ -205,33 +205,34 @@ def test_invalid_spec_propagates():
 # ----------------------------------------------------------------------------
 
 def test_select_case_examples():
-    assert select_case(mkspec(5, a2=4)) == "P35_D1"
-    assert select_case(mkspec(5, a2=9, e=2)) == "P35_D4"
-    assert select_case(mkspec(5, a2=6)) == "P35_D3"
-    assert select_case(mkspec(5, a2=4, e=1)) == "P35_D2"
-    assert select_case(mkspec(3, a2=1, a3=2)) == "P43_D2"
-    assert select_case(mkspec(3, a2=2, a3=1)) == "P43_D1"
-    assert select_case(mkspec(5, a2=6, a3=7)) == "P43_D3"
-    assert select_case(mkspec(2, a4=2, e=2)) == "P34"
-    assert select_case(TreeSpec(4, (BranchSpec(2, (2,)),
-                                    BranchSpec(3, (2,))))) == "Thm16a"
-    assert select_case(mkspec(4, a3=6, a4=2, e=2)) == "P39"
-    assert select_case(mkspec(4, a2=4, a4=2)) == "P310"
-    assert select_case(mkspec(4, a2=1, a3=3, a4=2)) == "P312"
-    assert select_case(mkspec(3, a3=4, a4=2, e=2)) == "P41"
-    assert select_case(mkspec(3, a2=2, a4=2, e=2)) == "P411"
-    assert select_case(mkspec(3, a2=1, a3=2, a4=2, e=2)) == "P413"
+    # read through `classify(spec).case`, which `select_case` only returns
+    assert classify(mkspec(5, a2=4)).case == "P35_D1"
+    assert classify(mkspec(5, a2=9, e=2)).case == "P35_D4"
+    assert classify(mkspec(5, a2=6)).case == "P35_D3"
+    assert classify(mkspec(5, a2=4, e=1)).case == "P35_D2"
+    assert classify(mkspec(3, a2=1, a3=2)).case == "P43_D2"
+    assert classify(mkspec(3, a2=2, a3=1)).case == "P43_D1"
+    assert classify(mkspec(5, a2=6, a3=7)).case == "P43_D3"
+    assert classify(mkspec(2, a4=2, e=2)).case == "P34"
+    assert classify(TreeSpec(4, (BranchSpec(2, (2,)),
+                                 BranchSpec(3, (2,))))).case == "Thm16a"
+    assert classify(mkspec(4, a3=6, a4=2, e=2)).case == "P39"
+    assert classify(mkspec(4, a2=4, a4=2)).case == "P310"
+    assert classify(mkspec(4, a2=1, a3=3, a4=2)).case == "P312"
+    assert classify(mkspec(3, a3=4, a4=2, e=2)).case == "P41"
+    assert classify(mkspec(3, a2=2, a4=2, e=2)).case == "P411"
+    assert classify(mkspec(3, a2=1, a3=2, a4=2, e=2)).case == "P413"
 
 
 def test_select_case_fallback_routes():
     # small heads demote to the generic two-copy recipes
-    assert select_case(mkspec(4, a3=2, a4=1)).startswith("P35")
-    assert select_case(mkspec(4, a2=2, a3=1, e=1)) == "P311"
-    assert select_case(mkspec(5, a2=1, a3=1, a4=1)).startswith("P35")
+    assert classify(mkspec(4, a3=2, a4=1)).case.startswith("P35")
+    assert classify(mkspec(4, a2=2, a3=1, e=1)).case == "P311"
+    assert classify(mkspec(5, a2=1, a3=1, a4=1)).case.startswith("P35")
     # mid-size odd mixes use the four-copy absorber with demoted 3-branches
-    assert select_case(mkspec(5, a2=1, a3=1, a4=3)) == "P411"
+    assert classify(mkspec(5, a2=1, a3=1, a4=3)).case == "P411"
     # the single-absorber full-degree even case demotes everything
-    assert select_case(mkspec(4, a2=5, a4=1)).startswith("P35")
+    assert classify(mkspec(4, a2=5, a4=1)).case.startswith("P35")
 
 
 def test_select_case_refuses_non_orientable():

@@ -311,7 +311,7 @@ def orientations(draw):
     """Random bits (mostly not strong), or a diameter-4 witness with up to
     three arcs flipped (strong or not)."""
     spec = draw(small_specs)
-    m = len(multiplied_edges(spec))
+    m = edge_count(spec)
     if classify(spec).verdict == "C0" and draw(st.booleans()):
         bits = list(construct_optimal(spec).orientation.bits)
         for j in draw(st.lists(st.integers(0, m - 1), max_size=3)):

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orient4 import oracle
-from orient4.digraph import Orientation, diameter, from_arcs, is_strong
+from orient4.digraph import (Orientation, diameter, from_edge_list,
+                             is_strong)
 from orient4.errors import Refusal, UsageError
 from orient4.oracle import (_BATCH, EnumGraph, _batch_diameters,
                             _survivors, bipartite_graph,
@@ -47,10 +48,12 @@ def c1_24_edges():
 
 
 def check_witness(spec, res):
-    """The oracle's witness arcs, read as an orientation of `spec` and
+    """The oracle's witness arcs, written as `tail -> head` lines and read
+    back through `from_edge_list`, as `orient4 verify` reads them, then
     checked with the program's own kernel: strong, with the reported
     diameter."""
-    witness = from_arcs(spec, res.witness_arcs)
+    witness = from_edge_list(spec, "".join(f"{t} -> {h}\n"
+                                           for t, h in res.witness_arcs))
     assert diameter(witness) == res.orientation_number, spec
     assert is_strong(witness), spec
 
@@ -176,13 +179,37 @@ def valid_specs():
             if not validate(spec := TreeSpec(s, chosen))]
 
 
+def off_4_cycles(n, edges):
+    """Indices of the edges (u, v) on no 4-cycle u-v-x-y: no x in N(v) - {u}
+    is adjacent to any y in N(u) - {v}."""
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return [j for j, (u, v) in enumerate(edges)
+            if not any(adj[x] & (adj[u] - {v}) for x in adj[v] - {u})]
+
+
 def test_bridge_detection():
     # a path graph has bridges everywhere
     assert find_bridge(3, ((0, 1), (1, 2))) is not None
     # a 4-cycle has none
     assert find_bridge(4, ((0, 1), (1, 2), (2, 3), (3, 0))) is None
+    # two 4-cycles joined by one edge, index 4, the only bridge
+    assert find_bridge(8, ((0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (4, 5),
+                           (5, 6), (6, 7), (7, 4))) == 4
     graph = graph_from_spec(p5_all2())
     assert find_bridge(graph.n, graph.edges) is None
+    # a branch of one copy, which validate rejects, leaves each of its leaf
+    # copies a single edge, a bridge
+    one_copy = TreeSpec(2, (BranchSpec(1, (2,)), BranchSpec(2, (2,))))
+    assert validate(one_copy)
+    graph = graph_from_spec(one_copy)
+    assert find_bridge(graph.n, graph.edges) is not None
+    assert off_4_cycles(graph.n, graph.edges) == [6, 7]
+
+
+def test_search_premises():
     # the premises of the search, which runs no bridge check: every edge of
     # a valid spec's graph, and of K(p,q) with p, q >= 2, joins two blocks
     # of at least two copies, so lies on a 4-cycle; and, as the reach push
@@ -193,18 +220,13 @@ def test_bridge_detection():
     graphs = [(spec, graph_from_spec(spec)) for spec in specs] + \
         [((p, q), bipartite_graph(p, q)) for p in range(2, 8)
          for q in range(p, 63 // p + 1)]
+    assert len(graphs) == 847
     for label, graph in graphs:
-        assert find_bridge(graph.n, graph.edges) is None, label
+        assert off_4_cycles(graph.n, graph.edges) == [], label
         assert all(graph.sides[u] != graph.sides[v]
                    for u, v in graph.edges), label
         assert graph.sides == tuple(int(name.startswith("b"))
                                     for name in graph.names), label
-    # a branch of one copy, which validate rejects, leaves each of its leaf
-    # copies a single edge, a bridge
-    one_copy = TreeSpec(2, (BranchSpec(1, (2,)), BranchSpec(2, (2,))))
-    assert validate(one_copy)
-    graph = graph_from_spec(one_copy)
-    assert find_bridge(graph.n, graph.edges) is not None
 
 
 @pytest.mark.parametrize("run, message", [
