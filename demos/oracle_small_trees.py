@@ -1,11 +1,11 @@
 """Cross-check the classifier against brute force on tiny instances.
 
-The oracle tries every one of the 2^|E| direction assignments, computes the
-exact diameter of each with bit-parallel reachability, and reports the
+The oracle decides every one of the 2^|E| direction assignments, computes
+the exact diameter of each with bit-parallel reachability, and reports the
 minimum over the strong ones together with the first optimal assignment.
-Reversing every arc keeps the diameter, so the search decides each
-reversal pair once; at 16-26 edges that is 32k-34M orientations, and numpy
-keeps it under a second.
+Permuting the copies of one tree vertex keeps the diameter, so the search
+decides one assignment per orbit of these permutations; at 16-26 edges
+that is 64k-67M assignments, and numpy keeps it under a second.
 
 Run:  python demos/oracle_small_trees.py
 """
@@ -25,8 +25,8 @@ def report(name, spec, max_edges=24):
     tick = "agree" if verdict_number == res.orientation_number else "DISAGREE"
     print(f"{name}: oracle {res.orientation_number}, classifier "
           f"{verdict_number} ({cls.rule}) -> {tick}")
-    print(f"  scanned {res.orientations_examined} assignments "
-          f"({res.strong_count} strong) in {dt:.2f}s")
+    print(f"  examined {res.orientations_examined} assignments, one per "
+          f"reversal pair ({res.strong_count} strong) in {dt:.2f}s")
 
 
 def main():
@@ -36,7 +36,7 @@ def main():
     report("degree-3 center, all doubled",
            TreeSpec(2, (BranchSpec(2, (2,)), BranchSpec(2, (2,)),
                         BranchSpec(2, ()))))
-    print("(the next one scans 2^25 representatives, about half a second)")
+    print("(the next one has 26 edges, past the default limit of 24)")
     report("degree-3 center, tripled center",
            TreeSpec(3, (BranchSpec(2, (2,)), BranchSpec(2, (2,)),
                         BranchSpec(2, ()))), max_edges=26)

@@ -2,16 +2,19 @@
 
 Every one of the 2^|E| direction assignments is ranked by an integer whose
 bit j gives edge j's direction (0: as listed canonically, 1: reversed).
-The ranks below 2^(|E|-1), one per reversal pair (`_search`), are processed
-in rank order, vectorized with numpy, so the reported witness is the
-numerically smallest optimal rank; numpy loads on the first search, not on
-import.
+The copies of one tree vertex are twins, and permuting twins maps an
+assignment to an isomorphic one, so the search decides one assignment per
+orbit of these permutations, the orbit's smallest rank, and weighs it by
+the orbit's size (`_search`).  The reported witness is the numerically
+smallest optimal rank and the strong count is exact.  The work is
+vectorized with numpy, which loads on the first search, not on import.
 
 A strong orientation has no source or sink, and no branch subtree with
-its center edges all pointing one way, so a filter drops such ranks block
-by block before any is built (`_survivors`).  The survivors' distances
-are found by a vectorized reach push over the graph's two sides
-(`_batch_diameters`).
+its center edges all pointing one way, so a filter drops such ranks
+before any is built.  The survivors' distances are found by a vectorized
+reach push over the graph's two sides (`_batch_diameters`).
+`search_rank_range` scans a contiguous range of ranks instead, filtered
+block by block (`_survivors`): the exhaustive reference for the search.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .tree import (TreeSpec, _blocks, edge_count, edge_pairs, require_valid,
                    vertex_names)
 
 DEFAULT_MAX_EDGES = 24
-_BATCH = 1 << 16    # ranks per block of the source/sink filter
+_BATCH = 1 << 16    # ranks per filter block, columns per orbit expansion
 _PUSH = 1 << 15     # most survivors per reach push, unless one block has more
 
 
@@ -65,7 +68,7 @@ class RangeResult:
 class OracleResult:
     orientation_number: int
     witness_arcs: tuple          # (tail, head) names, smallest optimal rank
-    orientations_examined: int   # ranks decided: 2^m, 2^(m-1) with symmetry
+    orientations_examined: int   # 2^m, or one per reversal pair, 2^(m-1)
     strong_count: int
 
 
@@ -113,19 +116,31 @@ def find_bridge(n: int, edges):
 # Source/sink filter per block of ranks, then the reach push
 # ============================================================================
 
+def _crossing(graph: EnumGraph, part) -> tuple:
+    """(M_X, S_X) of the vertex set X = `part`: the rank bits of the edges
+    crossing X, and their values when every crossing edge points into X.
+    X is a sink iff a rank's bits under M_X equal S_X, and a source iff
+    they equal S_X ^ M_X; M_X = 0 counts as both."""
+    m_x = s_x = 0
+    for j, (u, v) in enumerate(graph.edges):
+        if (u in part) != (v in part):
+            m_x |= 1 << j
+            s_x |= (u in part) << j
+    return m_x, s_x
+
+
 def _survivors(graph: EnumGraph, lo: int, hi: int):
     """Ranks in [lo, hi) that leave no vertex a source or a sink, and no cut
     of `graph.cuts` with its crossing edges all pointing in or all out,
     ascending, gathered across blocks of 2^L ranks into arrays of at most
     _PUSH ranks (or one block's survivors, if more).
 
-    A cut is judged as one more vertex.  Set X is a sink iff its crossing
-    edges' rank bits (mask M_X) equal S_X, every crossing edge into X, and a
-    source iff they equal S_X ^ M_X; M_X = 0 counts as both.  Split M_X and
-    S_X at bit L = min(m, log2(_BATCH)): the low halves are judged once per
-    call for all 2^L low values, and the high halves once per block.  The
-    last array is yielded once the low tables are released, so they do not
-    stay alive through the reach push of a search that fits one array."""
+    A cut is judged as one more vertex X, by its crossing mask
+    (`_crossing`).  Split M_X and S_X at bit L = min(m, log2(_BATCH)): the
+    low halves are judged once per call for all 2^L low values, and the
+    high halves once per block.  The last array is yielded once the low
+    tables are released, so they do not stay alive through the reach push
+    of a search that fits one array."""
     import numpy as np
     low = min(graph.m, _BATCH.bit_length() - 1)
     size = 1 << low
@@ -134,11 +149,7 @@ def _survivors(graph: EnumGraph, lo: int, hi: int):
     bits, mask = np.empty_like(values), np.empty_like(base)   # scratch
     split = []    # (high M_X, high S_X, low "not a sink", low "not a source")
     for part in [(x,) for x in range(graph.n)] + list(graph.cuts):
-        m_x = s_x = 0
-        for j, (u, v) in enumerate(graph.edges):
-            if (u in part) != (v in part):
-                m_x |= 1 << j
-                s_x |= (u in part) << j
+        m_x, s_x = _crossing(graph, part)
         m_lo, s_lo = m_x & (size - 1), s_x & (size - 1)
         np.bitwise_and(values, m_lo, out=bits)
         if m_x >> low == 0:
@@ -267,6 +278,171 @@ def search_rank_range(graph: EnumGraph, lo: int, hi: int) -> RangeResult:
 
 
 # ============================================================================
+# One representative per orbit of the twin permutations
+# ============================================================================
+
+def _twin_classes(graph: EnumGraph, side: int) -> list:
+    """The twin classes of one side, the vertices with the same neighbours,
+    as (neighbour set, copies in index order) pairs."""
+    classes = {}
+    for x in range(graph.n):
+        if graph.sides[x] == side:
+            twins = frozenset(u + v - x for u, v in graph.edges if x in (u, v))
+            classes.setdefault(twins, []).append(x)
+    return list(classes.items())
+
+
+def _candidates(classes) -> int:
+    """The orbit representatives `_orbits` enumerates over these classes:
+    per class of k copies with d neighbours, the multisets of k keys among
+    the 2^d - 2 that are neither all in nor all out."""
+    return math.prod(math.comb(max((1 << len(twins)) - 2, 0) + len(xs) - 1,
+                               len(xs)) for twins, xs in classes)
+
+
+def _orbits(graph: EnumGraph):
+    """(ranks, orbit sizes) of the orbit representatives that `_search`
+    decides, as the two rows of int64 arrays of at most _PUSH columns (or
+    one expansion's, if more).
+
+    One level per copy of the chosen side, class by class: a copy takes a
+    key index, at most its previous twin's, so keys do not increase within
+    a class, and the index skips the all-in and all-out keys.  A stack of
+    prefixes (rank, orbit size, previous key index, run of equal keys, key
+    indices [lo, hi) still to try) is expanded depth first, at most _BATCH
+    columns at a time: a stack entry that would expand to more expands its
+    first prefixes, or the top _BATCH keys of one prefix, and keeps the
+    rest.  A class's multinomial is the product, over its runs of equal
+    keys, of C(e, l) for a run of length l ending at copy e, so an orbit
+    size is built by exact products alone.  The other side's vertices and
+    `graph.cuts` are judged at the level that sets their last edge."""
+    import numpy as np
+    side = min((0, 1), key=lambda s: _candidates(_twin_classes(graph, s)))
+    # per level: key bit -> edge, copy number, class size, keys, the two
+    # skipped keys, checks; and per edge the level that sets its bit
+    levels, set_by = [], {}
+    for _, copies in _twin_classes(graph, side):
+        for i, x in enumerate(copies, start=1):
+            m_x, s_x = _crossing(graph, (x,))
+            row = [j for j in range(graph.m) if m_x >> j & 1]
+            set_by.update(dict.fromkeys(row, len(levels)))
+            into = sum((s_x >> j & 1) << b for b, j in enumerate(row))
+            full = (1 << len(row)) - 1
+            levels.append((row, i, len(copies), full - 1,
+                           *sorted((into, into ^ full)), []))
+    for part in [(x,) for x in range(graph.n) if graph.sides[x] != side] + \
+            list(graph.cuts):
+        m_x, s_x = _crossing(graph, part)
+        last = max(set_by[j] for j in range(graph.m) if m_x >> j & 1)
+        levels[last][-1].append((m_x, s_x))
+    binom = np.array([[math.comb(e, k) for k in range(graph.n + 1)]
+                      for e in range(graph.n + 1)], dtype=np.int64)
+    stack = [(0, np.array([[0], [1], [-1], [0], [0], [levels[0][3]]],
+                          dtype=np.int64))]
+    pending, count = [], 0
+    while stack:
+        level, state = stack.pop()
+        width = state[5] - state[4]
+        if width.sum() > _BATCH:
+            fit = int(np.searchsorted(np.cumsum(width), _BATCH, side="right"))
+            rest = state[:, fit:].copy()
+            if fit:
+                state = state[:, :fit]
+            else:
+                rest[5, 0] -= _BATCH
+                state = state[:, :1].copy()
+                state[4] = rest[5, 0]
+            stack.append((level, rest))
+            width = state[5] - state[4]
+        ends = np.cumsum(width)
+        nxt = np.repeat(state, width, axis=1)
+        rank, size, prev, run, lo, hi = nxt
+        idx = np.arange(ends[-1]) - np.repeat(ends - width - state[4], width)
+        row, i, k, _, low, high, checks = levels[level]
+        key = idx + (idx >= low)
+        key += key >= high
+        for b, j in enumerate(row):
+            rank |= (key >> b & 1) << j
+        new = idx != prev   # a new run: the previous one ended at copy i - 1
+        if i > 1:
+            size *= binom[i - 1][np.where(new, run, 0)]
+        run[:] = np.where(new, 1, run + 1)
+        if i == k:
+            size *= binom[k][run]
+        level += 1
+        if level < len(levels):
+            first = levels[level][1] == 1
+            prev[:] = -1 if first else idx
+            lo[:] = 0
+            hi[:] = levels[level][3] if first else idx + 1
+        if checks:
+            alive = np.ones(len(rank), dtype=bool)
+            for m_x, s_x in checks:
+                bits = rank & m_x
+                alive &= (bits != s_x) & (bits != s_x ^ m_x)
+            nxt = nxt[:, np.flatnonzero(alive)]
+        if level < len(levels):
+            if nxt.shape[1]:
+                stack.append((level, nxt))
+            continue
+        if count and count + nxt.shape[1] > _PUSH:
+            yield np.concatenate(pending, axis=1)
+            pending, count = [], 0
+        pending.append(nxt[:2])
+        count += nxt.shape[1]
+    if count:
+        yield np.concatenate(pending, axis=1)
+
+
+def _search(graph: EnumGraph, symmetry: bool) -> OracleResult:
+    """Decide one assignment per orbit of the twin permutations.
+
+    Twins are vertices with one side and one neighbour set; the search
+    permutes the twin classes of the side with fewer candidates
+    (`_candidates`).  Every edge has exactly one end on that side, so a
+    rank is one row of bits per copy there, read as the copy's key (bit b
+    is its b-th edge by index), and permuting twins permutes their rows:
+    an orbit is one multiset of keys per class, of size the multinomial
+    k!/prod(mult!), all with one diameter.  Its smallest rank lists each
+    class's keys non-increasing by copy: swapping adjacent twins whose keys
+    increase, K_i < K_(i+1), changes only the edges where the two rows
+    differ, and the highest of these is copy i+1's edge at the highest key
+    bit where they differ, where K_(i+1) has the 1 and K_i the 0; so the
+    swap lowers the rank.  This rests on the layout that
+    `test_search_premises` checks: each later twin has the same neighbour
+    order and the same end on every edge, and each of its edges a higher
+    index than the matching edge of the previous twin.  A copy whose row is
+    all in or all out is a sink or a source, so those keys are never
+    taken.  The strong count is the sum of the strong orbits' sizes, and
+    the witness the smallest optimal representative, which is the smallest
+    optimal rank, as (tail, head) names of `graph`.  `examined` counts 2^m
+    assignments, or with `symmetry` one per reversal pair.
+
+    Some rank is strong: every edge of a valid multiplied tree, and of
+    K(p,q) with p, q >= 2, joins two blocks of at least two copies, so lies
+    on a 4-cycle, and by Robbins' theorem (1939) a connected bridgeless
+    graph has a strong orientation; conversely a strong orientation crosses
+    every cut both ways, so the filter may drop a rank that points a branch
+    subtree's center edges all one way.  Both graphs are bipartite, as the
+    reach push requires."""
+    import numpy as np
+    best = (math.inf, 1 << graph.m)   # (diameter, smallest rank with it)
+    strong = 0
+    for ranks, sizes in _orbits(graph):
+        diams = _batch_diameters(graph, ranks)
+        strong += int(sizes[np.isfinite(diams)].sum())
+        low = diams.min()
+        best = min(best, (float(low), int(ranks[diams == low].min())))
+    diameter, rank = best
+    names = graph.names
+    arcs = tuple((names[v], names[u]) if rank >> j & 1
+                 else (names[u], names[v])
+                 for j, (u, v) in enumerate(graph.edges))
+    return OracleResult(int(diameter), arcs, 1 << (graph.m - symmetry),
+                        strong)
+
+
+# ============================================================================
 # Public entry points
 # ============================================================================
 
@@ -282,30 +458,6 @@ def _refuse_oversized(n: int, m: int, max_edges: int) -> None:
         raise Refusal(f"too many vertices for the bitmask engine: {n}")
     if m > 63:
         raise Refusal(f"too many edges for int64 ranks: {m}")
-
-
-def _search(graph: EnumGraph, symmetry: bool) -> OracleResult:
-    """Decide each reversal pair once: reversing every arc keeps strong
-    connectivity and the diameter, and maps rank r to its bit complement,
-    so the ranks below 2^(m-1) hold one of each pair, half the strong
-    ranks, and the smallest optimal rank.  `examined` counts the ranks
-    decided, 2^m, or with `symmetry` one per pair.  Some rank is strong:
-    every edge of a valid multiplied tree, and of K(p,q) with p, q >= 2,
-    joins two blocks of at least two copies, so lies on a 4-cycle, and by
-    Robbins' theorem (1939) a connected bridgeless graph has a strong
-    orientation; conversely a strong orientation crosses every cut both
-    ways, so the filter may drop a rank that points a branch subtree's
-    center edges all one way.  Both graphs are bipartite, as the reach push
-    requires.  The witness is the smallest optimal rank's arcs, as
-    (tail, head) names of `graph`."""
-    res = search_rank_range(graph, 0, 1 << (graph.m - 1))
-    bits = tuple((res.best_rank >> j) & 1 for j in range(graph.m))
-    names = graph.names
-    arcs = tuple((names[v], names[u]) if b else (names[u], names[v])
-                 for (u, v), b in zip(graph.edges, bits))
-    return OracleResult(int(res.best_diameter), arcs,
-                        res.examined * (1 if symmetry else 2),
-                        2 * res.strong_count)
 
 
 def orientation_number(spec: TreeSpec,

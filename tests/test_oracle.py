@@ -3,7 +3,7 @@
 import math
 import re
 from functools import partial
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 import pytest
@@ -15,9 +15,9 @@ from orient4.digraph import (Orientation, diameter, from_edge_list,
                              is_strong)
 from orient4.errors import Refusal, UsageError
 from orient4.oracle import (_BATCH, EnumGraph, _batch_diameters,
-                            _survivors, bipartite_graph,
-                            bipartite_orientation_number, find_bridge,
-                            graph_from_spec, orientation_number,
+                            _candidates, _orbits, _survivors, _twin_classes,
+                            bipartite_graph, bipartite_orientation_number,
+                            find_bridge, graph_from_spec, orientation_number,
                             search_rank_range)
 from orient4.tree import BranchSpec, TreeSpec, edge_count, validate
 
@@ -102,9 +102,9 @@ def test_result_invariant_under_branch_relabeling():
 
 
 def test_symmetry_halving_same_witness_and_count():
-    # both modes decide each reversal pair once; each must report what a
-    # scan of every rank finds, and differ only in the count examined; a
-    # spec's witness is re-checked as an orientation
+    # both modes decide one assignment per orbit of the twin permutations;
+    # each must report what a scan of every rank finds, and differ only in
+    # the count examined; a spec's witness is re-checked as an orientation
     specs = [spec for spec in valid_specs() if edge_count(spec) <= 24]
     assert len(specs) == 26
     cases = [(spec, graph_from_spec(spec), partial(orientation_number, spec))
@@ -210,11 +210,28 @@ def test_bridge_detection():
 
 
 def test_search_premises():
-    # the premises of the search, which runs no bridge check: every edge of
-    # a valid spec's graph, and of K(p,q) with p, q >= 2, joins two blocks
-    # of at least two copies, so lies on a 4-cycle; and, as the reach push
-    # needs, every edge joins the two stated sides, and side 1 is exactly
-    # the vertices named b... (branch copies, or K(p,q)'s second side)
+    """The premises of the search, which runs no bridge check and decides
+    one assignment per orbit of the twin permutations.
+
+    Every edge of a valid spec's graph, and of K(p,q) with p, q >= 2, joins
+    two blocks of at least two copies, so lies on a 4-cycle.  As the reach
+    push needs, every edge joins the two stated sides, and side 1 is
+    exactly the vertices named b... (branch copies, or K(p,q)'s second
+    side).
+
+    Within every twin class (same side, same neighbours), each later twin
+    meets its neighbours in the same order of edge index, is the same end
+    (parent or child) of each edge, and each of its edges has a higher
+    index than the matching edge of the previous twin.  So swapping two
+    twins swaps their rows of rank bits, and an orbit's smallest rank has
+    each class's keys non-increasing by copy, a key's bit b being the rank
+    bit of the copy's b-th edge.  Proof by adjacent swaps: let twins x, y
+    be adjacent with keys K_x < K_y.  Swapping them changes only the edges
+    where the two rows differ.  The highest of these is y's edge at the
+    highest key bit b where they differ (each edge of x lies below y's
+    matching edge, and y's edges ascend with b), and there K_y has the 1
+    and K_x the 0.  After the swap that bit is 0 and every other changed
+    bit is lower, so the rank falls: a smallest rank admits no such pair."""
     specs = valid_specs()
     assert len(specs) == 770
     graphs = [(spec, graph_from_spec(spec)) for spec in specs] + \
@@ -227,6 +244,100 @@ def test_search_premises():
                    for u, v in graph.edges), label
         assert graph.sides == tuple(int(name.startswith("b"))
                                     for name in graph.names), label
+        for side in (0, 1):
+            for _, copies in _twin_classes(graph, side):
+                # per copy, its edges by index: (neighbour, copy is the
+                # parent end, index)
+                rows = [[(u + v - x, u == x, j)
+                         for j, (u, v) in enumerate(graph.edges)
+                         if x in (u, v)] for x in copies]
+                for before, after in zip(rows, rows[1:]):
+                    assert [e[:2] for e in after] == \
+                        [e[:2] for e in before], label
+                    assert all(b[2] < a[2] for b, a in zip(before, after)), \
+                        label
+
+
+def twin_images(graph, side, ranks):
+    """Each rank's image under every permutation of the side's twin
+    classes, one row per permutation: copy x of a class becomes copy y,
+    and edge (u, v) carries its bit to edge (f(u), f(v))."""
+    classes = _twin_classes(graph, side)
+    index = {e: j for j, e in enumerate(graph.edges)}
+    rows = []
+    for choice in product(*(permutations(xs) for _, xs in classes)):
+        f = list(range(graph.n))
+        for (_, xs), ys in zip(classes, choice):
+            for x, y in zip(xs, ys):
+                f[x] = y
+        image = np.zeros_like(ranks)
+        for j, (u, v) in enumerate(graph.edges):
+            image |= (ranks >> j & 1) << index[f[u], f[v]]
+        rows.append(image)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("graph", [bipartite_graph(2, 3),
+                                   bipartite_graph(3, 3),
+                                   graph_from_spec(p5_all2())],
+                         ids=["K(2,3)", "K(3,3)", "p5"])
+def test_orbits_are_one_smallest_rank_per_orbit(graph):
+    # the side searched, with every rank's twin images; the ranks with no
+    # all-in or all-out row on that side hold `_candidates` orbits
+    side = min((0, 1), key=lambda s: _candidates(_twin_classes(graph, s)))
+    everything = np.arange(1 << graph.m, dtype=np.int64)
+    images = twin_images(graph, side, everything)
+    smallest = images.min(axis=0)
+    rows_ok = np.ones(len(everything), dtype=bool)
+    for x in range(graph.n):
+        if graph.sides[x] == side:
+            m_x = sum(1 << j for j, e in enumerate(graph.edges) if x in e)
+            s_x = sum(1 << j for j, e in enumerate(graph.edges) if e[0] == x)
+            rows_ok &= (everything & m_x != s_x) & \
+                (everything & m_x != s_x ^ m_x)
+    assert (smallest[rows_ok] == everything[rows_ok]).sum() == \
+        _candidates(_twin_classes(graph, side))
+    # `_orbits` also drops what the rest of the filter drops, a source or
+    # sink on the other side or a one-way cut, which twins never change:
+    # the emitted ranks' expansions cover the filter's survivors exactly
+    # once each, each emitted size is its expansion's, and each emitted
+    # rank is its expansion's minimum
+    ranks, sizes = np.concatenate(list(_orbits(graph)), axis=1)
+    kept = reference_survivors(graph, 0, 1 << graph.m)
+    assert np.isin(images[:, ranks], kept).all()
+    assert len(np.unique(ranks)) == len(ranks)
+    assert sizes.sum() == len(kept)
+    assert sizes.tolist() == [len(np.unique(images[:, r])) for r in ranks]
+    assert np.array_equal(smallest[ranks], ranks)
+
+
+def test_orbit_counts_exact_for_a_large_twin_class():
+    # K(2,21): a strong orientation sends each b copy a1 -> b -> a2 or
+    # a2 -> b -> a1 and uses both kinds, so 2^21 - 2 of them, with
+    # diameter 4 (21 > C(2,1)); the search reaches them through the 21 b
+    # copies, whose orbit sizes C(21, i) pass through 21!, beyond int64
+    res = bipartite_orientation_number(2, 21, max_edges=42)
+    assert res.orientation_number == 4
+    assert res.strong_count == (1 << 21) - 2 == 2_097_150
+    assert res.orientations_examined == 1 << 42
+
+
+@pytest.mark.parametrize("graph", [bipartite_graph(3, 4),
+                                   graph_from_spec(p5_all2()),
+                                   graph_from_spec(mixed_spec())],
+                         ids=["K(3,4)", "p5", "mixed"])
+def test_orbits_split_into_bounded_expansions(monkeypatch, graph):
+    # with 5 columns per expansion, an entry splits by prefixes and a
+    # prefix by its keys (up to 30 of them here); the same representatives
+    # and sizes come out, in arrays of at most 5 columns
+    whole = np.concatenate(list(_orbits(graph)), axis=1)
+    monkeypatch.setattr(oracle, "_BATCH", 5)
+    monkeypatch.setattr(oracle, "_PUSH", 3)
+    parts = list(_orbits(graph))
+    assert max(part.shape[1] for part in parts) <= 5
+    got = np.concatenate(parts, axis=1)
+    assert np.array_equal(got[:, got[0].argsort()],
+                          whole[:, whole[0].argsort()])
 
 
 @pytest.mark.parametrize("run, message", [
