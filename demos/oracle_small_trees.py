@@ -1,8 +1,9 @@
 """Cross-check the classifier against brute force on tiny instances.
 
-The oracle decides every one of the 2^|E| direction assignments, computes
-the exact diameter of each with bit-parallel reachability, and reports the
-minimum over the strong ones together with the first optimal assignment.
+The oracle decides every one of the 2^|E| direction assignments strong or
+not with bit-parallel reachability, computes the exact diameter of each
+that ties or beats the best found so far, and reports the minimum over the
+strong ones together with the first optimal assignment.
 Permuting the copies of one tree vertex keeps the diameter, so the search
 decides one assignment per orbit of these permutations; at 16-26 edges
 that is 64k-67M assignments, and numpy keeps it under a second.

@@ -12,7 +12,13 @@ vectorized with numpy, which loads on the first search, not on import.
 A strong orientation has no source or sink, and no branch subtree with
 its center edges all pointing one way, so a filter drops such ranks
 before any is built.  The survivors' distances are found by a vectorized
-reach push over the graph's two sides (`_batch_diameters`).
+reach push over the graph's two sides (`_batch_diameters`).  Only the
+smallest diameter and its ranks must be exact, so the push stops at the
+best diameter found so far, or at its batch's smallest: each other column
+is only told strong or not, by one of two certificates read from its
+reach sets.  A vertex whose ball stopped growing short of every vertex
+misses one, so the rank is not strong; a root that reaches every vertex
+and that every vertex reaches joins any two through it, so it is.
 `search_rank_range` scans a contiguous range of ranks instead, filtered
 block by block (`_survivors`): the exhaustive reference for the search.
 """
@@ -188,30 +194,53 @@ def _survivors(graph: EnumGraph, lo: int, hi: int):
         yield np.concatenate(pending)
 
 
-def _batch_diameters(graph: EnumGraph, ranks: np.ndarray) -> np.ndarray:
-    """Exact diameter (math.inf if not strong) for each assignment rank.
+def _batch_diameters(graph: EnumGraph, ranks: np.ndarray,
+                     bound: float = math.inf) -> np.ndarray:
+    """Each assignment rank's diameter, math.inf if it is not strong, exact
+    up to the cut c = min(`bound`, the batch's smallest diameter); a strong
+    rank of diameter above c reads some value in (c, its diameter].  So a
+    caller that passes the best diameter found so far as `bound` still
+    reads every column that ties or beats it exactly.
 
     One column per rank; fwd[j] is all ones where edge j points u -> v
     (bit 0).  After round t, v's reach row holds the vertices within t
-    steps of v, kept as two halves, reach[0][v] over v's own side and
-    reach[1][v] over the other side, one bit per vertex of that side in the
-    narrowest unsigned type that holds the larger side.  The graph is
-    bipartite, so a vertex at distance exactly t from v lies on v's side
-    iff t is even: round t grows only the halves reach[t % 2], from the
-    out-neighbours' other halves.  No half is both read and written in a
-    round, so the push is in place.  The bits past a side's size are set
-    from the start, so a half is full when it is all ones.  A rank with a
-    source or a sink stops growing before its rows are full and reads inf.
+    steps of v, kept as two halves, reach[0] over v's own side and
+    reach[1] over the other side, one bit per vertex of that side in the
+    narrowest unsigned type that holds the larger side.  The rows are
+    ordered side 0 first, so a side's rows are one slice, and a vertex's
+    bit is its place in its side's slice.  The graph is bipartite, so a
+    vertex at distance exactly t from v lies on v's side iff t is even:
+    round t grows only the halves reach[t % 2], from the out-neighbours'
+    other halves.  No half is both read and written in a round, so the
+    push is in place.  The bits past a side's size are set from the
+    start, so a half is full when it is all ones.
 
     sums[p] holds each column's sum of its halves reach[p] as integers.  A
     half only gains bits, so its value only grows: a column's rows are all
     full exactly when both sums reach n times all ones, and the rows a
-    round writes grew exactly when their sum changed.  A column stays live
-    until its rows are all full, when its diameter is written (once: `live`
-    masks the write), or until a round grows none of its rows, when it is
-    at its fixed point and keeps inf.  A retired column rides along to the
-    end of the batch, and pushing it changes nothing, since a full column
-    stays full and a stagnant one is at its fixed point."""
+    round writes grew exactly when their sum changed.  A column whose rows
+    are all full in round t has diameter t (written once: `live` masks the
+    write), so the first such round is the batch's smallest diameter; a
+    column that a round grows nowhere is at its fixed point and keeps inf.
+
+    From round c on, two certificates, read from the halves after the
+    round, decide the other live columns, so that the push stops about
+    there instead of running out the larger diameters:
+
+    - A closed ball is not strong.  If v's written half did not grow in
+      round t (`prev` keeps it from before the round), no vertex is at
+      distance exactly t from v, so none is farther: v's ball is closed,
+      and if v's row is not full, v misses a vertex.  The column keeps inf.
+    - A root that reaches all and is reached by all is strong: if r's row
+      is full and r's bit is in every row, any u reaches any w through r.
+      The column was not full in round t, so its diameter is at least
+      t + 1 > c, which it reads.
+
+    Both hold in any round, but a column retired early still rides along
+    to the end of the batch, so they are read only from round c on.
+    Pushing a retired column changes nothing that is read: a full column
+    stays full, a stagnant one is at its fixed point, and a certified one
+    is never written again."""
     import numpy as np
     n, edges, side = graph.n, graph.edges, graph.sides
     if any(side[u] == side[v] for u, v in edges):
@@ -231,19 +260,31 @@ def _batch_diameters(graph: EnumGraph, ranks: np.ndarray) -> np.ndarray:
     fwd = fwd.astype(half, copy=False)
     fwd -= half.type(1)
     pad = [ones ^ ((1 << k) - 1) for k in size]
-    start = np.array([[pad[s] | 1 << side[:v].count(s)
-                       for v, s in enumerate(side)],
-                      [pad[1 - s] for s in side]], dtype=half)
+    # the rows of side 0 first, then those of side 1, so that a side's rows
+    # are one slice; a row's bit in its side is its place in that slice
+    order = sorted(range(n), key=side.__getitem__)
+    row = {v: i for i, v in enumerate(order)}
+    mine = (slice(0, size[0]), slice(size[0], n))   # side s's rows
+    bit = np.array([1 << i for k in size for i in range(k)],
+                   dtype=half)[:, None]
+    start = np.array([[pad[side[v]] for v in order],
+                      [pad[1 - side[v]] for v in order]], dtype=half)
+    start[0] |= bit[:, 0]
     reach = np.repeat(start, len(ranks)).reshape(2, n, len(ranks))
     sums = np.repeat(start.sum(axis=1, dtype=wide),
                      len(ranks)).reshape(2, len(ranks))
     step = np.empty(len(ranks), dtype=half)   # scratch row for every push
+    prev = np.empty((n, len(ranks)), dtype=half)
+    flags = np.empty((n, len(ranks)), dtype=bool)
+    pushes = [(row[u], row[v], f) for (u, v), f in zip(edges, fwd)]
+    cut = bound
     t = 0
     while live.any():
         t += 1
         p = t % 2
         write, read = reach[p], reach[1 - p]
-        for (u, v), f in zip(edges, fwd):
+        np.copyto(prev, write)
+        for u, v, f in pushes:
             to_u, to_v = write[u], write[v]
             np.bitwise_or(to_u, np.bitwise_and(read[v], f, out=step), out=to_u)
             np.invert(f, out=step)
@@ -254,6 +295,25 @@ def _batch_diameters(graph: EnumGraph, ranks: np.ndarray) -> np.ndarray:
         diam[done] = t
         live &= ~done & (grown != sums[p])
         sums[p] = grown
+        if t < cut and done.any():
+            cut = t
+        if t < cut:
+            continue
+        # a row that did not grow and is not full: a closed ball
+        np.equal(write, prev, out=flags)
+        np.bitwise_and(write, read, out=prev)
+        np.invert(prev, out=prev)   # zero exactly where a row is full
+        live &= ~np.logical_and(flags, prev, out=flags).any(axis=0)
+        # a root: a full row whose bit is set in every row's half over its
+        # side, per side s the AND of those halves
+        np.equal(prev, 0, out=flags)
+        for s in (0, 1):
+            by_all = np.bitwise_and.reduce(reach[0][mine[s]], axis=0)
+            by_all &= np.bitwise_and.reduce(reach[1][mine[1 - s]], axis=0)
+            np.bitwise_and(by_all, bit[mine[s]], out=prev[mine[s]])
+        certified = live & np.logical_and(flags, prev, out=flags).any(axis=0)
+        diam[certified] = t + 1
+        live &= ~certified
     return diam
 
 
@@ -266,10 +326,11 @@ def search_rank_range(graph: EnumGraph, lo: int, hi: int) -> RangeResult:
     best_rank = None
     strong = 0
     for ranks in _survivors(graph, lo, hi):
-        diams = _batch_diameters(graph, ranks)
+        diams = _batch_diameters(graph, ranks, best)
         strong += int(np.isfinite(diams).sum())
         # batches are never empty and ascend, so argmin's first minimum is
-        # the smallest optimal rank; a later batch must be strictly better
+        # the smallest optimal rank; a later batch must be strictly better,
+        # and its columns that are, are exact
         i = int(diams.argmin())
         if diams[i] < best:
             best = float(diams[i])
@@ -317,11 +378,12 @@ def _orbits(graph: EnumGraph):
     size is built by exact products alone.  The other side's vertices and
     `graph.cuts` are judged at the level that sets their last edge."""
     import numpy as np
-    side = min((0, 1), key=lambda s: _candidates(_twin_classes(graph, s)))
+    classes = [_twin_classes(graph, s) for s in (0, 1)]
+    side = min((0, 1), key=lambda s: _candidates(classes[s]))
     # per level: key bit -> edge, copy number, class size, keys, the two
     # skipped keys, checks; and per edge the level that sets its bit
     levels, set_by = [], {}
-    for _, copies in _twin_classes(graph, side):
+    for _, copies in classes[side]:
         for i, x in enumerate(copies, start=1):
             m_x, s_x = _crossing(graph, (x,))
             row = [j for j in range(graph.m) if m_x >> j & 1]
@@ -415,8 +477,11 @@ def _search(graph: EnumGraph, symmetry: bool) -> OracleResult:
     all in or all out is a sink or a source, so those keys are never
     taken.  The strong count is the sum of the strong orbits' sizes, and
     the witness the smallest optimal representative, which is the smallest
-    optimal rank, as (tail, head) names of `graph`.  `examined` counts 2^m
-    assignments, or with `symmetry` one per reversal pair.
+    optimal rank, as (tail, head) names of `graph`.  Each batch is pushed
+    with the best diameter so far as its bound: its columns that tie or
+    beat it read exactly, and the rest are only told strong or not.
+    `examined` counts 2^m assignments, or with `symmetry` one per reversal
+    pair.
 
     Some rank is strong: every edge of a valid multiplied tree, and of
     K(p,q) with p, q >= 2, joins two blocks of at least two copies, so lies
@@ -429,7 +494,7 @@ def _search(graph: EnumGraph, symmetry: bool) -> OracleResult:
     best = (math.inf, 1 << graph.m)   # (diameter, smallest rank with it)
     strong = 0
     for ranks, sizes in _orbits(graph):
-        diams = _batch_diameters(graph, ranks)
+        diams = _batch_diameters(graph, ranks, best[0])
         strong += int(sizes[np.isfinite(diams)].sum())
         low = diams.min()
         best = min(best, (float(low), int(ranks[diams == low].min())))

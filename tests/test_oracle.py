@@ -151,6 +151,27 @@ def test_smallest_rank_wins_across_batches(monkeypatch, spec):
         before.best_diameter > full.best_diameter
 
 
+@pytest.mark.parametrize("spec", [deg3_all2(), c1_24_edges()],
+                         ids=["20-edges", "24-edges"])
+def test_orbit_search_bound_carries_across_batches(monkeypatch, spec):
+    # with small expansions and pushes, `_orbits` yields many batches, and
+    # each is pushed with the best diameter of the batches before it as
+    # its bound: the search still finds the full scan's diameter, smallest
+    # optimal rank and strong count
+    graph = graph_from_spec(spec)
+    full = search_rank_range(graph, 0, 1 << graph.m)
+    monkeypatch.setattr(oracle, "_BATCH", 64)
+    monkeypatch.setattr(oracle, "_PUSH", 32)
+    assert len(list(_orbits(graph))) > 50
+    res = oracle._search(graph, symmetry=False)
+    names = graph.names
+    rank = sum(1 << j for j, (arc, (u, v))
+               in enumerate(zip(res.witness_arcs, graph.edges))
+               if arc == (names[v], names[u]))
+    assert (res.orientation_number, rank, res.strong_count) == \
+        (full.best_diameter, full.best_rank, full.strong_count)
+
+
 # ----------------------------------------------------------------------------
 # guards
 # ----------------------------------------------------------------------------
@@ -511,6 +532,32 @@ KERNEL_GRAPHS = [(spec, graph_from_spec(spec))
     [(None, isolated_vertex())]
 
 
+def assert_cut_contract(got, want, bound=math.inf):
+    """`_batch_diameters`' contract against exact diameters: the same ranks
+    are strong; those at or below the cut, min(bound, the smallest exact
+    diameter), read exactly; every other strong rank reads a value above
+    the cut and at most its diameter."""
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    cut = min(bound, want.min(initial=math.inf))
+    low = want <= cut
+    assert np.array_equal(got[low], want[low])
+    other = np.isfinite(want) & ~low
+    assert ((got[other] > cut) & (got[other] <= want[other])).all()
+
+
+def push_rounds(monkeypatch, graph, ranks, bound=math.inf):
+    """The diameters `_batch_diameters` reads for `ranks` and the number of
+    rounds its push ran: it copies the written halves once per round."""
+    rounds = []
+    copyto = np.copyto
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "copyto",
+                      lambda *a, **k: rounds.append(1) or copyto(*a, **k))
+        got = _batch_diameters(graph, np.array(ranks, dtype=np.int64),
+                               bound)
+    return got.tolist(), len(rounds)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_batch_diameters_match_reference_and_digraph(data):
@@ -530,43 +577,82 @@ def test_batch_diameters_match_reference_and_digraph(data):
     ranks = np.array([*range(lo, hi), 0, top - 1, strong, *extra, *near],
                      dtype=np.int64)
     got = _batch_diameters(graph, ranks)
-    assert np.array_equal(got, reference_diameters(graph, ranks))
+    want = reference_diameters(graph, ranks)
+    assert_cut_contract(got, want)
     assert math.isinf(got[hi - lo]) and math.isinf(got[hi - lo + 1])
     # the search from vertex 0 orients its component; a vertex without
     # edges is reached by none
     spanning = {v for e in graph.edges for v in e} == set(range(graph.n))
     assert math.isfinite(got[hi - lo + 2]) == spanning
-    if spec is None:
-        return
-    finite = np.flatnonzero(np.isfinite(got))
-    for i in (*finite[:25], *range(min(len(ranks), 25))):
+    # a rank pushed alone is its batch's smallest diameter, so it reads
+    # exactly: 25 strong ranks and the first 25, or all there are
+    finite = np.flatnonzero(np.isfinite(want))
+    for i in {*finite[:25], *range(min(len(ranks), 25))}:
+        alone = _batch_diameters(graph, ranks[i:i + 1])[0]
+        assert alone == want[i]
+        if spec is None:
+            continue
         r = int(ranks[i])
         d = Orientation(spec, tuple((r >> j) & 1 for j in range(graph.m)))
-        assert diameter(d) == got[i]
-        assert is_strong(d) == math.isfinite(got[i])
+        assert diameter(d) == alone
+        assert is_strong(d) == math.isfinite(alone)
+
+
+def k34_ranks():
+    """K(3,4) ranks by exact diameter 4, 5 and 6, three each."""
+    graph = bipartite_graph(3, 4)
+    scan = reference_diameters(graph, np.arange(1 << graph.m, dtype=np.int64))
+    return graph, [np.flatnonzero(scan == d)[:3].tolist() for d in (4, 5, 6)]
 
 
 def test_batch_diameters_retire_columns_in_place():
-    # eight K(3,4) columns that retire in rounds 2, 4, 5, 5, 5, 6, 6, 6.
-    # Rank 0 points every edge from side a to side b, so no row grows after
-    # round 1 and its column stagnates in round 2; the diameter-4 column is
-    # full from round 4 on.  A retired column rides along to the end of the
-    # batch, so the diameter-4 column must keep 4 and rank 0 must keep inf
-    # through the pushes of rounds 5 and 6
-    graph = bipartite_graph(3, 4)
-    scan = reference_diameters(graph, np.arange(1 << graph.m, dtype=np.int64))
-    d4, d5, d6 = (np.flatnonzero(scan == d)[:3] for d in (4, 5, 6))
+    # eight K(3,4) columns, of diameters 6, 5, inf, 6, 4, 5, 6, 5 when each
+    # is pushed alone.  Rank 0 points every edge from side a to side b, so
+    # no row grows after round 1 and its column stagnates in round 2; the
+    # diameter-4 column is full in round 4, the batch's smallest diameter,
+    # and the others are decided there.  A retired column rides along to
+    # the end of the batch, so rank 0 must keep inf through the pushes of
+    # rounds 3 and 4
+    graph, (d4, d5, d6) = k34_ranks()
     ranks = np.array([d6[0], d5[0], 0, d6[1], d4[0], d5[1], d6[2], d5[2]],
                      dtype=np.int64)
-    assert _batch_diameters(graph, ranks).tolist() == \
-        [6, 5, math.inf, 6, 4, 5, 6, 5]
-    # riding along changes no column: the batch agrees with each rank
-    # pushed alone
-    assert _batch_diameters(graph, ranks).tolist() == \
-        [_batch_diameters(graph, ranks[i:i + 1])[0] for i in range(8)]
+    alone = [_batch_diameters(graph, ranks[i:i + 1])[0] for i in range(8)]
+    assert alone == [6, 5, math.inf, 6, 4, 5, 6, 5]
     for batch in (ranks, np.array([], dtype=np.int64)):
-        assert np.array_equal(_batch_diameters(graph, batch),
-                              reference_diameters(graph, batch))
+        assert_cut_contract(_batch_diameters(graph, batch),
+                            reference_diameters(graph, batch))
+
+
+def test_closed_ball_retires_a_column_at_the_cut(monkeypatch):
+    # K(3,4) rank 3236 makes b1 a sink, a ball closed in round 1 that
+    # misses every other vertex, while the other rows grow until round 5.
+    # Pushed alone, no column is full, so it runs until its rows stop
+    # growing, in round 6; next to a diameter-4 column it retires as inf
+    # at the cut, in round 4, its other rows still growing
+    graph, (d4, _, _) = k34_ranks()
+    assert push_rounds(monkeypatch, graph, [3236]) == ([math.inf], 6)
+    assert push_rounds(monkeypatch, graph, [d4[0], 3236]) == \
+        ([4, math.inf], 4)
+
+
+def test_root_certifies_a_column_above_the_cut(monkeypatch):
+    # a diameter-6 column next to a diameter-4 one is full only in round
+    # 6, but in round 4 some root reaches every vertex and is reached by
+    # every vertex, so it is strong with diameter at least 5, which it
+    # reads, and the push stops there
+    graph, (d4, _, d6) = k34_ranks()
+    assert push_rounds(monkeypatch, graph, [d6[0]]) == ([6], 6)
+    assert push_rounds(monkeypatch, graph, [d4[0], d6[0]]) == ([4, 5], 4)
+    # the push stops at the cut, min(bound, the batch's smallest diameter
+    # 4); with bound 3 every strong column, the diameter-4 one too, reads
+    # above 3 and at most its diameter
+    ranks = [d4[0], d6[0], 0, d6[1]]
+    for bound in (3, 4, 5, 6, math.inf):
+        got, rounds = push_rounds(monkeypatch, graph, ranks, bound)
+        assert_cut_contract(np.array(got),
+                            reference_diameters(graph, np.array(ranks)),
+                            bound)
+        assert rounds == min(bound, 4)
 
 
 def test_edge_within_a_side_is_refused_before_any_push():
