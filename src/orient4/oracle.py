@@ -5,9 +5,12 @@ bit j gives edge j's direction (0: as listed canonically, 1: reversed).
 The copies of one tree vertex are twins, and permuting twins maps an
 assignment to an isomorphic one, so the search decides one assignment per
 orbit of these permutations, the orbit's smallest rank, and weighs it by
-the orbit's size (`_search`).  The reported witness is the numerically
-smallest optimal rank and the strong count is exact.  The work is
-vectorized with numpy, which loads on the first search, not on import.
+the orbit's size (`_search`).  The representatives are enumerated one
+group of twins at a time, each group's multisets of keys read from a
+table built once per search (`_orbits`).  The reported witness is the
+numerically smallest optimal rank and the strong count is exact.  The
+work is vectorized with numpy, which loads on the first search, not on
+import.
 
 A strong orientation has no source or sink, and no branch subtree with
 its center edges all pointing one way, so a filter drops such ranks
@@ -342,13 +345,31 @@ def search_rank_range(graph: EnumGraph, lo: int, hi: int) -> RangeResult:
 # One representative per orbit of the twin permutations
 # ============================================================================
 
-def _twin_classes(graph: EnumGraph, side: int) -> list:
+def _incidence(graph: EnumGraph) -> list:
+    """Each vertex's (neighbour set, edge indices ascending, M_x, S_x), the
+    last two as `_crossing` gives them for the vertex alone, from one pass
+    over the edges."""
+    near = [set() for _ in range(graph.n)]
+    rows = [[] for _ in range(graph.n)]
+    masks, into = [0] * graph.n, [0] * graph.n
+    for j, (u, v) in enumerate(graph.edges):
+        near[u].add(v)
+        near[v].add(u)
+        rows[u].append(j)
+        rows[v].append(j)
+        masks[u] |= 1 << j
+        masks[v] |= 1 << j
+        into[u] |= 1 << j
+    return [(frozenset(t), row, m_x, s_x)
+            for t, row, m_x, s_x in zip(near, rows, masks, into)]
+
+
+def _twin_classes(graph: EnumGraph, side: int, incidence=None) -> list:
     """The twin classes of one side, the vertices with the same neighbours,
     as (neighbour set, copies in index order) pairs."""
     classes = {}
-    for x in range(graph.n):
+    for x, (twins, *_) in enumerate(incidence or _incidence(graph)):
         if graph.sides[x] == side:
-            twins = frozenset(u + v - x for u, v in graph.edges if x in (u, v))
             classes.setdefault(twins, []).append(x)
     return list(classes.items())
 
@@ -361,45 +382,123 @@ def _candidates(classes) -> int:
                                len(xs)) for twins, xs in classes)
 
 
+def _group(bits, rows: list, a: int, k: int) -> tuple:
+    """The table of one group: copies a+1..a+g of a class of k twins, where
+    copy i's rank bits are the key bits `bits` (one row per key index)
+    spread over its edges `rows[i - a - 1]`.
+
+    One column per multiset of g key indices, as g non-increasing keys, in
+    order of the first key, with the rows of `_orbits`' level tables: rank
+    contribution, product of C(e, l) over the runs that close inside the
+    group but the leading one, last key, length of the trailing run of
+    equal keys, a row for `_orbits` to fill, first key and length of the
+    leading run.  The last group of a class closes its trailing run at
+    copy k.
+
+    After a class's first group (a > 0) the leading run joins the carried
+    run (its key, length r) when its key is the carried one, so the table
+    comes with (factor, extra, stride, joined): `factor` and `extra`,
+    flattened from (joined, r, leading run length L) with strides `joined`
+    and `stride`, give the binomials of the carried and the leading run's
+    closes, and what the carried run adds to the trailing run, which is the
+    leading one when all g keys are equal.  At a = 0 nothing is carried
+    and every such factor is 1, so None comes instead."""
+    import numpy as np
+    g, comb, ends = len(rows), math.comb, a + len(rows) == k
+    spread = bits @ (1 << np.array(rows, dtype=np.int64).T)
+    table = np.ones((7, len(bits)), dtype=np.int64)
+    contrib, closed, last, run, _, first, lead = table
+    contrib[:] = spread[:, 0]
+    first[:] = last[:] = np.arange(len(bits))
+    for i in range(1, g):   # extend each multiset by every key up to its last
+        width = last + 1
+        start = np.cumsum(width) - width
+        copy = np.repeat(np.arange(len(width)), width)
+        key = np.arange(len(copy)) - start[copy]
+        table = np.take(table, copy, axis=1)
+        contrib, closed, last, run, _, first, lead = table
+        new = key != last
+        if i > 1:   # the first run to close is the leading one
+            binom = np.array([comb(a + i, n) for n in range(i + 1)])
+            closed *= np.where(new & (first != last), binom[run], 1)
+        run[:] = np.where(new, 1, run + 1)
+        lead += key == first
+        contrib += spread[key, i]
+        last[:] = key
+    if ends:
+        binom = np.array([comb(k, n) for n in range(g + 1)])
+        closed *= np.where(lead < g, binom[run], 1)
+    if a == 0:
+        return table, None
+    # the leading run, r copies longer if joined, closes at copy a + L
+    # unless it is the trailing run of a class that goes on
+    pairs = np.array([[[((1 if joined else comb(a, r)) *
+                         (comb(a + n, n + r * joined) if n < g or ends else 1),
+                         r * joined * (n == g and not ends))
+                        for n in range(g + 1)] for r in range(a + 1)]
+                      for joined in (0, 1)], dtype=np.int64)
+    return table, (pairs[..., 0].ravel(), pairs[..., 1].ravel(), g + 1,
+                   (a + 1) * (g + 1))
+
+
 def _orbits(graph: EnumGraph):
     """(ranks, orbit sizes) of the orbit representatives that `_search`
     decides, as the two rows of int64 arrays of at most _PUSH columns (or
     one expansion's, if more).
 
-    One level per copy of the chosen side, class by class: a copy takes a
-    key index, at most its previous twin's, so keys do not increase within
-    a class, and the index skips the all-in and all-out keys.  A stack of
-    prefixes (rank, orbit size, previous key index, run of equal keys, key
-    indices [lo, hi) still to try) is expanded depth first, at most _BATCH
-    columns at a time: a stack entry that would expand to more expands its
-    first prefixes, or the top _BATCH keys of one prefix, and keeps the
-    rest.  A class's multinomial is the product, over its runs of equal
-    keys, of C(e, l) for a run of length l ending at copy e, so an orbit
-    size is built by exact products alone.  The other side's vertices and
+    Each copy of the chosen side takes a key index, at most its previous
+    twin's, so keys do not increase within a class; the index skips the
+    all-in and all-out keys.  One level per group of twins: a class's
+    copies in runs of as many as have at most _BATCH multisets of keys (at
+    least one copy), each read from a table (`_group`).  A prefix's state
+    is (rank, orbit size, previous key index, run of equal keys ending
+    there, table columns [lo, hi) still to try); a prefix takes the table
+    columns whose first key is at most its previous key, a first part of
+    the table, or all of it at a class's first group.  A class's
+    multinomial is the product, over its runs of equal keys, of C(e, l)
+    for a run of length l ending at copy e, and a run carried across a
+    group boundary closes in the next group's expansion, so an orbit size
+    is built by exact products alone.  A stack of states is expanded
+    depth first, at most _BATCH columns at a time: an entry that would
+    expand to more expands its first prefixes, or the last _BATCH columns
+    of one prefix, and keeps the rest.  The other side's vertices and
     `graph.cuts` are judged at the level that sets their last edge."""
     import numpy as np
-    classes = [_twin_classes(graph, s) for s in (0, 1)]
+    incidence = _incidence(graph)
+    classes = [_twin_classes(graph, s, incidence) for s in (0, 1)]
     side = min((0, 1), key=lambda s: _candidates(classes[s]))
-    # per level: key bit -> edge, copy number, class size, keys, the two
-    # skipped keys, checks; and per edge the level that sets its bit
+    # per level: the table of its group, the factors of a carried run (or
+    # None) and its checks; per edge the level that sets its bit
     levels, set_by = [], {}
     for _, copies in classes[side]:
-        for i, x in enumerate(copies, start=1):
-            m_x, s_x = _crossing(graph, (x,))
-            row = [j for j in range(graph.m) if m_x >> j & 1]
-            set_by.update(dict.fromkeys(row, len(levels)))
-            into = sum((s_x >> j & 1) << b for b, j in enumerate(row))
-            full = (1 << len(row)) - 1
-            levels.append((row, i, len(copies), full - 1,
-                           *sorted((into, into ^ full)), []))
+        rows = [incidence[x][1] for x in copies]
+        d, k, s_x = len(rows[0]), len(copies), incidence[copies[0]][3]
+        into = sum((s_x >> j & 1) << b for b, j in enumerate(rows[0]))
+        keys = np.delete(np.arange(1 << d, dtype=np.int64),
+                         [into, into ^ ((1 << d) - 1)])
+        bits = keys[:, None] >> np.arange(d) & 1
+        a = 0
+        while a < k:
+            g = 1
+            while a + g < k and math.comb(len(keys) + g, g + 1) <= _BATCH:
+                g += 1
+            for row in rows[a:a + g]:
+                set_by.update(dict.fromkeys(row, len(levels)))
+            levels.append((*_group(bits, rows[a:a + g], a, k), []))
+            a += g
     for part in [(x,) for x in range(graph.n) if graph.sides[x] != side] + \
             list(graph.cuts):
-        m_x, s_x = _crossing(graph, part)
+        m_x, s_x = (incidence[part[0]][2:] if len(part) == 1
+                    else _crossing(graph, part))
         last = max(set_by[j] for j in range(graph.m) if m_x >> j & 1)
-        levels[last][-1].append((m_x, s_x))
-    binom = np.array([[math.comb(e, k) for k in range(graph.n + 1)]
-                      for e in range(graph.n + 1)], dtype=np.int64)
-    stack = [(0, np.array([[0], [1], [-1], [0], [0], [levels[0][3]]],
+        levels[last][2].append((m_x, s_x))
+    # each table column's hi at the next level: all of that level's
+    # columns where it opens a class, else those whose first key is at
+    # most this column's last
+    for (table, _, _), (then, carried, _) in zip(levels, levels[1:]):
+        table[4] = np.searchsorted(then[5], table[2], side="right") \
+            if carried else then.shape[1]
+    stack = [(0, np.array([[0], [1], [0], [0], [0], [levels[0][0].shape[1]]],
                           dtype=np.int64))]
     pending, count = [], 0
     while stack:
@@ -407,42 +506,16 @@ def _orbits(graph: EnumGraph):
         width = state[5] - state[4]
         if width.sum() > _BATCH:
             fit = int(np.searchsorted(np.cumsum(width), _BATCH, side="right"))
-            rest = state[:, fit:].copy()
+            rest = state[:, fit:]
             if fit:
                 state = state[:, :fit]
             else:
-                rest[5, 0] -= _BATCH
                 state = state[:, :1].copy()
+                rest[5, 0] -= _BATCH
                 state[4] = rest[5, 0]
             stack.append((level, rest))
-            width = state[5] - state[4]
-        ends = np.cumsum(width)
-        nxt = np.repeat(state, width, axis=1)
-        rank, size, prev, run, lo, hi = nxt
-        idx = np.arange(ends[-1]) - np.repeat(ends - width - state[4], width)
-        row, i, k, _, low, high, checks = levels[level]
-        key = idx + (idx >= low)
-        key += key >= high
-        for b, j in enumerate(row):
-            rank |= (key >> b & 1) << j
-        new = idx != prev   # a new run: the previous one ended at copy i - 1
-        if i > 1:
-            size *= binom[i - 1][np.where(new, run, 0)]
-        run[:] = np.where(new, 1, run + 1)
-        if i == k:
-            size *= binom[k][run]
+        nxt = _expand(*levels[level], state, level + 1 < len(levels))
         level += 1
-        if level < len(levels):
-            first = levels[level][1] == 1
-            prev[:] = -1 if first else idx
-            lo[:] = 0
-            hi[:] = levels[level][3] if first else idx + 1
-        if checks:
-            alive = np.ones(len(rank), dtype=bool)
-            for m_x, s_x in checks:
-                bits = rank & m_x
-                alive &= (bits != s_x) & (bits != s_x ^ m_x)
-            nxt = nxt[:, np.flatnonzero(alive)]
         if level < len(levels):
             if nxt.shape[1]:
                 stack.append((level, nxt))
@@ -450,10 +523,53 @@ def _orbits(graph: EnumGraph):
         if count and count + nxt.shape[1] > _PUSH:
             yield np.concatenate(pending, axis=1)
             pending, count = [], 0
-        pending.append(nxt[:2])
+        pending.append(nxt)
         count += nxt.shape[1]
     if count:
         yield np.concatenate(pending, axis=1)
+
+
+def _expand(table, carried, checks, state, inner: bool):
+    """The states one level of `_orbits` makes of `state`, each column's
+    table columns [lo, hi) in turn, with the checks applied: all six rows,
+    or only (rank, orbit size) at the last level (`inner` false).  Apart
+    from `_orbits`, so that its index arrays are freed before a batch is
+    yielded to the reach push."""
+    import numpy as np
+    contrib, closed, last, trail, upto, first, lead = table
+    width = state[5] - state[4]
+    # expanded column c is state column copy[c] with table column idx[c];
+    # a state's columns end at its hi
+    copy = np.repeat(np.arange(len(width)), width)
+    idx = np.arange(len(copy)) - (np.cumsum(width) - state[5])[copy]
+    rank = state[0][copy]
+    rank |= contrib[idx]
+    if checks:
+        alive = np.ones(len(rank), dtype=bool)
+        for m_x, s_x in checks:
+            bits = rank & m_x
+            alive &= (bits != s_x) & (bits != s_x ^ m_x)
+        keep = np.flatnonzero(alive)
+        copy, idx, rank = copy[keep], idx[keep], rank[keep]
+    nxt = np.empty((6 if inner else 2, len(rank)), dtype=np.int64)
+    nxt[0] = rank
+    size = nxt[1]
+    np.take(state[1], copy, out=size)
+    size *= closed[idx]
+    if carried:
+        factor, extra, stride, joined = carried
+        at = state[3][copy] * stride
+        at += lead[idx]
+        at += (first[idx] == state[2][copy]) * joined
+        size *= factor[at]
+    if inner:
+        np.take(last, idx, out=nxt[2])
+        np.take(trail, idx, out=nxt[3])
+        if carried:
+            nxt[3] += extra[at]
+        nxt[4] = 0
+        np.take(upto, idx, out=nxt[5])
+    return nxt
 
 
 def _search(graph: EnumGraph, symmetry: bool) -> OracleResult:

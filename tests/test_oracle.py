@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from functools import partial
 from itertools import combinations_with_replacement, permutations, product
 
@@ -298,11 +299,38 @@ def twin_images(graph, side, ranks):
     return np.array(rows)
 
 
-@pytest.mark.parametrize("graph", [bipartite_graph(2, 3),
-                                   bipartite_graph(3, 3),
-                                   graph_from_spec(p5_all2())],
-                         ids=["K(2,3)", "K(3,3)", "p5"])
-def test_orbits_are_one_smallest_rank_per_orbit(graph):
+def group_sizes(monkeypatch, graph):
+    """The copies per group that `_orbits` reads from each table, in level
+    order, at the current `_BATCH`."""
+    sizes = []
+
+    def spy(bits, rows, a, k):
+        sizes.append(len(rows))
+        return group(bits, rows, a, k)
+    group = oracle._group
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_group", spy)
+        list(_orbits(graph))
+    return sizes
+
+
+@pytest.mark.parametrize("graph, batch, groups", [
+    pytest.param(bipartite_graph(2, 3), _BATCH, [3], id="K(2,3)"),
+    pytest.param(bipartite_graph(3, 3), _BATCH, [3], id="K(3,3)"),
+    pytest.param(graph_from_spec(p5_all2()), _BATCH, [2, 2, 2],
+                 id="p5"),
+    # C(7,2) = 21 multisets of K(3,3)'s 6 keys fit, C(8,3) = 56 do not: its
+    # class of 3 copies is read as groups of 2 and 1, with runs carried
+    # across the boundary
+    pytest.param(bipartite_graph(2, 3), 21, [3], id="K(2,3)-batch-21"),
+    pytest.param(bipartite_graph(3, 3), 21, [2, 1], id="K(3,3)-batch-21"),
+    pytest.param(graph_from_spec(p5_all2()), 21, [1, 1, 2, 2],
+                 id="p5-batch-21"),
+])
+def test_orbits_are_one_smallest_rank_per_orbit(monkeypatch, graph, batch,
+                                                groups):
+    monkeypatch.setattr(oracle, "_BATCH", batch)
+    assert group_sizes(monkeypatch, graph) == groups
     # the side searched, with every rank's twin images; the ranks with no
     # all-in or all-out row on that side hold `_candidates` orbits
     side = min((0, 1), key=lambda s: _candidates(_twin_classes(graph, s)))
@@ -343,22 +371,44 @@ def test_orbit_counts_exact_for_a_large_twin_class():
     assert res.orientations_examined == 1 << 42
 
 
-@pytest.mark.parametrize("graph", [bipartite_graph(3, 4),
-                                   graph_from_spec(p5_all2()),
-                                   graph_from_spec(mixed_spec())],
-                         ids=["K(3,4)", "p5", "mixed"])
-def test_orbits_split_into_bounded_expansions(monkeypatch, graph):
-    # with 5 columns per expansion, an entry splits by prefixes and a
-    # prefix by its keys (up to 30 of them here); the same representatives
-    # and sizes come out, in arrays of at most 5 columns
+@pytest.mark.parametrize("graph, batch, groups", [
+    pytest.param(bipartite_graph(3, 4), 5, [1] * 4, id="K(3,4)"),
+    pytest.param(graph_from_spec(p5_all2()), 5, [1, 1, 2, 2], id="p5"),
+    pytest.param(graph_from_spec(mixed_spec()), 5, [1, 1, 2, 1, 1],
+                 id="mixed"),
+    # K(4,5)'s 14 keys: C(15,2) = 105 multisets fit in 128, C(16,3) = 560
+    # do not, so its class of 5 copies is read as groups of 2, 2 and 1
+    pytest.param(bipartite_graph(4, 5), 128, [2, 2, 1], id="K(4,5)-batch-128"),
+])
+def test_orbits_split_into_bounded_expansions(monkeypatch, graph, batch,
+                                              groups):
+    # with `batch` columns per expansion, an entry splits by prefixes and a
+    # prefix by its table columns (up to 30 of them at 5); the same
+    # representatives and sizes come out, in arrays of at most `batch`
+    # columns
     whole = np.concatenate(list(_orbits(graph)), axis=1)
-    monkeypatch.setattr(oracle, "_BATCH", 5)
+    monkeypatch.setattr(oracle, "_BATCH", batch)
     monkeypatch.setattr(oracle, "_PUSH", 3)
+    assert group_sizes(monkeypatch, graph) == groups
     parts = list(_orbits(graph))
-    assert max(part.shape[1] for part in parts) <= 5
+    assert max(part.shape[1] for part in parts) <= batch
     got = np.concatenate(parts, axis=1)
     assert np.array_equal(got[:, got[0].argsort()],
                           whole[:, whole[0].argsort()])
+
+
+def test_orbit_tables_bound_the_memory_of_a_large_class():
+    # K(5,6)'s class of 6 copies has C(35,6) = 1,623,160 multisets of its
+    # 30 keys, read as groups of 4 and 2 copies (40,920 and 465 table
+    # columns); a table of the whole class would hold them all
+    tracemalloc.start()
+    try:
+        res = oracle._search(bipartite_graph(5, 6), False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.orientation_number, res.strong_count) == (3, 621_134_130)
+    assert peak <= 32 << 20
 
 
 @pytest.mark.parametrize("run, message", [
