@@ -22,8 +22,9 @@ is only told strong or not, by one of two certificates read from its
 reach sets.  A vertex whose ball stopped growing short of every vertex
 misses one, so the rank is not strong; a root that reaches every vertex
 and that every vertex reaches joins any two through it, so it is.
-`search_rank_range` scans a contiguous range of ranks instead, filtered
-block by block (`_survivors`): the exhaustive reference for the search.
+`search_rank_range` scans a contiguous range of ranks instead, with the
+same part checks and scoring (`_passing`, `_score`): the exhaustive
+reference for the search.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from .tree import (TreeSpec, _blocks, edge_count, edge_pairs, require_valid,
                    vertex_names)
 
 DEFAULT_MAX_EDGES = 24
-_BATCH = 1 << 16    # ranks per filter block, columns per orbit expansion
-_PUSH = 1 << 15     # most survivors per reach push, unless one block has more
+_BATCH = 1 << 16    # ranks per filtered run, columns per orbit expansion
+_PUSH = 1 << 15     # most columns per reach push, unless one run has more
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ def find_bridge(n: int, edges):
 
 
 # ============================================================================
-# Source/sink filter per block of ranks, then the reach push
+# Source/sink filter per run of ranks, the reach push and its scoring
 # ============================================================================
 
 def _crossing(graph: EnumGraph, part) -> tuple:
@@ -138,61 +139,39 @@ def _crossing(graph: EnumGraph, part) -> tuple:
     return m_x, s_x
 
 
-def _survivors(graph: EnumGraph, lo: int, hi: int):
-    """Ranks in [lo, hi) that leave no vertex a source or a sink, and no cut
-    of `graph.cuts` with its crossing edges all pointing in or all out,
-    ascending, gathered across blocks of 2^L ranks into arrays of at most
-    _PUSH ranks (or one block's survivors, if more).
+def _parts(graph: EnumGraph, incidence: list, vertices) -> list:
+    """(M_X, S_X) of each vertex of `vertices` alone, from `_incidence`,
+    then of each cut of `graph.cuts`, from `_crossing`."""
+    return [incidence[x][2:] for x in vertices] + \
+        [_crossing(graph, part) for part in graph.cuts]
 
-    A cut is judged as one more vertex X, by its crossing mask
-    (`_crossing`).  Split M_X and S_X at bit L = min(m, log2(_BATCH)): the
-    low halves are judged once per call for all 2^L low values, and the
-    high halves once per block.  The last array is yielded once the low
-    tables are released, so they do not stay alive through the reach push
-    of a search that fits one array."""
+
+def _passing(ranks, parts):
+    """Which `ranks` leave no part X of `parts` a source or a sink."""
     import numpy as np
-    low = min(graph.m, _BATCH.bit_length() - 1)
-    size = 1 << low
-    values = np.arange(size, dtype=np.min_scalar_type(size - 1))
-    base = np.ones(size, dtype=bool)
-    bits, mask = np.empty_like(values), np.empty_like(base)   # scratch
-    split = []    # (high M_X, high S_X, low "not a sink", low "not a source")
-    for part in [(x,) for x in range(graph.n)] + list(graph.cuts):
-        m_x, s_x = _crossing(graph, part)
-        m_lo, s_lo = m_x & (size - 1), s_x & (size - 1)
-        np.bitwise_and(values, m_lo, out=bits)
-        if m_x >> low == 0:
-            base &= np.not_equal(bits, s_lo, out=mask)
-            base &= np.not_equal(bits, s_lo ^ m_lo, out=mask)
-        elif m_lo:
-            split.append((m_x >> low, s_x >> low,
-                          bits != s_lo, bits != s_lo ^ m_lo))
-        else:
-            # X has no low edges, so a block that points its high edges
-            # all into X or all out of X is rejected whole; such parts go
-            # first, so that a block they reject costs no AND
-            split.insert(0, (m_x >> low, s_x >> low, None, None))
+    alive = np.ones(len(ranks), dtype=bool)
+    for m_x, s_x in parts:
+        bits = ranks & m_x
+        alive &= (bits != s_x) & (bits != s_x ^ m_x)
+    return alive
+
+
+def _survivors(graph: EnumGraph, lo: int, hi: int):
+    """Ranks in [lo, hi) that leave no vertex and no cut of `graph.cuts` a
+    source or a sink, ascending, judged in runs of _BATCH consecutive ranks
+    and gathered into arrays of at most _PUSH (or one run's survivors)."""
+    import numpy as np
+    parts = _parts(graph, _incidence(graph), range(graph.n))
+    dtype = np.min_scalar_type((1 << graph.m) - 1)
     pending, count = [], 0
-    for h in range(lo >> low, (hi + size - 1) >> low):
-        alive = base
-        for m_hi, s_hi, no_sink, no_source in split:
-            b = h & m_hi
-            if b != s_hi and b != s_hi ^ m_hi:
-                continue
-            if no_sink is None:
-                break
-            alive = np.logical_and(alive, no_sink if b == s_hi else no_source,
-                                   out=mask)
-        else:
-            start = h << low
-            first, last = max(lo - start, 0), min(hi - start, size)
-            kept = np.flatnonzero(alive[first:last]) + (start + first)
-            if count and count + kept.size > _PUSH:
-                yield np.concatenate(pending)
-                pending, count = [], 0
-            pending.append(kept)
-            count += kept.size
-    values = base = bits = mask = split = alive = no_sink = no_source = None
+    for start in range(lo, hi, _BATCH):
+        kept = np.arange(start, min(start + _BATCH, hi), dtype=dtype)
+        kept = kept[_passing(kept, parts)]
+        if count and count + kept.size > _PUSH:
+            yield np.concatenate(pending)
+            pending, count = [], 0
+        pending.append(kept)
+        count += kept.size
     if count:
         yield np.concatenate(pending)
 
@@ -320,25 +299,31 @@ def _batch_diameters(graph: EnumGraph, ranks: np.ndarray,
     return diam
 
 
+def _score(graph: EnumGraph, batches) -> tuple:
+    """(best diameter, smallest rank with it, strong weight) over (ranks,
+    weights) batches, each pushed with the best diameter so far as its
+    bound (`_batch_diameters`).  The diameter is math.inf, and the rank
+    not strong or 2^m, when no rank is strong."""
+    import numpy as np
+    best = (math.inf, 1 << graph.m)   # (diameter, smallest rank with it)
+    strong = 0
+    for ranks, weights in batches:
+        diams = _batch_diameters(graph, ranks, best[0])
+        strong += int(weights[np.isfinite(diams)].sum())
+        low = diams.min()
+        best = min(best, (float(low), int(ranks[diams == low].min())))
+    return (*best, strong)
+
+
 def search_rank_range(graph: EnumGraph, lo: int, hi: int) -> RangeResult:
     """Count the strong ranks in [lo, hi); find the smallest-rank optimum."""
     import numpy as np
     if not 0 <= lo <= hi <= 1 << graph.m:
         raise UsageError(f"rank range [{lo},{hi}) outside 0..2^{graph.m}")
-    best = math.inf
-    best_rank = None
-    strong = 0
-    for ranks in _survivors(graph, lo, hi):
-        diams = _batch_diameters(graph, ranks, best)
-        strong += int(np.isfinite(diams).sum())
-        # batches are never empty and ascend, so argmin's first minimum is
-        # the smallest optimal rank; a later batch must be strictly better,
-        # and its columns that are, are exact
-        i = int(diams.argmin())
-        if diams[i] < best:
-            best = float(diams[i])
-            best_rank = int(ranks[i])
-    return RangeResult(hi - lo, strong, best, best_rank)
+    diameter, rank, strong = _score(graph, (
+        (ranks, np.ones_like(ranks)) for ranks in _survivors(graph, lo, hi)))
+    return RangeResult(hi - lo, strong, diameter,
+                       rank if diameter < math.inf else None)
 
 
 # ============================================================================
@@ -486,10 +471,8 @@ def _orbits(graph: EnumGraph):
                 set_by.update(dict.fromkeys(row, len(levels)))
             levels.append((*_group(bits, rows[a:a + g], a, k), []))
             a += g
-    for part in [(x,) for x in range(graph.n) if graph.sides[x] != side] + \
-            list(graph.cuts):
-        m_x, s_x = (incidence[part[0]][2:] if len(part) == 1
-                    else _crossing(graph, part))
+    for m_x, s_x in _parts(graph, incidence, [
+            x for x in range(graph.n) if graph.sides[x] != side]):
         last = max(set_by[j] for j in range(graph.m) if m_x >> j & 1)
         levels[last][2].append((m_x, s_x))
     # each table column's hi at the next level: all of that level's
@@ -545,11 +528,7 @@ def _expand(table, carried, checks, state, inner: bool):
     rank = state[0][copy]
     rank |= contrib[idx]
     if checks:
-        alive = np.ones(len(rank), dtype=bool)
-        for m_x, s_x in checks:
-            bits = rank & m_x
-            alive &= (bits != s_x) & (bits != s_x ^ m_x)
-        keep = np.flatnonzero(alive)
+        keep = np.flatnonzero(_passing(rank, checks))
         copy, idx, rank = copy[keep], idx[keep], rank[keep]
     nxt = np.empty((6 if inner else 2, len(rank)), dtype=np.int64)
     nxt[0] = rank
@@ -593,9 +572,7 @@ def _search(graph: EnumGraph, symmetry: bool) -> OracleResult:
     all in or all out is a sink or a source, so those keys are never
     taken.  The strong count is the sum of the strong orbits' sizes, and
     the witness the smallest optimal representative, which is the smallest
-    optimal rank, as (tail, head) names of `graph`.  Each batch is pushed
-    with the best diameter so far as its bound: its columns that tie or
-    beat it read exactly, and the rest are only told strong or not.
+    optimal rank, as (tail, head) names of `graph`, both from `_score`.
     `examined` counts 2^m assignments, or with `symmetry` one per reversal
     pair.
 
@@ -606,15 +583,7 @@ def _search(graph: EnumGraph, symmetry: bool) -> OracleResult:
     every cut both ways, so the filter may drop a rank that points a branch
     subtree's center edges all one way.  Both graphs are bipartite, as the
     reach push requires."""
-    import numpy as np
-    best = (math.inf, 1 << graph.m)   # (diameter, smallest rank with it)
-    strong = 0
-    for ranks, sizes in _orbits(graph):
-        diams = _batch_diameters(graph, ranks, best[0])
-        strong += int(sizes[np.isfinite(diams)].sum())
-        low = diams.min()
-        best = min(best, (float(low), int(ranks[diams == low].min())))
-    diameter, rank = best
+    diameter, rank, strong = _score(graph, _orbits(graph))
     names = graph.names
     arcs = tuple((names[v], names[u]) if rank >> j & 1
                  else (names[u], names[v])

@@ -15,7 +15,7 @@ from orient4 import oracle
 from orient4.digraph import (Orientation, diameter, from_edge_list,
                              is_strong)
 from orient4.errors import Refusal, UsageError
-from orient4.oracle import (_BATCH, EnumGraph, _batch_diameters,
+from orient4.oracle import (_BATCH, EnumGraph, RangeResult, _batch_diameters,
                             _candidates, _orbits, _survivors, _twin_classes,
                             bipartite_graph, bipartite_orientation_number,
                             find_bridge, graph_from_spec, orientation_number,
@@ -91,6 +91,24 @@ def test_directed_four_cycle_has_diameter_3():
     assert res.strong_count == 1
 
 
+def test_range_without_strong_rank():
+    # no rank of [0, 6) orients K(2,2) as a directed 4-cycle, and none
+    # passes the filter; on the 16-edge path spec rank 13079 passes it but
+    # is not strong, and 13080 does not pass.  Such a range, and an empty
+    # one, report no rank: neither a filtered one nor the scoring's start
+    # value 2^m
+    graph = bipartite_graph(2, 2)
+    assert search_rank_range(graph, 0, 6) == \
+        RangeResult(6, 0, math.inf, None)
+    assert search_rank_range(graph, 5, 5) == \
+        RangeResult(0, 0, math.inf, None)
+    path = graph_from_spec(p5_all2())
+    assert [int(r) for b in _survivors(path, 13079, 13081) for r in b] == \
+        [13079]
+    assert search_rank_range(path, 13079, 13081) == \
+        RangeResult(2, 0, math.inf, None)
+
+
 # ----------------------------------------------------------------------------
 # invariants
 # ----------------------------------------------------------------------------
@@ -141,8 +159,9 @@ def test_witness_is_smallest_rank():
 @pytest.mark.parametrize("spec", [deg3_all2(), c1_24_edges()],
                          ids=["20-edges", "24-edges"])
 def test_smallest_rank_wins_across_batches(monkeypatch, spec):
-    # with one batch per block of _BATCH ranks, the optimum is reached in
-    # many batches, and only the first may set the witness
+    # with _PUSH = 1 each run of _BATCH ranks is pushed as its own batch,
+    # so the optimum is reached in many batches, and only the first may
+    # set the witness
     graph = graph_from_spec(spec)
     full = search_rank_range(graph, 0, 1 << graph.m)
     monkeypatch.setattr(oracle, "_PUSH", 1)
@@ -435,7 +454,7 @@ def test_strong_count_positive_and_diameters_finite():
 def test_oversized_graph_refused_before_search(monkeypatch, p, q, message):
     def no_search(*args, **kwargs):
         raise AssertionError("searched an oversized graph")
-    monkeypatch.setattr(oracle, "search_rank_range", no_search)
+    monkeypatch.setattr(oracle, "_orbits", no_search)
     monkeypatch.setattr(oracle, "_batch_diameters", no_search)
     with pytest.raises(Refusal, match=message):
         bipartite_orientation_number(p, q, max_edges=p * q)
@@ -721,7 +740,7 @@ def test_edge_within_a_side_is_refused_before_any_push():
 
 
 # ----------------------------------------------------------------------------
-# the block filter against the rank-wise one
+# the run filter against the rank-wise one
 # ----------------------------------------------------------------------------
 
 def branch_subtrees(graph):
@@ -762,18 +781,19 @@ def reference_survivors(graph, lo, hi):
 
 def high_edges_only():
     # K(2,8) is edges 0-15; x is joined to a1 and a2 by edges 16 and 17
-    # alone, so every block whose two high bits make x a source or a sink
-    # is rejected whole
+    # alone, so in a run of _BATCH ranks from a multiple of _BATCH, x is a
+    # source or a sink for every rank or for none
     k = bipartite_graph(2, 8)
     return EnumGraph(k.names + ("x",), k.edges + ((0, 10), (1, 10)),
                      k.sides + (1,))
 
 
-# m below, at and above log2(_BATCH) = 16; K(5,5) has blocks with more
-# than _PUSH survivors.  Branch subtrees cross at their center edges, the
-# first edges: the three small specs cross below bit 16, (3; (3,[2]),
-# (3,[2])) has branch 2 across bit 16 (edges 9-17), and five (2,[2])
-# branches have branch 5 above it (edges 16-19)
+# m below, at and above log2(_BATCH) = 16, so a full range is one run of
+# ranks or several; K(5,5) has runs with more than _PUSH survivors.
+# Branch subtrees cross at their center edges, the first edges: the three
+# small specs' cuts change within every run, (3; (3,[2]), (3,[2]))'s
+# branch 2 both within and between runs from multiples of _BATCH (edges
+# 9-17), and five (2,[2]) branches' branch 5 only between them (16-19)
 FILTER_GRAPHS = [bipartite_graph(2, 3), graph_from_spec(mixed_spec()),
                  graph_from_spec(p5_all2()), graph_from_spec(deg3_all2()),
                  bipartite_graph(5, 5), high_edges_only(), isolated_vertex(),
@@ -786,16 +806,16 @@ FILTER_GRAPHS = [bipartite_graph(2, 3), graph_from_spec(mixed_spec()),
 def test_survivors_match_rank_wise_filter(data):
     graph = data.draw(st.sampled_from(FILTER_GRAPHS))
     top = 1 << graph.m
-    # both ends within two blocks of one block boundary, so many ranges
-    # cross it; an end is unaligned or on a boundary
+    # both ends within two runs of one multiple of _BATCH, so many ranges
+    # cross it; an end is on such a multiple or not
     edge = data.draw(st.integers(0, top // _BATCH)) * _BATCH
     near = [edge + k * _BATCH for k in range(-2, 3)
             if 0 <= edge + k * _BATCH <= top]
     end = st.integers(near[0], near[-1]) | st.sampled_from(near)
     lo, hi = sorted((data.draw(end), data.draw(end)))
-    blocks = list(_survivors(graph, lo, hi))
-    assert all(len(b) <= _BATCH for b in blocks)
-    got = np.concatenate(blocks) if blocks else np.array([], dtype=np.int64)
+    batches = list(_survivors(graph, lo, hi))
+    assert all(len(b) <= _BATCH for b in batches)
+    got = np.concatenate(batches) if batches else np.array([], dtype=np.int64)
     assert np.array_equal(got, reference_survivors(graph, lo, hi))
 
 
