@@ -6,11 +6,11 @@ The copies of one tree vertex are twins, and permuting twins maps an
 assignment to an isomorphic one, so the search decides one assignment per
 orbit of these permutations, the orbit's smallest rank, and weighs it by
 the orbit's size (`_search`).  The representatives are enumerated one
-group of twins at a time, each group's multisets of keys read from a
-table built once per search (`_orbits`).  The reported witness is the
-numerically smallest optimal rank and the strong count is exact.  The
-work is vectorized with numpy, which loads on the first search, not on
-import.
+twin class at a time, each prefix crossed with the class's multisets of
+keys, which are built copy by copy (`_orbits`, `_multisets`).  The
+reported witness is the numerically smallest optimal rank and the strong
+count is exact.  The work is vectorized with numpy, which loads on the
+first search, not on import.
 
 A strong orientation has no source or sink, and no branch subtree with
 its center edges all pointing one way, so a filter drops such ranks
@@ -163,17 +163,24 @@ def _survivors(graph: EnumGraph, lo: int, hi: int):
     import numpy as np
     parts = _parts(graph, _incidence(graph), range(graph.n))
     dtype = np.min_scalar_type((1 << graph.m) - 1)
+    runs = (np.arange(start, min(start + _BATCH, hi), dtype=dtype)
+            for start in range(lo, hi, _BATCH))
+    return _gathered(run[_passing(run, parts)] for run in runs)
+
+
+def _gathered(arrays):
+    """`arrays` joined along their last axis into arrays of at most _PUSH
+    columns, or one array's if more."""
+    import numpy as np
     pending, count = [], 0
-    for start in range(lo, hi, _BATCH):
-        kept = np.arange(start, min(start + _BATCH, hi), dtype=dtype)
-        kept = kept[_passing(kept, parts)]
-        if count and count + kept.size > _PUSH:
-            yield np.concatenate(pending)
+    for array in arrays:
+        if count and count + array.shape[-1] > _PUSH:
+            yield np.concatenate(pending, axis=-1)
             pending, count = [], 0
-        pending.append(kept)
-        count += kept.size
+        pending.append(array)
+        count += array.shape[-1]
     if count:
-        yield np.concatenate(pending)
+        yield np.concatenate(pending, axis=-1)
 
 
 def _batch_diameters(graph: EnumGraph, ranks: np.ndarray,
@@ -362,193 +369,109 @@ def _twin_classes(graph: EnumGraph, side: int, incidence=None) -> list:
 def _candidates(classes) -> int:
     """The orbit representatives `_orbits` enumerates over these classes:
     per class of k copies with d neighbours, the multisets of k keys among
-    the 2^d - 2 that are neither all in nor all out."""
+    the 2^d - 2 that are neither all in nor all out (`_multisets`)."""
     return math.prod(math.comb(max((1 << len(twins)) - 2, 0) + len(xs) - 1,
                                len(xs)) for twins, xs in classes)
 
 
-def _group(bits, rows: list, a: int, k: int) -> tuple:
-    """The table of one group: copies a+1..a+g of a class of k twins, where
-    copy i's rank bits are the key bits `bits` (one row per key index)
-    spread over its edges `rows[i - a - 1]`.
+def _multisets(spread):
+    """(rank contributions, orbit sizes) of every multiset of one twin
+    class's keys, in int64 arrays of at most _BATCH columns.  `spread` is
+    the D x k matrix of the rank bits that copy i sets with key index
+    `key`, at [key, i].
 
-    One column per multiset of g key indices, as g non-increasing keys, in
-    order of the first key, with the rows of `_orbits`' level tables: rank
-    contribution, product of C(e, l) over the runs that close inside the
-    group but the leading one, last key, length of the trailing run of
-    equal keys, a row for `_orbits` to fill, first key and length of the
-    leading run.  The last group of a class closes its trailing run at
-    copy k.
-
-    After a class's first group (a > 0) the leading run joins the carried
-    run (its key, length r) when its key is the carried one, so the table
-    comes with (factor, extra, stride, joined): `factor` and `extra`,
-    flattened from (joined, r, leading run length L) with strides `joined`
-    and `stride`, give the binomials of the carried and the leading run's
-    closes, and what the carried run adds to the trailing run, which is the
-    leading one when all g keys are equal.  At a = 0 nothing is carried
-    and every such factor is 1, so None comes instead."""
+    A multiset is read as k key indices, non-increasing by copy: each
+    column extends by every key up to its last one, and `run` counts the
+    copies of its last key, so its size, the multinomial k!/prod(mult!),
+    grows exactly, by (i + 1) / run at copy i + 1.  A column's last
+    extension repeats its last key, so only there is run more than 1.
+    Before the division the product is at most i! (i + 1) <= 20! < 2^62 up
+    to 20 copies; more copies have d <= 3 neighbours, as d * k <= m <= 63,
+    so at most 6 keys and 21 copies, or 2 keys and 30 copies (n <= 32),
+    and the product is at most D^i (i + 1) <= 6^20 * 21 < 2^57.  An
+    extension that would give more than _BATCH columns extends only the
+    first columns that fit, at least one, and puts the rest back on the
+    stack, which is read depth first.  So a finished array is wider than
+    _BATCH, and yielded in slices, only if the class has more keys."""
     import numpy as np
-    g, comb, ends = len(rows), math.comb, a + len(rows) == k
-    spread = bits @ (1 << np.array(rows, dtype=np.int64).T)
-    table = np.ones((7, len(bits)), dtype=np.int64)
-    contrib, closed, last, run, _, first, lead = table
-    contrib[:] = spread[:, 0]
-    first[:] = last[:] = np.arange(len(bits))
-    for i in range(1, g):   # extend each multiset by every key up to its last
+    keys, k = spread.shape
+    ones = np.ones(keys, dtype=np.int64)
+    stack = [(1, (spread[:, 0], ones, np.arange(keys), ones))]
+    while stack:
+        i, state = stack.pop()
+        contrib, size, last, run = state
+        if i == k:
+            for at in range(0, len(contrib), _BATCH):
+                yield contrib[at:at + _BATCH], size[at:at + _BATCH]
+            continue
         width = last + 1
-        start = np.cumsum(width) - width
-        copy = np.repeat(np.arange(len(width)), width)
-        key = np.arange(len(copy)) - start[copy]
-        table = np.take(table, copy, axis=1)
-        contrib, closed, last, run, _, first, lead = table
-        new = key != last
-        if i > 1:   # the first run to close is the leading one
-            binom = np.array([comb(a + i, n) for n in range(i + 1)])
-            closed *= np.where(new & (first != last), binom[run], 1)
-        run[:] = np.where(new, 1, run + 1)
-        lead += key == first
-        contrib += spread[key, i]
-        last[:] = key
-    if ends:
-        binom = np.array([comb(k, n) for n in range(g + 1)])
-        closed *= np.where(lead < g, binom[run], 1)
-    if a == 0:
-        return table, None
-    # the leading run, r copies longer if joined, closes at copy a + L
-    # unless it is the trailing run of a class that goes on
-    pairs = np.array([[[((1 if joined else comb(a, r)) *
-                         (comb(a + n, n + r * joined) if n < g or ends else 1),
-                         r * joined * (n == g and not ends))
-                        for n in range(g + 1)] for r in range(a + 1)]
-                      for joined in (0, 1)], dtype=np.int64)
-    return table, (pairs[..., 0].ravel(), pairs[..., 1].ravel(), g + 1,
-                   (a + 1) * (g + 1))
+        ends = np.cumsum(width)
+        fit = max(1, int(np.searchsorted(ends, _BATCH, side="right")))
+        if fit < len(width):
+            stack.append((i, [row[fit:] for row in state]))
+        width, ends = width[:fit], ends[:fit]
+        key = np.arange(ends[-1]) - np.repeat(ends - width, width)
+        repeat = ends - 1   # each column extended by its last key
+        runs = np.ones(ends[-1], dtype=np.int64)
+        runs[repeat] += run[:fit]
+        size = np.repeat(size[:fit] * (i + 1), width)
+        size[repeat] //= runs[repeat]
+        contrib = np.repeat(contrib[:fit], width) + spread[key, i]
+        stack.append((i + 1, (contrib, size, key, runs)))
 
 
 def _orbits(graph: EnumGraph):
     """(ranks, orbit sizes) of the orbit representatives that `_search`
     decides, as the two rows of int64 arrays of at most _PUSH columns (or
-    one expansion's, if more).
+    one product's, if more).
 
     Each copy of the chosen side takes a key index, at most its previous
     twin's, so keys do not increase within a class; the index skips the
-    all-in and all-out keys.  One level per group of twins: a class's
-    copies in runs of as many as have at most _BATCH multisets of keys (at
-    least one copy), each read from a table (`_group`).  A prefix's state
-    is (rank, orbit size, previous key index, run of equal keys ending
-    there, table columns [lo, hi) still to try); a prefix takes the table
-    columns whose first key is at most its previous key, a first part of
-    the table, or all of it at a class's first group.  A class's
-    multinomial is the product, over its runs of equal keys, of C(e, l)
-    for a run of length l ending at copy e, and a run carried across a
-    group boundary closes in the next group's expansion, so an orbit size
-    is built by exact products alone.  A stack of states is expanded
-    depth first, at most _BATCH columns at a time: an entry that would
-    expand to more expands its first prefixes, or the last _BATCH columns
-    of one prefix, and keeps the rest.  The other side's vertices and
+    all-in and all-out keys.  One level per twin class: each prefix, a
+    (rank, orbit size) column, is crossed with each of the class's
+    multisets (`_multisets`), the rank ORed with the multiset's
+    contribution and the size multiplied by its multinomial, at most
+    _BATCH columns at a time, depth first.  The other side's vertices and
     `graph.cuts` are judged at the level that sets their last edge."""
     import numpy as np
     incidence = _incidence(graph)
     classes = [_twin_classes(graph, s, incidence) for s in (0, 1)]
     side = min((0, 1), key=lambda s: _candidates(classes[s]))
-    # per level: the table of its group, the factors of a carried run (or
-    # None) and its checks; per edge the level that sets its bit
+    # per level, one class: its spread and its checks; per edge the level
+    # that sets its bit
     levels, set_by = [], {}
     for _, copies in classes[side]:
         rows = [incidence[x][1] for x in copies]
-        d, k, s_x = len(rows[0]), len(copies), incidence[copies[0]][3]
+        d, s_x = len(rows[0]), incidence[copies[0]][3]
         into = sum((s_x >> j & 1) << b for b, j in enumerate(rows[0]))
         keys = np.delete(np.arange(1 << d, dtype=np.int64),
                          [into, into ^ ((1 << d) - 1)])
         bits = keys[:, None] >> np.arange(d) & 1
-        a = 0
-        while a < k:
-            g = 1
-            while a + g < k and math.comb(len(keys) + g, g + 1) <= _BATCH:
-                g += 1
-            for row in rows[a:a + g]:
-                set_by.update(dict.fromkeys(row, len(levels)))
-            levels.append((*_group(bits, rows[a:a + g], a, k), []))
-            a += g
+        for row in rows:
+            set_by.update(dict.fromkeys(row, len(levels)))
+        levels.append((bits @ (1 << np.array(rows, dtype=np.int64).T), []))
     for m_x, s_x in _parts(graph, incidence, [
             x for x in range(graph.n) if graph.sides[x] != side]):
         last = max(set_by[j] for j in range(graph.m) if m_x >> j & 1)
-        levels[last][2].append((m_x, s_x))
-    # each table column's hi at the next level: all of that level's
-    # columns where it opens a class, else those whose first key is at
-    # most this column's last
-    for (table, _, _), (then, carried, _) in zip(levels, levels[1:]):
-        table[4] = np.searchsorted(then[5], table[2], side="right") \
-            if carried else then.shape[1]
-    stack = [(0, np.array([[0], [1], [0], [0], [0], [levels[0][0].shape[1]]],
-                          dtype=np.int64))]
-    pending, count = [], 0
-    while stack:
-        level, state = stack.pop()
-        width = state[5] - state[4]
-        if width.sum() > _BATCH:
-            fit = int(np.searchsorted(np.cumsum(width), _BATCH, side="right"))
-            rest = state[:, fit:]
-            if fit:
-                state = state[:, :fit]
-            else:
-                state = state[:, :1].copy()
-                rest[5, 0] -= _BATCH
-                state[4] = rest[5, 0]
-            stack.append((level, rest))
-        nxt = _expand(*levels[level], state, level + 1 < len(levels))
-        level += 1
-        if level < len(levels):
-            if nxt.shape[1]:
-                stack.append((level, nxt))
-            continue
-        if count and count + nxt.shape[1] > _PUSH:
-            yield np.concatenate(pending, axis=1)
-            pending, count = [], 0
-        pending.append(nxt)
-        count += nxt.shape[1]
-    if count:
-        yield np.concatenate(pending, axis=1)
+        levels[last][1].append((m_x, s_x))
 
+    def descend(level, prefix):
+        if level == len(levels) or not prefix.size:
+            yield prefix
+            return
+        spread, checks = levels[level]
+        for contrib, weight in _multisets(spread):
+            step = _BATCH // len(contrib)
+            for at in range(0, prefix.shape[1], step):
+                rank, size = prefix[:, at:at + step, None]
+                batch = np.stack(((rank | contrib).ravel(),
+                                  (size * weight).ravel()))
+                if checks:   # np.compress: faster than a boolean index
+                    batch = np.compress(_passing(batch[0], checks), batch,
+                                        axis=1)
+                yield from descend(level + 1, batch)
 
-def _expand(table, carried, checks, state, inner: bool):
-    """The states one level of `_orbits` makes of `state`, each column's
-    table columns [lo, hi) in turn, with the checks applied: all six rows,
-    or only (rank, orbit size) at the last level (`inner` false).  Apart
-    from `_orbits`, so that its index arrays are freed before a batch is
-    yielded to the reach push."""
-    import numpy as np
-    contrib, closed, last, trail, upto, first, lead = table
-    width = state[5] - state[4]
-    # expanded column c is state column copy[c] with table column idx[c];
-    # a state's columns end at its hi
-    copy = np.repeat(np.arange(len(width)), width)
-    idx = np.arange(len(copy)) - (np.cumsum(width) - state[5])[copy]
-    rank = state[0][copy]
-    rank |= contrib[idx]
-    if checks:
-        keep = np.flatnonzero(_passing(rank, checks))
-        copy, idx, rank = copy[keep], idx[keep], rank[keep]
-    nxt = np.empty((6 if inner else 2, len(rank)), dtype=np.int64)
-    nxt[0] = rank
-    size = nxt[1]
-    np.take(state[1], copy, out=size)
-    size *= closed[idx]
-    if carried:
-        factor, extra, stride, joined = carried
-        at = state[3][copy] * stride
-        at += lead[idx]
-        at += (first[idx] == state[2][copy]) * joined
-        size *= factor[at]
-    if inner:
-        np.take(last, idx, out=nxt[2])
-        np.take(trail, idx, out=nxt[3])
-        if carried:
-            nxt[3] += extra[at]
-        nxt[4] = 0
-        np.take(upto, idx, out=nxt[5])
-    return nxt
+    yield from _gathered(descend(0, np.array([[0], [1]], dtype=np.int64)))
 
 
 def _search(graph: EnumGraph, symmetry: bool) -> OracleResult:

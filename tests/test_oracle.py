@@ -16,9 +16,10 @@ from orient4.digraph import (Orientation, diameter, from_edge_list,
                              is_strong)
 from orient4.errors import Refusal, UsageError
 from orient4.oracle import (_BATCH, EnumGraph, RangeResult, _batch_diameters,
-                            _candidates, _orbits, _survivors, _twin_classes,
-                            bipartite_graph, bipartite_orientation_number,
-                            find_bridge, graph_from_spec, orientation_number,
+                            _candidates, _multisets, _orbits, _survivors,
+                            _twin_classes, bipartite_graph,
+                            bipartite_orientation_number, find_bridge,
+                            graph_from_spec, orientation_number,
                             search_rank_range)
 from orient4.tree import BranchSpec, TreeSpec, edge_count, validate
 
@@ -318,38 +319,40 @@ def twin_images(graph, side, ranks):
     return np.array(rows)
 
 
-def group_sizes(monkeypatch, graph):
-    """The copies per group that `_orbits` reads from each table, in level
-    order, at the current `_BATCH`."""
-    sizes = []
+def multiset_arrays(monkeypatch, graph):
+    """The arrays `_multisets` yields for each level of `_orbits`, in level
+    order, at the current `_BATCH`; every call for one level yields as
+    many."""
+    counts = {}
 
-    def spy(bits, rows, a, k):
-        sizes.append(len(rows))
-        return group(bits, rows, a, k)
-    group = oracle._group
+    def spy(spread):
+        arrays = list(multisets(spread))
+        counts[id(spread)] = len(arrays)
+        return iter(arrays)
+    multisets = oracle._multisets
     with monkeypatch.context() as patch:
-        patch.setattr(oracle, "_group", spy)
+        patch.setattr(oracle, "_multisets", spy)
         list(_orbits(graph))
-    return sizes
+    return list(counts.values())
 
 
-@pytest.mark.parametrize("graph, batch, groups", [
-    pytest.param(bipartite_graph(2, 3), _BATCH, [3], id="K(2,3)"),
-    pytest.param(bipartite_graph(3, 3), _BATCH, [3], id="K(3,3)"),
-    pytest.param(graph_from_spec(p5_all2()), _BATCH, [2, 2, 2],
+@pytest.mark.parametrize("graph, batch, arrays", [
+    pytest.param(bipartite_graph(2, 3), _BATCH, [1], id="K(2,3)"),
+    pytest.param(bipartite_graph(3, 3), _BATCH, [1], id="K(3,3)"),
+    pytest.param(graph_from_spec(p5_all2()), _BATCH, [1, 1, 1],
                  id="p5"),
-    # C(7,2) = 21 multisets of K(3,3)'s 6 keys fit, C(8,3) = 56 do not: its
-    # class of 3 copies is read as groups of 2 and 1, with runs carried
-    # across the boundary
-    pytest.param(bipartite_graph(2, 3), 21, [3], id="K(2,3)-batch-21"),
-    pytest.param(bipartite_graph(3, 3), 21, [2, 1], id="K(3,3)-batch-21"),
-    pytest.param(graph_from_spec(p5_all2()), 21, [1, 1, 2, 2],
+    # at most 21 columns per array: K(3,3)'s C(8,3) = 56 multisets of 6
+    # keys come in 3 arrays and p5's C(15,2) = 105 of 14 keys in 7, so
+    # each orbit is still read once, across the arrays of its class
+    pytest.param(bipartite_graph(2, 3), 21, [1], id="K(2,3)-batch-21"),
+    pytest.param(bipartite_graph(3, 3), 21, [3], id="K(3,3)-batch-21"),
+    pytest.param(graph_from_spec(p5_all2()), 21, [7, 1, 1],
                  id="p5-batch-21"),
 ])
 def test_orbits_are_one_smallest_rank_per_orbit(monkeypatch, graph, batch,
-                                                groups):
+                                                arrays):
     monkeypatch.setattr(oracle, "_BATCH", batch)
-    assert group_sizes(monkeypatch, graph) == groups
+    assert multiset_arrays(monkeypatch, graph) == arrays
     # the side searched, with every rank's twin images; the ranks with no
     # all-in or all-out row on that side hold `_candidates` orbits
     side = min((0, 1), key=lambda s: _candidates(_twin_classes(graph, s)))
@@ -379,6 +382,30 @@ def test_orbits_are_one_smallest_rank_per_orbit(monkeypatch, graph, batch,
     assert np.array_equal(smallest[ranks], ranks)
 
 
+@pytest.mark.parametrize("keys, copies, small", [
+    (2, 21, 4), (6, 3, 12), (14, 5, 28), (30, 6, 256)],
+    ids=["2x21", "6x3", "14x5", "30x6"])
+@pytest.mark.parametrize("batch", ["default", "small"])
+def test_multisets_are_every_multiset_once(monkeypatch, keys, copies, small,
+                                           batch):
+    # copy i sets its key index in bits [i * w, (i + 1) * w), so each
+    # contribution decodes to its copies' keys
+    if batch == "small":
+        monkeypatch.setattr(oracle, "_BATCH", small)
+    w = keys.bit_length()
+    spread = np.arange(keys, dtype=np.int64)[:, None] << w * np.arange(copies)
+    arrays = list(_multisets(spread))
+    assert all(len(c) == len(s) <= oracle._BATCH for c, s in arrays)
+    contrib = np.concatenate([c for c, _ in arrays])
+    sizes = np.concatenate([s for _, s in arrays])
+    assert len(contrib) == math.comb(keys + copies - 1, copies)
+    # the multinomial identity: the orbits' sizes cover all D^k key rows
+    assert sizes.sum() == keys ** copies
+    assert (np.diff(np.sort(contrib)) != 0).all()
+    key = [contrib >> w * i & (1 << w) - 1 for i in range(copies)]
+    assert all((after <= before).all() for before, after in zip(key, key[1:]))
+
+
 def test_orbit_counts_exact_for_a_large_twin_class():
     # K(2,21): a strong orientation sends each b copy a1 -> b -> a2 or
     # a2 -> b -> a1 and uses both kinds, so 2^21 - 2 of them, with
@@ -390,25 +417,26 @@ def test_orbit_counts_exact_for_a_large_twin_class():
     assert res.orientations_examined == 1 << 42
 
 
-@pytest.mark.parametrize("graph, batch, groups", [
-    pytest.param(bipartite_graph(3, 4), 5, [1] * 4, id="K(3,4)"),
-    pytest.param(graph_from_spec(p5_all2()), 5, [1, 1, 2, 2], id="p5"),
-    pytest.param(graph_from_spec(mixed_spec()), 5, [1, 1, 2, 1, 1],
+@pytest.mark.parametrize("graph, batch, arrays", [
+    pytest.param(bipartite_graph(3, 4), 5, [36], id="K(3,4)"),
+    pytest.param(graph_from_spec(p5_all2()), 5, [26, 1, 1], id="p5"),
+    pytest.param(graph_from_spec(mixed_spec()), 5, [104, 1, 6],
                  id="mixed"),
-    # K(4,5)'s 14 keys: C(15,2) = 105 multisets fit in 128, C(16,3) = 560
-    # do not, so its class of 5 copies is read as groups of 2, 2 and 1
-    pytest.param(bipartite_graph(4, 5), 128, [2, 2, 1], id="K(4,5)-batch-128"),
+    # K(4,5)'s C(18,5) = 8,568 multisets of 14 keys come in 76 arrays of
+    # at most 128 columns
+    pytest.param(bipartite_graph(4, 5), 128, [76], id="K(4,5)-batch-128"),
 ])
 def test_orbits_split_into_bounded_expansions(monkeypatch, graph, batch,
-                                              groups):
-    # with `batch` columns per expansion, an entry splits by prefixes and a
-    # prefix by its table columns (up to 30 of them at 5); the same
-    # representatives and sizes come out, in arrays of at most `batch`
-    # columns
+                                              arrays):
+    # with `batch` columns per expansion, a class's multisets come in
+    # arrays of at most `batch` columns (an extension of one column to 30
+    # keys, as in the mixed spec at 5, is sliced) and the prefixes are
+    # sliced to match; the same representatives and sizes come out, in
+    # arrays of at most `batch` columns
     whole = np.concatenate(list(_orbits(graph)), axis=1)
     monkeypatch.setattr(oracle, "_BATCH", batch)
     monkeypatch.setattr(oracle, "_PUSH", 3)
-    assert group_sizes(monkeypatch, graph) == groups
+    assert multiset_arrays(monkeypatch, graph) == arrays
     parts = list(_orbits(graph))
     assert max(part.shape[1] for part in parts) <= batch
     got = np.concatenate(parts, axis=1)
@@ -418,8 +446,8 @@ def test_orbits_split_into_bounded_expansions(monkeypatch, graph, batch,
 
 def test_orbit_tables_bound_the_memory_of_a_large_class():
     # K(5,6)'s class of 6 copies has C(35,6) = 1,623,160 multisets of its
-    # 30 keys, read as groups of 4 and 2 copies (40,920 and 465 table
-    # columns); a table of the whole class would hold them all
+    # 30 keys, made depth first in arrays of at most _BATCH columns; an
+    # array of the whole class would hold them all
     tracemalloc.start()
     try:
         res = oracle._search(bipartite_graph(5, 6), False)
