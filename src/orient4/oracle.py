@@ -21,7 +21,13 @@ best diameter found so far, or at its batch's smallest: each other column
 is only told strong or not, by one of two certificates read from its
 reach sets.  A vertex whose ball stopped growing short of every vertex
 misses one, so the rank is not strong; a root that reaches every vertex
-and that every vertex reaches joins any two through it, so it is.
+and that every vertex reaches joins any two through it, so it is.  The
+push reads a column with a source or a sink as not strong after its
+first round.  Every other column has diameter D exactly when the halves
+of its reach sets written in round D - 1, those of one parity of
+distance, are first all full: a vertex off them has an in-neighbour on
+them.  So a batch needs one round less than its smallest diameter, and
+a root is certified from those halves alone.
 `search_rank_range` scans a contiguous range of ranks instead, with the
 same part checks and scoring (`_passing`, `_score`): the exhaustive
 reference for the search.
@@ -165,22 +171,27 @@ def _survivors(graph: EnumGraph, lo: int, hi: int):
     dtype = np.min_scalar_type((1 << graph.m) - 1)
     runs = (np.arange(start, min(start + _BATCH, hi), dtype=dtype)
             for start in range(lo, hi, _BATCH))
-    return _gathered(run[_passing(run, parts)] for run in runs)
+    return _gathered(np.compress(_passing(run, parts), run) for run in runs)
 
 
 def _gathered(arrays):
     """`arrays` joined along their last axis into arrays of at most _PUSH
-    columns, or one array's if more."""
+    columns, or one array's if more; a lone array is yielded as it is."""
     import numpy as np
+
+    def joined(pending):
+        return pending[0] if len(pending) == 1 else \
+            np.concatenate(pending, axis=-1)
+
     pending, count = [], 0
     for array in arrays:
         if count and count + array.shape[-1] > _PUSH:
-            yield np.concatenate(pending, axis=-1)
+            yield joined(pending)
             pending, count = [], 0
         pending.append(array)
         count += array.shape[-1]
     if count:
-        yield np.concatenate(pending, axis=-1)
+        yield joined(pending)
 
 
 def _batch_diameters(graph: EnumGraph, ranks: np.ndarray,
@@ -200,36 +211,66 @@ def _batch_diameters(graph: EnumGraph, ranks: np.ndarray,
     bit is its place in its side's slice.  The graph is bipartite, so a
     vertex at distance exactly t from v lies on v's side iff t is even:
     round t grows only the halves reach[t % 2], from the out-neighbours'
-    other halves.  No half is both read and written in a round, so the
-    push is in place.  The bits past a side's size are set from the
-    start, so a half is full when it is all ones.
+    other halves, and the half it writes covers the vertices whose
+    distance from v has the parity of t.  No half is both read and
+    written in a round, so the push is in place.  The bits past a side's
+    size are set from the start, so a half is full when it is all ones.
+
+    Round 1 writes each vertex's out-neighbours.  A column where some
+    row's half is still its pad has a vertex without an out-neighbour,
+    and one where the halves of one side's rows do not together cover the
+    other side has a vertex without an in-neighbour: a source or a sink,
+    so it is not strong and keeps inf.  Every other column has neither,
+    which the rest rests on.
+
+    Lemma: a column without a source or a sink has diameter at most D iff
+    after round D - 1 every row's half written in that round is full.
+    Take two vertices v and w; v's half of round D - 1 covers v's own side
+    when D - 1 is even and the other side when it is odd.  If: w on that
+    half is within D - 1 steps of v.  Otherwise w has an in-neighbour x,
+    on the other side from w, so on that half: x is within D - 1 steps of
+    v and w within D.  Only if: w on that half is within D steps of v, at
+    a distance of the parity of D - 1, so within D - 1 steps.
 
     sums[p] holds each column's sum of its halves reach[p] as integers.  A
-    half only gains bits, so its value only grows: a column's rows are all
-    full exactly when both sums reach n times all ones, and the rows a
-    round writes grew exactly when their sum changed.  A column whose rows
-    are all full in round t has diameter t (written once: `live` masks the
-    write), so the first such round is the batch's smallest diameter; a
-    column that a round grows nowhere is at its fixed point and keeps inf.
+    half only gains bits, so its value only grows: the halves a round
+    writes are all full exactly when their sum is n times all ones, and
+    they grew exactly when their sum changed.  A live column whose
+    written halves are all full in round t was not done in round t - 1,
+    so it has diameter t + 1 by the lemma (written once: `live` masks the
+    write), and the first such round is t = c - 1 for the batch's smallest
+    diameter c.  No strong column has diameter 1: two vertices of one side
+    are not adjacent, and a lone edge leaves a source.  A column that a
+    round grows nowhere is at its fixed point and keeps inf.
 
-    From round c on, two certificates, read from the halves after the
-    round, decide the other live columns, so that the push stops about
-    there instead of running out the larger diameters:
+    From round c - 1 on, two certificates, read from the halves after the
+    round, decide the other live columns, so that the push stops there or
+    soon after instead of running out the larger diameters:
 
     - A closed ball is not strong.  If v's written half did not grow in
       round t (`prev` keeps it from before the round), no vertex is at
       distance exactly t from v, so none is farther: v's ball is closed,
       and if v's row is not full, v misses a vertex.  The column keeps inf.
-    - A root that reaches all and is reached by all is strong: if r's row
-      is full and r's bit is in every row, any u reaches any w through r.
-      The column was not full in round t, so its diameter is at least
-      t + 1 > c, which it reads.
+    - A root is strong.  Call r a root if its half written in round t is
+      full and r's bit is set in that half of every row that covers r's
+      side: the rows of r's own side when t is even, of the other side
+      when t is odd.  So r reaches within t steps every vertex of its
+      written half, and each vertex off it through an in-neighbour on it;
+      each vertex x of a covering row reaches r within t steps, and each
+      other vertex through an out-neighbour, on the other side from x, so
+      a covering row.  Then any u reaches any w through r.  The column
+      was not done in round t, so its diameter is at least t + 2 > c,
+      which it reads.
 
     Both hold in any round, but a column retired early still rides along
-    to the end of the batch, so they are read only from round c on.
-    Pushing a retired column changes nothing that is read: a full column
-    stays full, a stagnant one is at its fixed point, and a certified one
-    is never written again."""
+    to the end of the batch, so they are read only from round c - 1 on.
+    Pushing a retired column changes nothing that is read: `live` masks
+    every write of a diameter, and the cut is read only from live
+    columns.
+
+    Each row's halves are numpy views made once per batch, and each ufunc
+    takes its output positionally, so a round costs five numpy calls per
+    edge and no indexing."""
     import numpy as np
     n, edges, side = graph.n, graph.edges, graph.sides
     if any(side[u] == side[v] for u, v in edges):
@@ -238,14 +279,16 @@ def _batch_diameters(graph: EnumGraph, ranks: np.ndarray,
     size = (side.count(0), side.count(1))
     half = np.min_scalar_type((1 << max(size)) - 1)
     ones = int(np.iinfo(half).max)
-    full = n * ones   # a column's sum over n full halves
+    full = n * ones   # the sum of n full halves
     wide = np.min_scalar_type(full)
     diam = np.full(len(ranks), math.inf)
     live = np.ones(len(ranks), dtype=bool)
-    # the ranks' bytes as 8 rows, unpacked to one row of 0/1 per edge
+    # edge j's bit of each rank: bit j % 8 of the rank's byte j // 8
     octets = np.ascontiguousarray(ranks, dtype="<i8").view(np.uint8)
-    fwd = np.unpackbits(octets.reshape(-1, 8).T.copy(), axis=0,
-                        count=len(edges), bitorder="little")
+    j = np.arange(len(edges))
+    fwd = octets.reshape(-1, 8).T.take(j // 8, axis=0)
+    fwd >>= (j % 8).astype(np.uint8)[:, None]
+    fwd &= 1
     fwd = fwd.astype(half, copy=False)
     fwd -= half.type(1)
     pad = [ones ^ ((1 << k) - 1) for k in size]
@@ -260,6 +303,7 @@ def _batch_diameters(graph: EnumGraph, ranks: np.ndarray,
                       [pad[1 - side[v]] for v in order]], dtype=half)
     start[0] |= bit[:, 0]
     reach = np.repeat(start, len(ranks)).reshape(2, n, len(ranks))
+    views = list(reach[0]), list(reach[1])   # one view per row, per half
     sums = np.repeat(start.sum(axis=1, dtype=wide),
                      len(ranks)).reshape(2, len(ranks))
     step = np.empty(len(ranks), dtype=half)   # scratch row for every push
@@ -271,37 +315,42 @@ def _batch_diameters(graph: EnumGraph, ranks: np.ndarray,
     while live.any():
         t += 1
         p = t % 2
-        write, read = reach[p], reach[1 - p]
+        write, to, of = reach[p], views[p], views[1 - p]
         np.copyto(prev, write)
         for u, v, f in pushes:
-            to_u, to_v = write[u], write[v]
-            np.bitwise_or(to_u, np.bitwise_and(read[v], f, out=step), out=to_u)
-            np.invert(f, out=step)
-            np.bitwise_or(to_v, np.bitwise_and(read[u], step, out=step),
-                          out=to_v)
+            np.bitwise_and(of[v], f, step)
+            np.bitwise_or(to[u], step, to[u])
+            np.invert(f, step)
+            np.bitwise_and(of[u], step, step)
+            np.bitwise_or(to[v], step, to[v])
+        if t == 1:
+            # a vertex without an out-neighbour, its half still its pad, or
+            # a side not covered by the other side's out-neighbours
+            live &= np.not_equal(write, prev, out=flags).all(axis=0)
+            for s in (0, 1):
+                live &= np.bitwise_or.reduce(write[mine[s]], axis=0) == ones
         grown = write.sum(axis=0, dtype=wide)
-        done = live & (grown == full) & (sums[1 - p] == full)
-        diam[done] = t
+        done = live & (grown == full)
+        diam[done] = t + 1
         live &= ~done & (grown != sums[p])
         sums[p] = grown
-        if t < cut and done.any():
-            cut = t
-        if t < cut:
+        if done.any():
+            cut = min(cut, t + 1)
+        if t + 1 < cut:
             continue
         # a row that did not grow and is not full: a closed ball
         np.equal(write, prev, out=flags)
-        np.bitwise_and(write, read, out=prev)
+        np.bitwise_and(write, reach[1 - p], out=prev)
         np.invert(prev, out=prev)   # zero exactly where a row is full
         live &= ~np.logical_and(flags, prev, out=flags).any(axis=0)
-        # a root: a full row whose bit is set in every row's half over its
-        # side, per side s the AND of those halves
-        np.equal(prev, 0, out=flags)
+        # a root: a full written half whose bit is set in the written half
+        # of every row over its side, per side s the AND of those halves
+        np.equal(write, ones, out=flags)
         for s in (0, 1):
-            by_all = np.bitwise_and.reduce(reach[0][mine[s]], axis=0)
-            by_all &= np.bitwise_and.reduce(reach[1][mine[1 - s]], axis=0)
+            by_all = np.bitwise_and.reduce(write[mine[s ^ p]], axis=0)
             np.bitwise_and(by_all, bit[mine[s]], out=prev[mine[s]])
         certified = live & np.logical_and(flags, prev, out=flags).any(axis=0)
-        diam[certified] = t + 1
+        diam[certified] = t + 2
         live &= ~certified
     return diam
 

@@ -705,11 +705,11 @@ def k34_ranks():
 def test_batch_diameters_retire_columns_in_place():
     # eight K(3,4) columns, of diameters 6, 5, inf, 6, 4, 5, 6, 5 when each
     # is pushed alone.  Rank 0 points every edge from side a to side b, so
-    # no row grows after round 1 and its column stagnates in round 2; the
-    # diameter-4 column is full in round 4, the batch's smallest diameter,
-    # and the others are decided there.  A retired column rides along to
-    # the end of the batch, so rank 0 must keep inf through the pushes of
-    # rounds 3 and 4
+    # the a's have no in-neighbour and its column retires after round 1;
+    # the diameter-4 column is full in round 3, the batch's smallest
+    # diameter, and the others are decided there.  A retired column rides
+    # along to the end of the batch, so rank 0 must keep inf through the
+    # pushes of rounds 2 and 3
     graph, (d4, d5, d6) = k34_ranks()
     ranks = np.array([d6[0], d5[0], 0, d6[1], d4[0], d5[1], d6[2], d5[2]],
                      dtype=np.int64)
@@ -720,36 +720,126 @@ def test_batch_diameters_retire_columns_in_place():
                             reference_diameters(graph, batch))
 
 
+def test_diameter_is_read_one_round_early(monkeypatch):
+    # a column without a source or a sink has diameter at most D iff its
+    # halves written in round D - 1 are full, so a K(3,4) column of
+    # diameter 4, 5 or 6 pushed alone runs 3, 4 or 5 rounds
+    graph, by_diameter = k34_ranks()
+    for d, ranks in zip((4, 5, 6), by_diameter):
+        for rank in ranks:
+            assert push_rounds(monkeypatch, graph, [rank]) == ([d], d - 1)
+
+
+def test_sources_and_sinks_retire_after_round_one(monkeypatch):
+    # ranks 0 and 2^m - 1 point every edge one way, and K(3,4) rank 3236
+    # makes b1 a sink: each reads inf after round 1, pushed alone or
+    # together
+    graph = bipartite_graph(3, 4)
+    ranks = [0, (1 << graph.m) - 1, 3236]
+    for rank in ranks:
+        assert push_rounds(monkeypatch, graph, [rank]) == ([math.inf], 1)
+    assert push_rounds(monkeypatch, graph, ranks) == ([math.inf] * 3, 1)
+
+
+def test_every_k34_rank_meets_the_cut_contract():
+    # all 4,096 K(3,4) ranks in one batch, at every bound that cuts below,
+    # at or above the smallest diameter 4.  Every rank without a source or
+    # a sink is strong here, which is why the closed-ball test below needs
+    # another graph
+    graph = bipartite_graph(3, 4)
+    ranks = np.arange(1 << graph.m, dtype=np.int64)
+    want = reference_diameters(graph, ranks)
+    assert np.unique(want, return_counts=True)[1].tolist() == \
+        [330, 432, 144, 3190]
+    survivors = np.concatenate(list(_survivors(graph, 0, 1 << graph.m)))
+    assert np.isfinite(want[survivors]).all() and survivors.size == 906
+    for bound in (3, 4, 5, 6, math.inf):
+        assert_cut_contract(_batch_diameters(graph, ranks, bound), want,
+                            bound)
+
+
+def test_certificates_hold_on_non_strong_ranks_without_a_source():
+    # p5_all2's 1,964 ranks that leave no vertex a source or a sink (the
+    # subtree rule off), 360 of them not strong, in one batch: a root
+    # certificate that misread a half would make one of these strong
+    graph = graph_from_spec(p5_all2())
+    vertex_rule = EnumGraph(graph.names, graph.edges, graph.sides)
+    ranks = np.concatenate(list(_survivors(vertex_rule, 0, 1 << graph.m)))
+    want = reference_diameters(graph, ranks)
+    assert (ranks.size, np.isinf(want).sum()) == (1964, 360)
+    for bound in (3, 4, 5, 6, 7, 8, math.inf):
+        assert_cut_contract(_batch_diameters(graph, ranks, bound), want,
+                            bound)
+
+
 def test_closed_ball_retires_a_column_at_the_cut(monkeypatch):
-    # K(3,4) rank 3236 makes b1 a sink, a ball closed in round 1 that
-    # misses every other vertex, while the other rows grow until round 5.
+    # p5_all2 rank 51680 points the four center edges of branch 1 into its
+    # subtree, a directed 4-cycle b1.1 -> l1.1.2 -> b1.2 -> l1.1.1 -> b1.1:
+    # no vertex is a source or a sink, but the subtree's balls close in
+    # round 3 and miss the other six vertices.  (The subtree rule of
+    # `_survivors` drops this rank; the push must still read it right.)
     # Pushed alone, no column is full, so it runs until its rows stop
-    # growing, in round 6; next to a diameter-4 column it retires as inf
-    # at the cut, in round 4, its other rows still growing
-    graph, (d4, _, _) = k34_ranks()
-    assert push_rounds(monkeypatch, graph, [3236]) == ([math.inf], 6)
-    assert push_rounds(monkeypatch, graph, [d4[0], 3236]) == \
-        ([4, math.inf], 4)
+    # growing, in round 5; next to the diameter-4 rank 26172 it retires as
+    # inf at the cut, in round 3, its other rows still growing
+    graph = graph_from_spec(p5_all2())
+    ranks = np.array([26172, 51680], dtype=np.int64)
+    assert reference_diameters(graph, ranks).tolist() == [4, math.inf]
+    assert push_rounds(monkeypatch, graph, [51680]) == ([math.inf], 5)
+    assert push_rounds(monkeypatch, graph, [26172, 51680]) == \
+        ([4, math.inf], 3)
 
 
 def test_root_certifies_a_column_above_the_cut(monkeypatch):
-    # a diameter-6 column next to a diameter-4 one is full only in round
-    # 6, but in round 4 some root reaches every vertex and is reached by
-    # every vertex, so it is strong with diameter at least 5, which it
-    # reads, and the push stops there
+    # a diameter-6 column next to a diameter-4 one is full only after
+    # round 5, but after round 3 some root's written half is full and
+    # holds it in every row over its side, so it reaches every vertex and
+    # is reached by every vertex: the column is strong with diameter at
+    # least 5, which it reads, and the push stops there
     graph, (d4, _, d6) = k34_ranks()
-    assert push_rounds(monkeypatch, graph, [d6[0]]) == ([6], 6)
-    assert push_rounds(monkeypatch, graph, [d4[0], d6[0]]) == ([4, 5], 4)
+    assert push_rounds(monkeypatch, graph, [d6[0]]) == ([6], 5)
+    assert push_rounds(monkeypatch, graph, [d4[0], d6[0]]) == ([4, 5], 3)
     # the push stops at the cut, min(bound, the batch's smallest diameter
-    # 4); with bound 3 every strong column, the diameter-4 one too, reads
-    # above 3 and at most its diameter
+    # 4), one round early; with bound 3 every strong column, the
+    # diameter-4 one too, reads above 3 and at most its diameter
     ranks = [d4[0], d6[0], 0, d6[1]]
     for bound in (3, 4, 5, 6, math.inf):
         got, rounds = push_rounds(monkeypatch, graph, ranks, bound)
         assert_cut_contract(np.array(got),
                             reference_diameters(graph, np.array(ranks)),
                             bound)
-        assert rounds == min(bound, 4)
+        assert rounds == min(bound, 4) - 1
+
+
+def search_rounds(monkeypatch, graph):
+    """The number of rounds of each reach push in `graph`'s search."""
+    rounds = []
+
+    def counted(graph, ranks, bound=math.inf):
+        got, count = push_rounds(monkeypatch, graph, ranks, bound)
+        rounds.append(count)
+        return np.array(got)
+
+    monkeypatch.setattr(oracle, "_batch_diameters", counted)
+    oracle._search(graph, symmetry=True)
+    return rounds
+
+
+# the benchmark's oracle graphs: its 20-24-edge specs, C0 of diameter 4 and
+# C1 of diameter 5, each one batch, and K(4,5) and K(3,7)
+@pytest.mark.parametrize("graph, rounds", [
+    (graph_from_spec(TreeSpec(2, (BranchSpec(2, (2,)),
+                                  BranchSpec(2, (2, 2))))), [4]),
+    (graph_from_spec(TreeSpec(2, (BranchSpec(2, ()), BranchSpec(2, (2,)),
+                                  BranchSpec(2, (2,))))), [4]),
+    (graph_from_spec(sides_9_4()), [4]),
+    (graph_from_spec(TreeSpec(2, (BranchSpec(2, ()), BranchSpec(2, (2,)),
+                                  BranchSpec(2, (3,))))), [4]),
+    (graph_from_spec(c1_24_edges()), [4]),
+    (bipartite_graph(4, 5), [4]),
+    (bipartite_graph(3, 7), [3])],
+    ids=["20-C0", "20-C1", "22-C0", "22-C1", "24-C1", "K45", "K37"])
+def test_benchmark_searches_push_few_rounds(monkeypatch, graph, rounds):
+    assert search_rounds(monkeypatch, graph) == rounds
 
 
 def test_edge_within_a_side_is_refused_before_any_push():
