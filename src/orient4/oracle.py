@@ -132,24 +132,20 @@ def find_bridge(n: int, edges):
 # Source/sink filter per run of ranks, the reach push and its scoring
 # ============================================================================
 
-def _crossing(graph: EnumGraph, part) -> tuple:
-    """(M_X, S_X) of the vertex set X = `part`: the rank bits of the edges
-    crossing X, and their values when every crossing edge points into X.
-    X is a sink iff a rank's bits under M_X equal S_X, and a source iff
-    they equal S_X ^ M_X; M_X = 0 counts as both."""
-    m_x = s_x = 0
-    for j, (u, v) in enumerate(graph.edges):
-        if (u in part) != (v in part):
-            m_x |= 1 << j
-            s_x |= (u in part) << j
-    return m_x, s_x
-
-
 def _parts(graph: EnumGraph, incidence: list, vertices) -> list:
-    """(M_X, S_X) of each vertex of `vertices` alone, from `_incidence`,
-    then of each cut of `graph.cuts`, from `_crossing`."""
-    return [incidence[x][2:] for x in vertices] + \
-        [_crossing(graph, part) for part in graph.cuts]
+    """(M_X, S_X) of each vertex of `vertices` alone, then of each cut of
+    `graph.cuts`: the bits of the edges crossing X, the XOR of the members'
+    M_x (an edge inside X cancels), and their values when all point into X,
+    the OR of the members' S_x under M_X.  X is a sink iff a rank's bits
+    under M_X equal S_X, a source iff S_X ^ M_X; M_X = 0 counts as both."""
+    parts = [incidence[x][2:] for x in vertices]
+    for part in graph.cuts:
+        m_x = s_x = 0
+        for x in part:
+            m_x ^= incidence[x][2]
+            s_x |= incidence[x][3]
+        parts.append((m_x, s_x & m_x))
+    return parts
 
 
 def _passing(ranks, parts):
@@ -268,9 +264,8 @@ def _batch_diameters(graph: EnumGraph, ranks: np.ndarray,
     every write of a diameter, and the cut is read only from live
     columns.
 
-    Each row's halves are numpy views made once per batch, and each ufunc
-    takes its output positionally, so a round costs five numpy calls per
-    edge and no indexing."""
+    Per parity, each edge's direction row and row views are bound once per
+    batch: a round costs five numpy calls per edge and no indexing."""
     import numpy as np
     n, edges, side = graph.n, graph.edges, graph.sides
     if any(side[u] == side[v] for u, v in edges):
@@ -302,39 +297,42 @@ def _batch_diameters(graph: EnumGraph, ranks: np.ndarray,
     start = np.array([[pad[side[v]] for v in order],
                       [pad[1 - side[v]] for v in order]], dtype=half)
     start[0] |= bit[:, 0]
-    reach = np.repeat(start, len(ranks)).reshape(2, n, len(ranks))
+    reach = start.repeat(len(ranks)).reshape(2, n, len(ranks))
     views = list(reach[0]), list(reach[1])   # one view per row, per half
-    sums = np.repeat(start.sum(axis=1, dtype=wide),
-                     len(ranks)).reshape(2, len(ranks))
+    pushes = [[(to[row[u]], of[row[v]], f, to[row[v]], of[row[u]])
+               for (u, v), f in zip(edges, fwd)]
+              for to, of in (views, views[::-1])]
+    sums = start.sum(axis=1, dtype=wide).repeat(len(ranks)).reshape(2, -1)
     step = np.empty(len(ranks), dtype=half)   # scratch row for every push
     prev = np.empty((n, len(ranks)), dtype=half)
     flags = np.empty((n, len(ranks)), dtype=bool)
-    pushes = [(row[u], row[v], f) for (u, v), f in zip(edges, fwd)]
+    and_, or_, invert, any_ = (np.bitwise_and, np.bitwise_or, np.invert,
+                               np.logical_or.reduce)
     cut = bound
     t = 0
-    while live.any():
+    while any_(live):
         t += 1
         p = t % 2
-        write, to, of = reach[p], views[p], views[1 - p]
+        write = reach[p]
         np.copyto(prev, write)
-        for u, v, f in pushes:
-            np.bitwise_and(of[v], f, step)
-            np.bitwise_or(to[u], step, to[u])
-            np.invert(f, step)
-            np.bitwise_and(of[u], step, step)
-            np.bitwise_or(to[v], step, to[v])
+        for to_u, of_v, f, to_v, of_u in pushes[p]:
+            and_(of_v, f, step)
+            or_(to_u, step, to_u)
+            invert(f, step)
+            and_(of_u, step, step)
+            or_(to_v, step, to_v)
         if t == 1:
             # a vertex without an out-neighbour, its half still its pad, or
             # a side not covered by the other side's out-neighbours
-            live &= np.not_equal(write, prev, out=flags).all(axis=0)
+            live &= ~any_(np.equal(write, prev, out=flags), axis=0)
             for s in (0, 1):
                 live &= np.bitwise_or.reduce(write[mine[s]], axis=0) == ones
-        grown = write.sum(axis=0, dtype=wide)
+        grown = np.add.reduce(write, axis=0, dtype=wide)
         done = live & (grown == full)
         diam[done] = t + 1
         live &= ~done & (grown != sums[p])
         sums[p] = grown
-        if done.any():
+        if any_(done):
             cut = min(cut, t + 1)
         if t + 1 < cut:
             continue
@@ -342,14 +340,14 @@ def _batch_diameters(graph: EnumGraph, ranks: np.ndarray,
         np.equal(write, prev, out=flags)
         np.bitwise_and(write, reach[1 - p], out=prev)
         np.invert(prev, out=prev)   # zero exactly where a row is full
-        live &= ~np.logical_and(flags, prev, out=flags).any(axis=0)
+        live &= ~any_(np.logical_and(flags, prev, out=flags), axis=0)
         # a root: a full written half whose bit is set in the written half
         # of every row over its side, per side s the AND of those halves
         np.equal(write, ones, out=flags)
         for s in (0, 1):
             by_all = np.bitwise_and.reduce(write[mine[s ^ p]], axis=0)
             np.bitwise_and(by_all, bit[mine[s]], out=prev[mine[s]])
-        certified = live & np.logical_and(flags, prev, out=flags).any(axis=0)
+        certified = live & any_(np.logical_and(flags, prev, out=flags), axis=0)
         diam[certified] = t + 2
         live &= ~certified
     return diam
@@ -388,7 +386,7 @@ def search_rank_range(graph: EnumGraph, lo: int, hi: int) -> RangeResult:
 
 def _incidence(graph: EnumGraph) -> list:
     """Each vertex's (neighbour set, edge indices ascending, M_x, S_x), the
-    last two as `_crossing` gives them for the vertex alone, from one pass
+    last two as `_parts` reads them for the vertex alone, from one pass
     over the edges."""
     near = [set() for _ in range(graph.n)]
     rows = [[] for _ in range(graph.n)]
@@ -454,18 +452,20 @@ def _multisets(spread):
                 yield contrib[at:at + _BATCH], size[at:at + _BATCH]
             continue
         width = last + 1
-        ends = np.cumsum(width)
-        fit = max(1, int(np.searchsorted(ends, _BATCH, side="right")))
+        ends = width.cumsum()
+        fit = max(1, int(ends.searchsorted(_BATCH, side="right")))
         if fit < len(width):
             stack.append((i, [row[fit:] for row in state]))
         width, ends = width[:fit], ends[:fit]
-        key = np.arange(ends[-1]) - np.repeat(ends - width, width)
+        key = np.arange(ends[-1])
+        key -= (ends - width).repeat(width)
         repeat = ends - 1   # each column extended by its last key
         runs = np.ones(ends[-1], dtype=np.int64)
         runs[repeat] += run[:fit]
-        size = np.repeat(size[:fit] * (i + 1), width)
+        size = (size[:fit] * (i + 1)).repeat(width)
         size[repeat] //= runs[repeat]
-        contrib = np.repeat(contrib[:fit], width) + spread[key, i]
+        contrib = contrib[:fit].repeat(width)
+        contrib += spread[:, i].take(key)
         stack.append((i + 1, (contrib, size, key, runs)))
 
 
@@ -481,27 +481,26 @@ def _orbits(graph: EnumGraph):
     multisets (`_multisets`), the rank ORed with the multiset's
     contribution and the size multiplied by its multinomial, at most
     _BATCH columns at a time, depth first.  The other side's vertices and
-    `graph.cuts` are judged at the level that sets their last edge."""
+    `graph.cuts` are judged at the last level whose edges meet theirs."""
     import numpy as np
     incidence = _incidence(graph)
     classes = [_twin_classes(graph, s, incidence) for s in (0, 1)]
     side = min((0, 1), key=lambda s: _candidates(classes[s]))
-    # per level, one class: its spread and its checks; per edge the level
-    # that sets its bit
-    levels, set_by = [], {}
+    # per level, one class: its spread and its checks, and the mask of the
+    # edges it sets, the sum of its copies' M_x, which share no edge
+    levels, masks = [], []
     for _, copies in classes[side]:
         rows = [incidence[x][1] for x in copies]
         d, s_x = len(rows[0]), incidence[copies[0]][3]
         into = sum((s_x >> j & 1) << b for b, j in enumerate(rows[0]))
-        keys = np.delete(np.arange(1 << d, dtype=np.int64),
-                         [into, into ^ ((1 << d) - 1)])
+        keys = np.array([key for key in range(1 << d)
+                         if 0 < key ^ into < (1 << d) - 1], dtype=np.int64)
         bits = keys[:, None] >> np.arange(d) & 1
-        for row in rows:
-            set_by.update(dict.fromkeys(row, len(levels)))
+        masks.append(sum(incidence[x][2] for x in copies))
         levels.append((bits @ (1 << np.array(rows, dtype=np.int64).T), []))
     for m_x, s_x in _parts(graph, incidence, [
             x for x in range(graph.n) if graph.sides[x] != side]):
-        last = max(set_by[j] for j in range(graph.m) if m_x >> j & 1)
+        last = max(at for at, mask in enumerate(masks) if mask & m_x)
         levels[last][1].append((m_x, s_x))
 
     def descend(level, prefix):
@@ -513,11 +512,12 @@ def _orbits(graph: EnumGraph):
             step = _BATCH // len(contrib)
             for at in range(0, prefix.shape[1], step):
                 rank, size = prefix[:, at:at + step, None]
-                batch = np.stack(((rank | contrib).ravel(),
-                                  (size * weight).ravel()))
-                if checks:   # np.compress: faster than a boolean index
-                    batch = np.compress(_passing(batch[0], checks), batch,
-                                        axis=1)
+                batch = np.empty((2, len(rank), len(contrib)), np.int64)
+                np.bitwise_or(rank, contrib, batch[0])
+                np.multiply(size, weight, batch[1])
+                batch = batch.reshape(2, -1)
+                if checks:   # compress: faster than a boolean index
+                    batch = batch.compress(_passing(batch[0], checks), axis=1)
                 yield from descend(level + 1, batch)
 
     yield from _gathered(descend(0, np.array([[0], [1]], dtype=np.int64)))

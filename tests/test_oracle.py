@@ -16,8 +16,8 @@ from orient4.digraph import (Orientation, diameter, from_edge_list,
                              is_strong)
 from orient4.errors import Refusal, UsageError
 from orient4.oracle import (_BATCH, EnumGraph, RangeResult, _batch_diameters,
-                            _candidates, _multisets, _orbits, _survivors,
-                            _twin_classes, bipartite_graph,
+                            _candidates, _incidence, _multisets, _orbits,
+                            _parts, _survivors, _twin_classes, bipartite_graph,
                             bipartite_orientation_number, find_bridge,
                             graph_from_spec, orientation_number,
                             search_rank_range)
@@ -298,6 +298,33 @@ def test_search_premises():
                         [e[:2] for e in before], label
                     assert all(b[2] < a[2] for b, a in zip(before, after)), \
                         label
+
+
+def crossing(graph, part):
+    """(M_X, S_X) of the vertex set X = `part`, edge by edge: the rank bits
+    of the edges crossing X, and their values when every crossing edge
+    points into X (bit 1 points an edge (u, v) at u)."""
+    m_x = s_x = 0
+    for j, (u, v) in enumerate(graph.edges):
+        if (u in part) != (v in part):
+            m_x |= 1 << j
+            s_x |= (u in part) << j
+    return m_x, s_x
+
+
+def test_parts_match_the_edge_by_edge_crossing():
+    # `_parts` reads each cut's masks from its members' incidence masks:
+    # the XOR of their M_x and the OR of their S_x under M_X
+    specs = [spec for spec in valid_specs() if edge_count(spec) <= 24]
+    assert len(specs) == 26
+    cuts = 0
+    for spec in specs:
+        graph = graph_from_spec(spec)
+        parts = [(x,) for x in range(graph.n)] + list(graph.cuts)
+        got = _parts(graph, _incidence(graph), range(graph.n))
+        assert got == [crossing(graph, part) for part in parts], spec
+        cuts += len(graph.cuts)
+    assert cuts == 60
 
 
 def twin_images(graph, side, ranks):
