@@ -27,9 +27,9 @@ needs, so a core costs O(deg_c + s) sets, not a whole half-set level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from math import comb
+from typing import NamedTuple
 
 from .classify import (C0, Classification, classify, half_binom, p35_variant,
                        qualifying_splits)
@@ -57,8 +57,7 @@ def _without(level, skip):
     return (x for x in level if x not in skip)
 
 
-@dataclass(frozen=True)
-class SetSchedule:
+class SetSchedule(NamedTuple):
     """Ordered center-subset sequences consumed by the slot recipes.
 
     Each sequence orders one whole level of subsets of {1..s} (masks, as
@@ -154,8 +153,7 @@ FOUR_C4 = ("oioi", "ioio")       # copies 2,4 feed leaf copy 1, 1,3 copy 2
 FOUR_C4_P34 = ("oiio", "iooi")   # copies 2,3 feed leaf copy 1, 1,4 copy 2
 
 
-@dataclass(frozen=True)
-class ReducedSpec:
+class ReducedSpec(NamedTuple):
     """The core instance H in slot order, plus the bookkeeping to undo it."""
 
     case: str
@@ -361,8 +359,7 @@ def build_base_orientation(rspec: ReducedSpec) -> Orientation:
 # Full pipeline
 # ============================================================================
 
-@dataclass(frozen=True)
-class ConstructionResult:
+class ConstructionResult(NamedTuple):
     orientation: Orientation
     classification: Classification
     reduced: ReducedSpec

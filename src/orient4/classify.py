@@ -15,8 +15,8 @@ identifiers printed by the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .errors import UsageError
 from .sperner import kappa, kappa_star
@@ -27,8 +27,7 @@ C1 = "C1"
 UNKNOWN_GAP = "UnknownGap"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     verdict: str
     rule: str
     threshold_note: str

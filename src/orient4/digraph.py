@@ -23,7 +23,6 @@ some ordered pair has no path, so non-strong orientations can be ranked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 
@@ -38,22 +37,18 @@ class ExtensionError(UsageError):
     """The short-cycle hypothesis of the copy-mimicking extension fails."""
 
 
-@dataclass(frozen=True)
 class Orientation:
     """A direction for every multiplied edge of `spec`."""
 
-    spec: TreeSpec
-    bits: tuple
-
-    def __post_init__(self):
-        bits = tuple(self.bits)
-        require_valid(self.spec)
-        m = edge_count(self.spec)
+    def __init__(self, spec: TreeSpec, bits: tuple):
+        bits = tuple(bits)
+        require_valid(spec)
+        m = edge_count(spec)
         if len(bits) != m:
             raise UsageError(f"need {m} direction bits, got {len(bits)}")
         if bits.count(0) + bits.count(1) != m:   # before int() truncates
             raise UsageError("direction bits must be 0 or 1")
-        object.__setattr__(self, "bits", tuple(map(int, bits)))
+        self.spec, self.bits = spec, tuple(map(int, bits))
 
     # -- derived structure, cached lazily ------------------------------------
 
@@ -157,7 +152,7 @@ def _resolve(spec: TreeSpec, ends) -> Orientation:
         raise UsageError(f"{arcs.count(None)} edge(s) left unoriented, e.g. "
                          f"{names[u]} -- {names[v]}")
     d = Orientation(spec, tuple([t > h for t, h in arcs]))
-    d.__dict__["_layout"] = _adjacency(arcs, len(names))
+    d._layout = _adjacency(arcs, len(names))
     return d
 
 

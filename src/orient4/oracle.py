@@ -36,7 +36,7 @@ reference for the search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # numpy is imported inside the search functions that use it, the only
 # numpy users in the package, so `import orient4` and every command but
@@ -51,8 +51,7 @@ _BATCH = 1 << 16    # ranks per filtered run, columns per orbit expansion
 _PUSH = 1 << 15     # most columns per reach push, unless one run has more
 
 
-@dataclass(frozen=True)
-class EnumGraph:
+class EnumGraph(NamedTuple):
     """An undirected bipartite graph prepared for orientation enumeration."""
 
     names: tuple   # printable vertex names
@@ -70,8 +69,7 @@ class EnumGraph:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class RangeResult:
+class RangeResult(NamedTuple):
     """Outcome of scanning one contiguous rank range."""
 
     examined: int
@@ -80,8 +78,7 @@ class RangeResult:
     best_rank: int | None
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     orientation_number: int
     witness_arcs: tuple          # (tail, head) names, smallest optimal rank
     orientations_examined: int   # 2^m, or one per reversal pair, 2^(m-1)
@@ -114,7 +111,7 @@ def bipartite_graph(p: int, q: int) -> EnumGraph:
 # ============================================================================
 
 # no search calls this (see `_search`); it stays only because
-# `bench/tracing.TARGETS` wraps it, until ROADMAP item 4
+# `bench/tracing.TARGETS` wraps it, until ROADMAP's "One benchmark change"
 def find_bridge(n: int, edges):
     """Some bridge edge index, or None: the first edge whose two ends the
     other edges leave in different components."""

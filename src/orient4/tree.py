@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import UsageError
 
@@ -26,27 +26,18 @@ from .errors import UsageError
 # Specs
 # ============================================================================
 
-@dataclass(frozen=True)
-class BranchSpec:
+class BranchSpec(NamedTuple):
     multiplicity: int
     leaf_multiplicities: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "leaf_multiplicities",
-                           tuple(self.leaf_multiplicities))
 
     @property
     def leaf_count(self) -> int:
         return len(self.leaf_multiplicities)
 
 
-@dataclass(frozen=True)
-class TreeSpec:
+class TreeSpec(NamedTuple):
     center_multiplicity: int
     branches: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "branches", tuple(self.branches))
 
     @property
     def s(self) -> int:
@@ -61,8 +52,7 @@ class TreeSpec:
         return self.branches[i - 1]
 
 
-@dataclass(frozen=True)
-class NeighborPartition:
+class NeighborPartition(NamedTuple):
     """Branch indices split by multiplicity class; `e` holds leaf branches."""
 
     a2: frozenset

@@ -320,7 +320,8 @@ def test_criterion_6_property_suite():
         try:
             res = construct_optimal(spec)
         except ConstructionError as err:
-            # the known P312 gap (ROADMAP item 2): no half-set schedule
+            # the known P312 gap (ROADMAP, "P312: a rule for the
+            # gap"): no half-set schedule
             # completes these even-multiplicity Prop3.12b instances
             cls = classify(spec)
             assert (cls.rule, cls.case) == ("Prop3.12b", "P312"), spec

@@ -299,23 +299,29 @@ def test_verify_bounds_an_edge_list_read_from_a_pipe(tmp_path):
 
 # Runs `cli.main` on each argv in argv[2] (JSON) in a fresh interpreter;
 # with argv[1] == "block", numpy cannot be imported there.  Prints, as
-# JSON, the numpy modules loaded by `import orient4.cli` and, per call,
-# its exit code, its stdout, its stderr and whether numpy was loaded
-# after it.
+# JSON, the watched modules loaded by `import orient4.cli` and, per call,
+# its exit code, its stdout, its stderr and the watched modules loaded
+# after it.  Watched are numpy's modules, and `dataclasses` and `inspect`
+# (which cost a cold start its `ast`, `dis` and `tokenize` too), unless
+# the bare interpreter had already loaded them.
 COLD_START = """
-import contextlib, io, json, sys
+import sys
+bare = set(sys.modules)
+import contextlib, io, json
 if sys.argv[1] == "block":
     sys.modules["numpy"] = None
 from orient4 import cli
 def loaded():
     return sorted(name for name, module in sys.modules.items()
-                  if name.partition(".")[0] == "numpy" and module is not None)
+                  if (name.partition(".")[0] == "numpy"
+                      or name in ("dataclasses", "inspect"))
+                  and module is not None and name not in bare)
 at_import, runs = loaded(), []
 for argv in json.loads(sys.argv[2]):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    runs.append([code, out.getvalue(), err.getvalue(), bool(loaded())])
+    runs.append([code, out.getvalue(), err.getvalue(), loaded()])
 print(json.dumps({"at_import": at_import, "runs": runs}))
 """
 
@@ -364,9 +370,13 @@ def test_every_command_but_the_oracle_runs_without_numpy(tmp_path, capsys):
              ["sperner", "squashed", "--n", "5", "--k", "3"]]
     argvs += [["verify", spec_path, str(tmp_path / f"{name}.txt")]
               for name in edge_lists]
-    runs = _fresh_runs("block", argvs)["runs"]
+    fresh = _fresh_runs("block", argvs)
+    runs = fresh["runs"]
     expected = _in_process_runs(capsys, argvs)
     assert [run[:3] for run in runs] == expected
+    # neither the import nor any of these commands loads a watched module
+    assert fresh["at_import"] == [] and [run[3] for run in runs] == \
+        [[]] * len(argvs)
     assert all(code == 0 and err == "" for code, _, err in expected[:-3])
     assert [out for _, out, _ in expected[-5:-3]] == [
         "diameter 4, strong, edges match\n",
@@ -386,7 +396,7 @@ def test_oracle_loads_numpy_on_first_use(capsys):
     [[code_in, out_in, err_in]] = _in_process_runs(capsys, argvs)
     assert [code, ELAPSED.sub(r"\1<s>", out), err] == \
         [code_in, ELAPSED.sub(r"\1<s>", out_in), err_in]
-    assert code == 0 and loaded
+    assert code == 0 and "numpy" in loaded
 
 
 def test_oracle_bipartite(capsys):

@@ -1,6 +1,6 @@
 """Schedules, reductions, per-case recipes and the full pipeline."""
 
-import dataclasses
+import functools
 import importlib
 import itertools
 import json
@@ -18,7 +18,7 @@ from orient4.build import (ConstructionResult, _core_bits, _feasible_split,
                            build_base_orientation, construct_optimal,
                            cyclic_half_sets, make_schedule, reduce,
                            relabel_orientation)
-from orient4.classify import (C0, CASE_IDS, UNKNOWN_GAP, classify,
+from orient4.classify import (C0, C1, CASE_IDS, UNKNOWN_GAP, classify,
                               qualifying_splits)
 from orient4.digraph import (Orientation, center_in_set, center_out_set,
                              diameter, distance, extend_orientation,
@@ -474,7 +474,7 @@ MIS_SIZED = {
 def test_mis_sized_slot_raises_construction_error(change):
     rspec = reduce(mkspec(5, a2=4), "P35_D1")
     first, *rest = rspec.slots
-    rspec = dataclasses.replace(rspec, slots=(change(*first), *rest))
+    rspec = rspec._replace(slots=(change(*first), *rest))
     with pytest.raises(ConstructionError, match="recipe P35_D1: slot 1 "
                        "does not fit its multiplicity 2"):
         build_base_orientation(rspec)
@@ -483,8 +483,7 @@ def test_mis_sized_slot_raises_construction_error(change):
 def with_first_in_set(rspec, in_set):
     """`rspec` with the first in-set of slot 1, a 2-copy slot, replaced."""
     (pattern, (_, second)), *rest = rspec.slots
-    return dataclasses.replace(rspec,
-                               slots=((pattern, (in_set, second)), *rest))
+    return rspec._replace(slots=((pattern, (in_set, second)), *rest))
 
 
 # in-sets that break the P43_D2 core of (3; 1,2,0,2), whose recipe reads
@@ -699,7 +698,8 @@ def test_construct_cost_is_bounded_at_a_large_center(spec, case):
 
 
 # ----------------------------------------------------------------------------
-# the P312 gap (ROADMAP item 2) and the known s = 4 core certificates
+# the P312 gap (ROADMAP, "P312: a rule for the gap") and the known s = 4
+# core certificates
 # ----------------------------------------------------------------------------
 
 # the C0 count tuples (|A2|, |A3|, |A4+|, |E|) at s = 4 of the sweep grid
@@ -743,6 +743,54 @@ def test_sweep_grid_constructs_every_c0_tuple_but_the_p312_gap():
     # of the slice's 359 C0 tuples, 136 route to P312; a fix of the P312
     # recipe must lower this count
     assert len(gap6) == 79
+
+
+# the C0 tuples (s, |A2|, |A3|, |A4+|, |E|) of the sweep grid from which
+# the mimic moves reach a C1 tuple: each is a Prop3.12b C0 with a Prop3.9
+# C1 above it, where kappa(k) < 0; a mend of the conflict (ROADMAP,
+# "Prop3.12b contradicts Prop3.9") must empty this set
+MONOTONICITY_CONFLICTS = {(6, a2, a3, a4, e)
+                          for a2, a3 in ((1, 33), (1, 34), (2, 32))
+                          for a4 in (0, 1, 2) for e in (0, 1)}
+
+
+def test_classify_is_monotone_under_the_mimic_moves():
+    # a copy that mimics its donor keeps an orientation's diameter <= 4
+    # (Koh and Tay), so a C0 verdict carries over to one more copy: an A2
+    # branch raised to A3, an A3 branch to A4+, or s to s + 1.  On the
+    # sweep grid at every s = 2..6, no C0 tuple may reach a C1 tuple by a
+    # chain of these moves; a move's target past the grid is classified
+    # on demand
+    def bound(s):
+        return comb(s, (s + 1) // 2) + comb(s, s // 2 + 1) + 2
+
+    def moves(s, a2, a3, a4, e):
+        if a2:
+            yield s, a2 - 1, a3 + 1, a4, e
+        if a3:
+            yield s, a2, a3 - 1, a4 + 1, e
+        yield s + 1, a2, a3, a4, e
+
+    @functools.cache
+    def verdict(t):
+        return classify(mkspec(*t, first_two_leaves=False))
+
+    grid = [(s, a2, a3, a4, e) for s in range(2, 7)
+            for a2, a3, a4, e in itertools.product(
+                range(bound(s)), range(bound(s)), range(3), range(2))
+            if a2 + a3 + a4 >= 2]
+    # every move raises s or |A3| + 2 |A4+|, so a tuple's targets come
+    # before it in this order
+    reaches_c1 = {}
+    for t in sorted(grid, key=lambda t: (t[0], t[2] + 2 * t[3]),
+                    reverse=True):
+        reaches_c1[t] = verdict(t).verdict == C1 or any(
+            reaches_c1[u] if u in reaches_c1 else verdict(u).verdict == C1
+            for u in moves(*t))
+    conflicts = {t for t in grid if verdict(t).verdict == C0 and reaches_c1[t]}
+    assert conflicts == MONOTONICITY_CONFLICTS
+    assert all(verdict(t).rule == "Prop3.12b"
+               and kappa(6, 3, verdict(t).k_witness) < 0 for t in conflicts)
 
 
 # core rows found by search, one line per branch in slot order: the leaf

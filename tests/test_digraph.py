@@ -187,12 +187,13 @@ def reference_edges(spec):
     return out
 
 
+# specs are built from tuples, as `tree.spec_from_dict` builds them
 any_branch = st.builds(BranchSpec, st.integers(2, 4),
-                       st.lists(st.integers(2, 3), max_size=3))
+                       st.lists(st.integers(2, 3), max_size=3).map(tuple))
 valid_specs = st.builds(
     TreeSpec, st.integers(2, 4),
     st.lists(any_branch, min_size=2, max_size=5).filter(
-        lambda bs: sum(b.leaf_count > 0 for b in bs) >= 2))
+        lambda bs: sum(b.leaf_count > 0 for b in bs) >= 2).map(tuple))
 
 
 @settings(max_examples=100, deadline=None)
@@ -299,7 +300,8 @@ def reference_distances(d):
 
 
 leafy = st.builds(BranchSpec, st.integers(2, 3),
-                  st.lists(st.integers(2, 3), min_size=1, max_size=2))
+                  st.lists(st.integers(2, 3), min_size=1,
+                           max_size=2).map(tuple))
 bare = st.builds(BranchSpec, st.integers(2, 3))
 small_specs = st.builds(lambda s, a, b, e: TreeSpec(s, (a, b, *e)),
                         st.integers(2, 3), leafy, leafy,
@@ -373,7 +375,8 @@ def full_sweep(adj):
 
 
 grown_leafy = st.builds(BranchSpec, st.integers(2, 4),
-                        st.lists(st.integers(2, 5), min_size=1, max_size=2))
+                        st.lists(st.integers(2, 5), min_size=1,
+                                 max_size=2).map(tuple))
 grown_bare = st.builds(BranchSpec, st.integers(2, 4))
 grown_specs = st.builds(lambda s, a, b, e: TreeSpec(s, (a, b, *e)),
                         st.integers(2, 4), grown_leafy, grown_leafy,
