@@ -2,7 +2,7 @@
 
 The oracle decides every one of the 2^|E| direction assignments strong or
 not with bit-parallel reachability, computes the exact diameter of each
-that ties or beats the best found so far, and reports the minimum over the
+that ties the best of its batch, and reports the minimum over the
 strong ones together with the first optimal assignment.
 Permuting the copies of one tree vertex keeps the diameter, so the search
 decides one assignment per orbit of these permutations; at 16-26 edges

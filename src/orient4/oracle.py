@@ -15,9 +15,9 @@ first search, not on import.
 A strong orientation has no source or sink, and no branch subtree with
 its center edges all pointing one way, so a filter drops such ranks
 before any is built.  The survivors' distances are found by a vectorized
-reach push over the graph's two sides (`_batch_diameters`).  Only the
-smallest diameter and its ranks must be exact, so the push stops at the
-best diameter found so far, or at its batch's smallest: each other column
+reach push over the graph's two sides (`_batch_diameters`), one batch
+at a time.  Only the smallest diameter and its ranks must be exact, so
+each push stops at its own batch's smallest diameter: each other column
 is only told strong or not, by one of two certificates read from its
 reach sets.  A vertex whose ball stopped growing short of every vertex
 misses one, so the rank is not strong; a root that reaches every vertex
@@ -47,8 +47,7 @@ from .tree import (TreeSpec, _blocks, edge_count, edge_pairs, require_valid,
                    vertex_names)
 
 DEFAULT_MAX_EDGES = 24
-_BATCH = 1 << 16    # ranks per filtered run, columns per orbit expansion
-_PUSH = 1 << 15     # most columns per reach push, unless one run has more
+_BATCH = 1 << 16    # ranks per filtered run, columns per expansion, push
 
 
 class EnumGraph(NamedTuple):
@@ -158,7 +157,7 @@ def _passing(ranks, parts):
 def _survivors(graph: EnumGraph, lo: int, hi: int):
     """Ranks in [lo, hi) that leave no vertex and no cut of `graph.cuts` a
     source or a sink, ascending, judged in runs of _BATCH consecutive ranks
-    and gathered into arrays of at most _PUSH (or one run's survivors)."""
+    and gathered into arrays of at most _BATCH (`_gathered`)."""
     import numpy as np
     parts = _parts(graph, _incidence(graph), range(graph.n))
     dtype = np.min_scalar_type((1 << graph.m) - 1)
@@ -168,8 +167,10 @@ def _survivors(graph: EnumGraph, lo: int, hi: int):
 
 
 def _gathered(arrays):
-    """`arrays` joined along their last axis into arrays of at most _PUSH
-    columns, or one array's if more; a lone array is yielded as it is."""
+    """`arrays` joined along their last axis into arrays of at most _BATCH
+    columns, a lone one yielded as it is.  Both pay, as measured: it yields
+    the last only once `arrays` is spent, so a one-batch search pushes after
+    `_orbits` freed its arrays, and the joins save pushes beyond 24 edges."""
     import numpy as np
 
     def joined(pending):
@@ -178,7 +179,7 @@ def _gathered(arrays):
 
     pending, count = [], 0
     for array in arrays:
-        if count and count + array.shape[-1] > _PUSH:
+        if count and count + array.shape[-1] > _BATCH:
             yield joined(pending)
             pending, count = [], 0
         pending.append(array)
@@ -187,13 +188,12 @@ def _gathered(arrays):
         yield joined(pending)
 
 
-def _batch_diameters(graph: EnumGraph, ranks: np.ndarray,
-                     bound: float = math.inf) -> np.ndarray:
+def _batch_diameters(graph: EnumGraph, ranks: np.ndarray) -> np.ndarray:
     """Each assignment rank's diameter, math.inf if it is not strong, exact
-    up to the cut c = min(`bound`, the batch's smallest diameter); a strong
-    rank of diameter above c reads some value in (c, its diameter].  So a
-    caller that passes the best diameter found so far as `bound` still
-    reads every column that ties or beats it exactly.
+    up to the cut c, the batch's smallest diameter; a strong rank of
+    diameter above c reads some value in (c, its diameter].  So the batch's
+    smallest diameter and every rank with it read exactly, whatever other
+    batches hold.
 
     One column per rank; fwd[j] is all ones where edge j points u -> v
     (bit 0).  After round t, v's reach row holds the vertices within t
@@ -258,7 +258,7 @@ def _batch_diameters(graph: EnumGraph, ranks: np.ndarray,
     Both hold in any round, but a column retired early still rides along
     to the end of the batch, so they are read only from round c - 1 on.
     Pushing a retired column changes nothing that is read: `live` masks
-    every write of a diameter, and the cut is read only from live
+    every write of a diameter, and round c - 1 is found only from live
     columns.
 
     Per parity, each edge's direction row and row views are bound once per
@@ -305,7 +305,7 @@ def _batch_diameters(graph: EnumGraph, ranks: np.ndarray,
     flags = np.empty((n, len(ranks)), dtype=bool)
     and_, or_, invert, any_ = (np.bitwise_and, np.bitwise_or, np.invert,
                                np.logical_or.reduce)
-    cut = bound
+    at_cut = False   # round c - 1 reached
     t = 0
     while any_(live):
         t += 1
@@ -329,9 +329,8 @@ def _batch_diameters(graph: EnumGraph, ranks: np.ndarray,
         diam[done] = t + 1
         live &= ~done & (grown != sums[p])
         sums[p] = grown
-        if any_(done):
-            cut = min(cut, t + 1)
-        if t + 1 < cut:
+        at_cut = at_cut or any_(done)
+        if not at_cut:
             continue
         # a row that did not grow and is not full: a closed ball
         np.equal(write, prev, out=flags)
@@ -352,14 +351,14 @@ def _batch_diameters(graph: EnumGraph, ranks: np.ndarray,
 
 def _score(graph: EnumGraph, batches) -> tuple:
     """(best diameter, smallest rank with it, strong weight) over (ranks,
-    weights) batches, each pushed with the best diameter so far as its
-    bound (`_batch_diameters`).  The diameter is math.inf, and the rank
-    not strong or 2^m, when no rank is strong."""
+    weights) batches, in any order, each pushed on its own and exact at its
+    best (`_batch_diameters`).  The diameter is math.inf, and the rank not
+    strong or 2^m, when no rank is strong."""
     import numpy as np
     best = (math.inf, 1 << graph.m)   # (diameter, smallest rank with it)
     strong = 0
     for ranks, weights in batches:
-        diams = _batch_diameters(graph, ranks, best[0])
+        diams = _batch_diameters(graph, ranks)
         strong += int(weights[np.isfinite(diams)].sum())
         low = diams.min()
         best = min(best, (float(low), int(ranks[diams == low].min())))
@@ -468,8 +467,8 @@ def _multisets(spread):
 
 def _orbits(graph: EnumGraph):
     """(ranks, orbit sizes) of the orbit representatives that `_search`
-    decides, as the two rows of int64 arrays of at most _PUSH columns (or
-    one product's, if more).
+    decides, as the two rows of int64 arrays of at most _BATCH columns
+    (`_gathered`).
 
     Each copy of the chosen side takes a key index, at most its previous
     twin's, so keys do not increase within a class; the index skips the

@@ -186,18 +186,30 @@ def _list(x, what):
     return x
 
 
+def _object(x, what, *keys):
+    """Check that `x` is a JSON object with every key of `keys`."""
+    if not isinstance(x, dict):
+        raise TypeError(f"{what} is not an object")
+    for key in keys:
+        if key not in x:
+            raise TypeError(f"missing key {key!r} in {what}")
+
+
 def spec_from_dict(doc: dict) -> TreeSpec:
-    """A spec from its JSON document; every multiplicity must be an integer
-    (not a bool or a float), and every sequence a list."""
+    """A spec from its JSON document; the document and every branch must be
+    objects with their keys, every multiplicity an integer (not a bool or a
+    float), and every sequence a list."""
     try:
+        _object(doc, "the document", "center_multiplicity", "branches")
         branches = []
-        for b in _list(doc["branches"], "branches"):
+        for i, b in enumerate(_list(doc["branches"], "branches"), 1):
+            _object(b, f"branch {i}", "multiplicity")
             mult = _integer(b["multiplicity"])
             leaves = _list(b.get("leaf_multiplicities", []),
                            "leaf_multiplicities")
             branches.append(BranchSpec(mult, tuple(map(_integer, leaves))))
         return TreeSpec(_integer(doc["center_multiplicity"]), tuple(branches))
-    except (KeyError, TypeError) as exc:
+    except TypeError as exc:
         raise UsageError(f"malformed tree document: {exc}") from exc
 
 

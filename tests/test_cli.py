@@ -137,7 +137,16 @@ def test_malformed_input_exits_two(tmp_path, capsys):
     capsys.readouterr()
     missing = write_spec(tmp_path, {"center_multiplicity": 2}, "m.json")
     assert main(["classify", missing]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == ("error: malformed tree document: "
+                                       "missing key 'branches' in the "
+                                       "document\n")
+    # a document or a branch that is not a JSON object is named as such
+    for doc, what in (([], "the document"),
+                      ({"center_multiplicity": 2, "branches": [5]},
+                       "branch 1")):
+        assert main(["classify", write_spec(tmp_path, doc, "o.json")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: malformed tree document: {what} is not an object\n"
     invalid = write_spec(tmp_path, {
         "center_multiplicity": 1,
         "branches": [{"multiplicity": 2, "leaf_multiplicities": [2]},

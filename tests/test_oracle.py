@@ -1,6 +1,7 @@
 """Exhaustive-search oracle: known values, determinism, partitioning."""
 
 import math
+import random
 import re
 import tracemalloc
 from functools import partial
@@ -17,9 +18,9 @@ from orient4.digraph import (Orientation, diameter, from_edge_list,
 from orient4.errors import Refusal, UsageError
 from orient4.oracle import (_BATCH, EnumGraph, RangeResult, _batch_diameters,
                             _candidates, _incidence, _multisets, _orbits,
-                            _parts, _survivors, _twin_classes, bipartite_graph,
-                            bipartite_orientation_number, find_bridge,
-                            graph_from_spec, orientation_number,
+                            _parts, _score, _survivors, _twin_classes,
+                            bipartite_graph, bipartite_orientation_number,
+                            find_bridge, graph_from_spec, orientation_number,
                             search_rank_range)
 from orient4.tree import BranchSpec, TreeSpec, edge_count, validate
 
@@ -160,12 +161,12 @@ def test_witness_is_smallest_rank():
 @pytest.mark.parametrize("spec", [deg3_all2(), c1_24_edges()],
                          ids=["20-edges", "24-edges"])
 def test_smallest_rank_wins_across_batches(monkeypatch, spec):
-    # with _PUSH = 1 each run of _BATCH ranks is pushed as its own batch,
-    # so the optimum is reached in many batches, and only the first may
-    # set the witness
+    # with _BATCH = 2^10 the ranks are filtered in runs of 2^10 and pushed
+    # in batches of at most 2^10 survivors, so the optimum is reached in
+    # many batches, and only the first may set the witness
     graph = graph_from_spec(spec)
     full = search_rank_range(graph, 0, 1 << graph.m)
-    monkeypatch.setattr(oracle, "_PUSH", 1)
+    monkeypatch.setattr(oracle, "_BATCH", 1 << 10)
     assert search_rank_range(graph, 0, 1 << graph.m) == full
     before = search_rank_range(graph, 0, full.best_rank)
     assert before.best_rank is None or \
@@ -174,15 +175,13 @@ def test_smallest_rank_wins_across_batches(monkeypatch, spec):
 
 @pytest.mark.parametrize("spec", [deg3_all2(), c1_24_edges()],
                          ids=["20-edges", "24-edges"])
-def test_orbit_search_bound_carries_across_batches(monkeypatch, spec):
-    # with small expansions and pushes, `_orbits` yields many batches, and
-    # each is pushed with the best diameter of the batches before it as
-    # its bound: the search still finds the full scan's diameter, smallest
-    # optimal rank and strong count
+def test_orbit_search_over_many_batches_matches_the_scan(monkeypatch, spec):
+    # with small expansions and pushes, `_orbits` yields many batches, each
+    # pushed on its own: the search still finds the full scan's diameter,
+    # smallest optimal rank and strong count
     graph = graph_from_spec(spec)
     full = search_rank_range(graph, 0, 1 << graph.m)
-    monkeypatch.setattr(oracle, "_BATCH", 64)
-    monkeypatch.setattr(oracle, "_PUSH", 32)
+    monkeypatch.setattr(oracle, "_BATCH", 32)
     assert len(list(_orbits(graph))) > 50
     res = oracle._search(graph, symmetry=False)
     names = graph.names
@@ -191,6 +190,26 @@ def test_orbit_search_bound_carries_across_batches(monkeypatch, spec):
                if arc == (names[v], names[u]))
     assert (res.orientation_number, rank, res.strong_count) == \
         (full.best_diameter, full.best_rank, full.strong_count)
+
+
+@pytest.mark.parametrize("graph", [graph_from_spec(deg3_all2()),
+                                   graph_from_spec(c1_24_edges()),
+                                   bipartite_graph(3, 4)],
+                         ids=["20-edges", "24-edges", "K(3,4)"])
+def test_batch_order_does_not_matter(monkeypatch, graph):
+    # each batch is pushed on its own, so `_score` reads the same diameter,
+    # smallest optimal rank and strong weight from `_orbits`' batches in
+    # order, reversed or shuffled, and the full scan's
+    full = search_rank_range(graph, 0, 1 << graph.m)
+    monkeypatch.setattr(oracle, "_BATCH", 16)
+    batches = list(_orbits(graph))
+    assert len(batches) >= 5
+    shuffled = list(range(len(batches)))
+    random.Random(37).shuffle(shuffled)
+    assert shuffled != sorted(shuffled)
+    for order in (batches, batches[::-1], [batches[i] for i in shuffled]):
+        assert _score(graph, order) == \
+            (full.best_diameter, full.best_rank, full.strong_count)
 
 
 # ----------------------------------------------------------------------------
@@ -462,7 +481,6 @@ def test_orbits_split_into_bounded_expansions(monkeypatch, graph, batch,
     # arrays of at most `batch` columns
     whole = np.concatenate(list(_orbits(graph)), axis=1)
     monkeypatch.setattr(oracle, "_BATCH", batch)
-    monkeypatch.setattr(oracle, "_PUSH", 3)
     assert multiset_arrays(monkeypatch, graph) == arrays
     parts = list(_orbits(graph))
     assert max(part.shape[1] for part in parts) <= batch
@@ -656,20 +674,20 @@ KERNEL_GRAPHS = [(spec, graph_from_spec(spec))
     [(None, isolated_vertex())]
 
 
-def assert_cut_contract(got, want, bound=math.inf):
+def assert_cut_contract(got, want):
     """`_batch_diameters`' contract against exact diameters: the same ranks
-    are strong; those at or below the cut, min(bound, the smallest exact
-    diameter), read exactly; every other strong rank reads a value above
-    the cut and at most its diameter."""
+    are strong; those at or below the cut, the smallest exact diameter,
+    read exactly; every other strong rank reads a value above the cut and
+    at most its diameter."""
     assert np.array_equal(np.isinf(got), np.isinf(want))
-    cut = min(bound, want.min(initial=math.inf))
+    cut = want.min(initial=math.inf)
     low = want <= cut
     assert np.array_equal(got[low], want[low])
     other = np.isfinite(want) & ~low
     assert ((got[other] > cut) & (got[other] <= want[other])).all()
 
 
-def push_rounds(monkeypatch, graph, ranks, bound=math.inf):
+def push_rounds(monkeypatch, graph, ranks):
     """The diameters `_batch_diameters` reads for `ranks` and the number of
     rounds its push ran: it copies the written halves once per round."""
     rounds = []
@@ -677,8 +695,7 @@ def push_rounds(monkeypatch, graph, ranks, bound=math.inf):
     with monkeypatch.context() as patch:
         patch.setattr(np, "copyto",
                       lambda *a, **k: rounds.append(1) or copyto(*a, **k))
-        got = _batch_diameters(graph, np.array(ranks, dtype=np.int64),
-                               bound)
+        got = _batch_diameters(graph, np.array(ranks, dtype=np.int64))
     return got.tolist(), len(rounds)
 
 
@@ -769,10 +786,9 @@ def test_sources_and_sinks_retire_after_round_one(monkeypatch):
 
 
 def test_every_k34_rank_meets_the_cut_contract():
-    # all 4,096 K(3,4) ranks in one batch, at every bound that cuts below,
-    # at or above the smallest diameter 4.  Every rank without a source or
-    # a sink is strong here, which is why the closed-ball test below needs
-    # another graph
+    # all 4,096 K(3,4) ranks in one batch, cut at its smallest diameter 4.
+    # Every rank without a source or a sink is strong here, which is why
+    # the closed-ball test below needs another graph
     graph = bipartite_graph(3, 4)
     ranks = np.arange(1 << graph.m, dtype=np.int64)
     want = reference_diameters(graph, ranks)
@@ -780,9 +796,7 @@ def test_every_k34_rank_meets_the_cut_contract():
         [330, 432, 144, 3190]
     survivors = np.concatenate(list(_survivors(graph, 0, 1 << graph.m)))
     assert np.isfinite(want[survivors]).all() and survivors.size == 906
-    for bound in (3, 4, 5, 6, math.inf):
-        assert_cut_contract(_batch_diameters(graph, ranks, bound), want,
-                            bound)
+    assert_cut_contract(_batch_diameters(graph, ranks), want)
 
 
 def test_certificates_hold_on_non_strong_ranks_without_a_source():
@@ -794,9 +808,7 @@ def test_certificates_hold_on_non_strong_ranks_without_a_source():
     ranks = np.concatenate(list(_survivors(vertex_rule, 0, 1 << graph.m)))
     want = reference_diameters(graph, ranks)
     assert (ranks.size, np.isinf(want).sum()) == (1964, 360)
-    for bound in (3, 4, 5, 6, 7, 8, math.inf):
-        assert_cut_contract(_batch_diameters(graph, ranks, bound), want,
-                            bound)
+    assert_cut_contract(_batch_diameters(graph, ranks), want)
 
 
 def test_closed_ball_retires_a_column_at_the_cut(monkeypatch):
@@ -825,24 +837,21 @@ def test_root_certifies_a_column_above_the_cut(monkeypatch):
     graph, (d4, _, d6) = k34_ranks()
     assert push_rounds(monkeypatch, graph, [d6[0]]) == ([6], 5)
     assert push_rounds(monkeypatch, graph, [d4[0], d6[0]]) == ([4, 5], 3)
-    # the push stops at the cut, min(bound, the batch's smallest diameter
-    # 4), one round early; with bound 3 every strong column, the
-    # diameter-4 one too, reads above 3 and at most its diameter
+    # the push stops at the cut, the batch's smallest diameter 4, one
+    # round early
     ranks = [d4[0], d6[0], 0, d6[1]]
-    for bound in (3, 4, 5, 6, math.inf):
-        got, rounds = push_rounds(monkeypatch, graph, ranks, bound)
-        assert_cut_contract(np.array(got),
-                            reference_diameters(graph, np.array(ranks)),
-                            bound)
-        assert rounds == min(bound, 4) - 1
+    got, rounds = push_rounds(monkeypatch, graph, ranks)
+    assert_cut_contract(np.array(got),
+                        reference_diameters(graph, np.array(ranks)))
+    assert rounds == 3
 
 
 def search_rounds(monkeypatch, graph):
     """The number of rounds of each reach push in `graph`'s search."""
     rounds = []
 
-    def counted(graph, ranks, bound=math.inf):
-        got, count = push_rounds(monkeypatch, graph, ranks, bound)
+    def counted(graph, ranks):
+        got, count = push_rounds(monkeypatch, graph, ranks)
         rounds.append(count)
         return np.array(got)
 
@@ -934,7 +943,7 @@ def high_edges_only():
 
 
 # m below, at and above log2(_BATCH) = 16, so a full range is one run of
-# ranks or several; K(5,5) has runs with more than _PUSH survivors.
+# ranks or several, whose survivors are joined up to _BATCH per array.
 # Branch subtrees cross at their center edges, the first edges: the three
 # small specs' cuts change within every run, (3; (3,[2]), (3,[2]))'s
 # branch 2 both within and between runs from multiples of _BATCH (edges

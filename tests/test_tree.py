@@ -179,3 +179,21 @@ def test_spec_from_dict_needs_lists():
                                              "leaf_multiplicities": 2}]})
     with pytest.raises(UsageError, match="branches is not a list"):
         spec_from_dict({**doc, "branches": {"multiplicity": 2}})
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "the document is not an object"),
+    (None, "the document is not an object"),
+    ({"center_multiplicity": 2}, "missing key 'branches' in the document"),
+    ({"branches": []}, "missing key 'center_multiplicity' in the document"),
+    ({"center_multiplicity": 2, "branches": [5]}, "branch 1 is not an object"),
+    ({"center_multiplicity": 2,
+      "branches": [{"multiplicity": 2}, {"leaf_multiplicities": [2]}]},
+     "missing key 'multiplicity' in branch 2"),
+])
+def test_spec_from_dict_names_the_field(doc, message):
+    # the message names what is wrong, not Python's own TypeError or
+    # KeyError text
+    with pytest.raises(UsageError) as info:
+        spec_from_dict(doc)
+    assert str(info.value) == f"malformed tree document: {message}"
