@@ -11,16 +11,14 @@ from .build import (ConstructionResult, ReducedSpec, SetSchedule,
                     build_base_orientation, construct_optimal, make_schedule,
                     reduce)
 from .classify import Classification, classify, half_binom, select_case
-from .digraph import (UNREACHABLE, Orientation, center_in_set,
-                      center_out_set, diameter, distance, eccentricities,
+from .digraph import (UNREACHABLE, Orientation, diameter, eccentricities,
                       extend_orientation, from_arcs, from_edge_list,
-                      is_strong, reverse, to_dot, to_edge_list)
+                      is_strong, to_dot, to_edge_list)
 from .errors import ConstructionError, Refusal, UsageError
 from .oracle import (OracleResult, bipartite_orientation_number,
                      orientation_number)
-from .sperner import (first_m, is_antichain, kappa, kappa_star, last_m,
-                      level_size, members, shade, shadow, shadow_size_kkt,
-                      squashed_level)
+from .sperner import (first_m, kappa, kappa_star, last_m, level_size,
+                      members, shade, shadow, shadow_size_kkt, squashed_level)
 from .tree import (BranchSpec, NeighborPartition, TreeSpec, load_spec,
                    multiplied_edges, partition, spec_from_dict, spec_to_dict,
                    validate, vertex_names)

@@ -1,4 +1,4 @@
-"""Orientations of multiplied trees: storage, metrics, duality, extension.
+"""Orientations of multiplied trees: storage, metrics, extension, text formats.
 
 An `Orientation` stores one direction bit per canonical edge of the
 multiplied graph, in the order the layout table `tree._blocks` states
@@ -65,20 +65,9 @@ class Orientation:
         _, out, inn = self._layout
         return _twin_sweep(out, inn)
 
-    @cached_property
-    def _index(self):
-        """Vertex name -> vertex index."""
-        return {name: i for i, name in enumerate(self.vertices)}
-
     @property
     def vertices(self):
         return vertex_names(self.spec)
-
-    def vertex_index(self, v: str) -> int:
-        try:
-            return self._index[v]
-        except KeyError:
-            raise UsageError(f"vertex {v} not in the multiplied graph") from None
 
     def arcs(self):
         """Directed arcs as (tail, head) name pairs, canonical edge order."""
@@ -190,21 +179,6 @@ def _sweep(adj):
     return ecc, cyc
 
 
-def _balls(adj, src):
-    """Bitsets of the vertices within distance 0, 1, ... of `src` while they
-    grow: the same step from one source, expanding only the last additions."""
-    bit = [1 << v for v in range(len(adj))]
-    ball, frontier = bit[src], [src]
-    while frontier:
-        yield ball
-        frontier, last = [], frontier
-        for u in last:
-            for w in adj[u]:
-                if not ball & bit[w]:
-                    ball |= bit[w]
-                    frontier.append(w)
-
-
 def _twin_sweep(out, inn):
     """`_sweep`'s answers for every vertex, from a sweep of the quotient Q
     whose classes are the vertices with equal (ascending) out- and in-sets.
@@ -235,20 +209,9 @@ def diameter(d: Orientation):
     return max(eccentricities(d), default=0)
 
 
-def distance(d: Orientation, u: str, v: str):
-    target = 1 << d.vertex_index(v)
-    balls = _balls(d._layout[1], d.vertex_index(u))
-    return next((k for k, b in enumerate(balls) if b & target), UNREACHABLE)
-
-
 def is_strong(d: Orientation) -> bool:
     """Every vertex reaches every other: no eccentricity is UNREACHABLE."""
     return UNREACHABLE not in d._distances[0]
-
-
-def reverse(d: Orientation) -> Orientation:
-    """Flip every arc."""
-    return Orientation(d.spec, tuple(1 - b for b in d.bits))
 
 
 def shortest_cycle_lengths(d: Orientation):
@@ -303,28 +266,6 @@ def pull_back(d: Orientation, target: TreeSpec, block_of) -> Orientation:
             j = first + x % q * w
             bits += (d.bits[j:j + w] * (size // w + 1))[:size]
     return Orientation(target, tuple(bits))
-
-
-# ============================================================================
-# Center in- and out-sets
-# ============================================================================
-
-def center_out_set(d: Orientation, v: str) -> int:
-    """The center copies branch copy v points to, as a mask (bit x-1 for
-    copy x, as in `sperner`): every center copy is adjacent to every
-    branch copy, one way, so this is the complement of `center_in_set`."""
-    return (1 << d.spec.s) - 1 ^ center_in_set(d, v)
-
-
-def center_in_set(d: Orientation, v: str) -> int:
-    """The center copies that point to branch copy v, as a mask."""
-    # the center copies are vertices 0..s-1 of the layout; the branch
-    # copies come next
-    s = d.spec.s
-    i = d._index.get(v, -1)
-    if not s <= i < s + sum(b.multiplicity for b in d.spec.branches):
-        raise UsageError(f"{v} is not a branch copy")
-    return sum(1 << w for w in d._layout[2][i] if w < s)
 
 
 # ============================================================================

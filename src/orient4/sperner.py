@@ -7,7 +7,7 @@ and a shadow or shade step clears or sets one bit.  Complement reverses
 the order: the last m sets of level (n, k) are the complements of the
 first m sets of level (n, n-k).  Besides initial and final segments,
 shadows and shades, this holds the cascade (binomial-representation)
-shadow size, the kappa deficiency functions and the antichain predicate.
+shadow size and the kappa deficiency functions.
 """
 
 from __future__ import annotations
@@ -150,11 +150,3 @@ def kappa_star(n: int, r: int, m: int) -> int:
         best = min(best, value)
     return best
 
-
-# ============================================================================
-# Antichains
-# ============================================================================
-
-def is_antichain(sets) -> bool:
-    """True iff no member set contains another member set."""
-    return not any(a & b in (a, b) for a, b in itertools.combinations(sets, 2))

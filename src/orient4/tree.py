@@ -186,24 +186,37 @@ def _list(x, what):
     return x
 
 
-def _object(x, what, *keys):
-    """Check that `x` is a JSON object with every key of `keys`."""
+def _object(x, what, keys, optional=()):
+    """Check that `x` is a JSON object with every key of `keys`, and no key
+    but those and `optional`."""
     if not isinstance(x, dict):
         raise TypeError(f"{what} is not an object")
     for key in keys:
         if key not in x:
             raise TypeError(f"missing key {key!r} in {what}")
+    for key in x:
+        if key not in keys and key not in optional:
+            raise TypeError(f"unknown key {key!r} in {what}")
+
+
+def _unique(pairs):
+    """`json.load`'s object hook: a dict, unless a key repeats."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise TypeError(f"repeated key {max(keys, key=keys.count)!r}")
+    return doc
 
 
 def spec_from_dict(doc: dict) -> TreeSpec:
     """A spec from its JSON document; the document and every branch must be
-    objects with their keys, every multiplicity an integer (not a bool or a
-    float), and every sequence a list."""
+    objects with their keys and no others, every multiplicity an integer
+    (not a bool or a float), and every sequence a list."""
     try:
-        _object(doc, "the document", "center_multiplicity", "branches")
+        _object(doc, "the document", ("center_multiplicity", "branches"))
         branches = []
         for i, b in enumerate(_list(doc["branches"], "branches"), 1):
-            _object(b, f"branch {i}", "multiplicity")
+            _object(b, f"branch {i}", ("multiplicity",), ("leaf_multiplicities",))
             mult = _integer(b["multiplicity"])
             leaves = _list(b.get("leaf_multiplicities", []),
                            "leaf_multiplicities")
@@ -227,8 +240,11 @@ def load_spec(raw: bytes) -> TreeSpec:
     """A spec from the bytes of its JSON file, read as UTF-8 text with
     universal newlines, as `open(path, encoding="utf-8")` reads it."""
     try:
-        doc = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+        doc = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"),
+                        object_pairs_hook=_unique)
     except (ValueError, RecursionError) as exc:
         # also undecodable bytes, over-long ints and too deep nesting
         raise UsageError(f"not valid JSON: {exc}") from exc
+    except TypeError as exc:
+        raise UsageError(f"malformed tree document: {exc}") from exc
     return spec_from_dict(doc)

@@ -15,12 +15,13 @@ import random
 import time
 from math import comb
 
+from test_digraph import flipped, reference_distances
 from test_oracle import check_witness
 
 from orient4.build import build_base_orientation, construct_optimal, reduce
 from orient4.classify import classify
-from orient4.digraph import (diameter, distance, extend_orientation,
-                             is_strong, reverse, shortest_cycle_lengths)
+from orient4.digraph import (diameter, extend_orientation, is_strong,
+                             shortest_cycle_lengths)
 from orient4.errors import ConstructionError
 from orient4.oracle import bipartite_orientation_number, orientation_number
 from orient4.sperner import (first_m, kappa, last_m, members, shade,
@@ -304,8 +305,8 @@ def _check_parity(d, rng):
             q = rng.randint(1, spec.branch(j).multiplicity)
             p = rng.randint(1, spec.branch(i).leaf_multiplicities[0])
             u, v = leaf_copy(i, 1, p), branch_copy(j, q)
-            assert distance(d, u, v) == 3
-            assert distance(d, v, u) == 3
+            dist = reference_distances(d, sources=(u, v))
+            assert dist[u].get(v) == dist[v].get(u) == 3
 
 
 def test_criterion_6_property_suite():
@@ -334,7 +335,7 @@ def test_criterion_6_property_suite():
         assert diameter(d) == 4 and is_strong(d)
 
         # duality: reversing every arc preserves the diameter
-        assert diameter(reverse(d)) == 4
+        assert diameter(flipped(d)) == 4
 
         # parity: leaf copies sit at distance exactly 3 from foreign
         # branch copies, in both directions
@@ -344,10 +345,11 @@ def test_criterion_6_property_suite():
         base = build_base_orientation(res.reduced)
         if res.case in CENTER_DISTANCE_TWO_CASES:
             h = res.reduced.h_spec
+            dist = reference_distances(base)
             for r1 in range(1, h.s + 1):
                 for r2 in range(1, h.s + 1):
                     if r1 != r2:
-                        assert distance(base, center(r1), center(r2)) == 2
+                        assert dist[center(r1)].get(center(r2)) == 2
 
         # the mimic extension by +1 everywhere keeps the diameter at 4
         lifted = extend_orientation(base, _plus_one(base.spec), 4)

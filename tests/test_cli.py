@@ -147,6 +147,22 @@ def test_malformed_input_exits_two(tmp_path, capsys):
         assert main(["classify", write_spec(tmp_path, doc, "o.json")]) == 2
         assert capsys.readouterr().err == \
             f"error: malformed tree document: {what} is not an object\n"
+    # a misspelt key is named, not read as an absent optional one, and a
+    # repeated key is not resolved to its last value
+    branch = '{"multiplicity": 2, "leaf_multiplicities": [2]}'
+    for text, message in (
+            ('{"center_multiplicity": 2, "branches": [%s, '
+             '{"multiplicity": 2, "leaf_multiplicites": [2]}]}' % branch,
+             "unknown key 'leaf_multiplicites' in branch 2"),
+            ('{"center_multiplicity": 2, "branches": [%s, '
+             '{"multiplicity": 2, "multiplicity": 3, '
+             '"leaf_multiplicities": [2]}]}' % branch,
+             "repeated key 'multiplicity'")):
+        keyed = tmp_path / "k.json"
+        keyed.write_text(text)
+        assert main(["classify", str(keyed)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: malformed tree document: {message}\n"
     invalid = write_spec(tmp_path, {
         "center_multiplicity": 1,
         "branches": [{"multiplicity": 2, "leaf_multiplicities": [2]},

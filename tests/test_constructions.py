@@ -13,6 +13,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from test_digraph import center_in, flipped, reference_distances
+
 from orient4 import build, cli, digraph, tree
 from orient4.build import (ConstructionResult, _core_bits, _feasible_split,
                            build_base_orientation, construct_optimal,
@@ -20,13 +22,11 @@ from orient4.build import (ConstructionResult, _core_bits, _feasible_split,
                            relabel_orientation)
 from orient4.classify import (C0, C1, CASE_IDS, UNKNOWN_GAP, classify,
                               qualifying_splits)
-from orient4.digraph import (Orientation, center_in_set, center_out_set,
-                             diameter, distance, extend_orientation,
-                             from_arcs, is_strong, reverse,
-                             shortest_cycle_lengths)
+from orient4.digraph import (Orientation, diameter, extend_orientation,
+                             from_arcs, is_strong, shortest_cycle_lengths)
 from orient4.errors import ConstructionError, Refusal, UsageError
 from orient4.oracle import orientation_number
-from orient4.sperner import is_antichain, kappa, members
+from orient4.sperner import kappa, members
 from orient4.tree import BranchSpec, TreeSpec, edge_count
 
 
@@ -387,6 +387,7 @@ def test_core_recipe(spec, case):
     d, rspec = build_case(spec, case)
     assert_core_ok(d)
     h = rspec.h_spec
+    dist = reference_distances(d)
     # leaf-to-foreign-branch distances are exactly 3 in both directions
     picks = [(i, b) for i, b in enumerate(h.branches, start=1)
              if b.leaf_count][:3]
@@ -395,14 +396,14 @@ def test_core_recipe(spec, case):
             if j == i:
                 continue
             for q in range(1, h.branch(j).multiplicity + 1):
-                assert distance(d, leaf_copy(i, 1, 1), branch_copy(j, q)) == 3
-                assert distance(d, branch_copy(j, q), leaf_copy(i, 1, 1)) == 3
+                leaf, copy = leaf_copy(i, 1, 1), branch_copy(j, q)
+                assert dist[leaf].get(copy) == dist[copy].get(leaf) == 3
     # center copies pairwise at distance exactly 2 where the recipe says so
     if case in CENTER_DISTANCE_TWO_CASES:
         for r1 in range(1, h.s + 1):
             for r2 in range(1, h.s + 1):
                 if r1 != r2:
-                    assert distance(d, center(r1), center(r2)) == 2
+                    assert dist[center(r1)].get(center(r2)) == 2
 
 
 def reference_core(rspec):
@@ -586,14 +587,15 @@ def test_cli_construct_validates_once_per_entry_point(monkeypatch, tmp_path,
 
 
 def test_outlet_projections_form_an_antichain():
-    # two-copy slots expose one outlet copy each; their center out-sets are
-    # pairwise incomparable
+    # two-copy slots expose one outlet copy each; the center in-sets of
+    # their first copies are pairwise incomparable, and so are their
+    # complements, the out-sets; likewise for the second copies
     d, rspec = build_case(mkspec(5, a2=9, e=2), "P35_D4")
     n2 = dict(rspec.block_sizes)["two_copy"]
-    outs = [center_out_set(d, branch_copy(i, 1)) for i in range(1, n2 + 1)]
-    assert is_antichain(outs)
-    ins = [center_in_set(d, branch_copy(i, 2)) for i in range(1, n2 + 1)]
-    assert is_antichain(ins)
+    for y in (1, 2):
+        ins = [center_in(d, branch_copy(i, y)) for i in range(1, n2 + 1)]
+        assert not any(a & b in (a, b)
+                       for a, b in itertools.combinations(ins, 2))
 
 
 # ----------------------------------------------------------------------------
@@ -674,7 +676,7 @@ def test_duality_across_constructions():
     rng = random.Random(5)
     for spec, case in rng.sample(CORE_CASES, 6):
         res = construct_optimal(spec)
-        assert diameter(reverse(res.orientation)) == 4
+        assert diameter(flipped(res.orientation)) == 4
 
 
 @pytest.mark.parametrize("spec,case", [

@@ -1,4 +1,4 @@
-"""Orientation metrics, duality, the extension step, and center sets."""
+"""Orientation storage, metrics, the extension step, and text formats."""
 
 import math
 
@@ -11,11 +11,9 @@ from orient4.build import construct_optimal, reduce, \
     build_base_orientation, relabel_orientation
 from orient4.classify import classify
 from orient4.digraph import (UNREACHABLE, ExtensionError, Orientation,
-                             center_in_set, center_out_set, diameter,
-                             distance, eccentricities, extend_orientation,
-                             from_arcs, from_edge_list, is_strong,
-                             pull_back, reverse, shortest_cycle_lengths,
-                             to_dot, to_edge_list)
+                             diameter, eccentricities, extend_orientation,
+                             from_arcs, from_edge_list, is_strong, pull_back,
+                             shortest_cycle_lengths, to_dot, to_edge_list)
 from orient4.errors import UsageError
 from orient4.tree import (BranchSpec, TreeSpec, _blocks, edge_count,
                           edge_pairs, multiplied_edges, vertex_names)
@@ -52,6 +50,18 @@ def fig22_spec():
 
 def built(spec):
     return construct_optimal(spec).orientation
+
+
+def flipped(d):
+    """`d` with every arc turned round."""
+    return Orientation(d.spec, tuple(1 - b for b in d.bits))
+
+
+def center_in(d, v):
+    """The center copies with an arc into `v`, as a mask (bit x-1 for copy
+    x, as in `sperner`), read from `d.arcs()`."""
+    return sum(1 << (int(t[2:]) - 1) for t, h in d.arcs()
+               if h == v and t.startswith("c."))
 
 
 # ----------------------------------------------------------------------------
@@ -134,10 +144,6 @@ def test_index_rejects_vertices_out_of_bounds(tail, head):
     with pytest.raises(UsageError) as err:
         from_arcs(spec, [(tail, head)])
     assert str(err.value) == message
-    d = Orientation(spec, (0,) * len(edge_pairs(spec)[0]))
-    with pytest.raises(UsageError) as err:
-        d.vertex_index(tail)
-    assert str(err.value) == f"vertex {tail} not in the multiplied graph"
 
 
 # Each names a vertex of BOUNDS_SPEC in a form the program never prints:
@@ -148,15 +154,10 @@ NON_CANONICAL = ["c.0_1", "b+1.1", "l1.1. 2", "c.\u0663", "c.01", " c.1",
 
 @pytest.mark.parametrize("v", NON_CANONICAL)
 def test_names_must_be_canonical(v):
-    spec = BOUNDS_SPEC
-    d = Orientation(spec, (0,) * len(edge_pairs(spec)[0]))
     with pytest.raises(UsageError) as err:
-        from_arcs(spec, [(v, "b1.1")])
+        from_arcs(BOUNDS_SPEC, [(v, "b1.1")])
     assert str(err.value) == \
         f"arc {v}->b1.1 is not an edge of the multiplied graph"
-    with pytest.raises(UsageError) as err:
-        d.vertex_index(v)
-    assert str(err.value) == f"vertex {v} not in the multiplied graph"
 
 
 def reference_vertices(spec):
@@ -227,7 +228,6 @@ def test_integer_layout_matches_vertex_ids(spec, data):
                               max_size=len(edges)))
     d = Orientation(spec, tuple(bits))
     assert d.vertices == [name(v) for v in verts]
-    assert all(d.vertex_index(name(v)) == i for v, i in ref_index.items())
     arcs = [(u, v) if b == 0 else (v, u) for (u, v), b in zip(edges, bits)]
     assert d.arcs() == arcs
     assert to_edge_list(d) == "\n".join(f"{t} -> {h}" for t, h in arcs) + "\n"
@@ -264,28 +264,14 @@ def test_all_arcs_into_center_is_unreachable():
     assert not is_strong(d)
 
 
-def test_reverse_is_involution_and_preserves_metrics():
-    d = built(fig22_spec())
-    rd = reverse(d)
-    assert reverse(rd).bits == d.bits
-    assert diameter(rd) == diameter(d) == 4
-    assert is_strong(rd) == is_strong(d) is True
-
-
-def test_distance_matches_diameter():
-    d = built(p5_all2())
-    verts = d.vertices
-    worst = max(distance(d, u, v) for u in verts for v in verts)
-    assert worst == diameter(d)
-
-
-def reference_distances(d):
-    """Plain per-source BFS over `d.arcs()`: {source: {vertex: distance}}."""
+def reference_distances(d, sources=None):
+    """Plain per-source BFS over `d.arcs()`: {source: {vertex: distance}},
+    from every vertex unless `sources` names some."""
     out = {v: [] for v in d.vertices}
     for t, h in d.arcs():
         out[t].append(h)
     table = {}
-    for src in d.vertices:
+    for src in d.vertices if sources is None else sources:
         dist, frontier = {src: 0}, [src]
         while frontier:
             nxt = []
@@ -341,10 +327,7 @@ def test_reach_sets_match_reference_bfs(d):
         # the multiplied graph is bipartite and has no 2-cycles: the path
         # back along an arc closes a cycle of length <= 5, so of length 4
         assert cycles == [4] * len(verts)
-    for u in verts[::3]:
-        for v in verts:
-            assert distance(d, u, v) == table[u].get(v, UNREACHABLE)
-    assert diameter(reverse(d)) == diameter(d)
+    assert diameter(flipped(d)) == diameter(d)
 
 
 def full_sweep(adj):
@@ -605,7 +588,7 @@ def test_relabel_matches_vertex_id_slots(spec, data):
 
 
 # ----------------------------------------------------------------------------
-# center in- and out-sets
+# center in-sets
 # ----------------------------------------------------------------------------
 
 def p39_fig_orientation():
@@ -616,29 +599,11 @@ def p39_fig_orientation():
 
 
 def test_center_projections_on_p39_figure():
+    # branch copy b5.3 points to center copies {1, 2, 3} and b1.1 to
+    # {1, 2}; the other center copies point to them
     d = p39_fig_orientation()
-    assert center_out_set(d, branch_copy(5, 3)) == 0b0111   # {1, 2, 3}
-    assert center_out_set(d, branch_copy(1, 1)) == 0b0011   # {1, 2}
-
-
-def test_projections_partition_center_copies():
-    d = built(fig22_spec())
-    for i in range(1, 5):
-        for y in range(1, d.spec.branch(i).multiplicity + 1):
-            v = branch_copy(i, y)
-            outs = center_out_set(d, v)
-            ins = center_in_set(d, v)
-            assert outs | ins == (1 << d.spec.s) - 1
-            assert not outs & ins
-
-
-def test_projection_role_checks():
-    d = built(p5_all2())
-    for v in ("c.1", "l1.1.1", "b1.3", "b3.1", "b1.01", "x.1"):
-        for center_set in (center_out_set, center_in_set):
-            with pytest.raises(UsageError) as err:
-                center_set(d, v)
-            assert str(err.value) == f"{v} is not a branch copy"
+    assert center_in(d, branch_copy(5, 3)) == 0b1000   # {4}
+    assert center_in(d, branch_copy(1, 1)) == 0b1100   # {3, 4}
 
 
 # ----------------------------------------------------------------------------

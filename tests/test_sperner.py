@@ -12,9 +12,9 @@ import pytest
 
 import orient4
 from orient4.errors import UsageError
-from orient4.sperner import (first_m, is_antichain, kappa, kappa_star, last_m,
-                             level_size, members, shade, shadow,
-                             shadow_size_kkt, squashed_level)
+from orient4.sperner import (first_m, kappa, kappa_star, last_m, level_size,
+                             members, shade, shadow, shadow_size_kkt,
+                             squashed_level)
 
 
 # ----------------------------------------------------------------------------
@@ -277,16 +277,6 @@ def all_antichains(n):
         if all(not (a <= b) for a in fam for b in fam if a is not b):
             out.append(fam)
     return out
-
-
-def test_antichain_predicate():
-    assert is_antichain(list(squashed_level(4, 2)))
-    assert not is_antichain([mask({1}), mask({1, 2})])
-    assert not is_antichain([mask({2, 3}), mask({2, 3})])
-    assert is_antichain([])
-    for n in (2, 3):
-        for fam in all_antichains(n):
-            assert is_antichain([mask(f) for f in fam])
 
 
 def test_sperner_bound_exhaustive():

@@ -156,6 +156,10 @@ def test_json_malformed():
         load_spec(b"{not json")
     with pytest.raises(UsageError):
         load_spec(b'{"center_multiplicity": 2}')
+    with pytest.raises(UsageError, match="^malformed tree document: "
+                       "repeated key 'branches'$"):
+        load_spec(b'{"center_multiplicity": 2, "branches": [], '
+                  b'"branches": []}')
 
 
 @pytest.mark.parametrize("value", [2.7, 2.0, True, "3", float("inf"), None])
@@ -190,6 +194,12 @@ def test_spec_from_dict_needs_lists():
     ({"center_multiplicity": 2,
       "branches": [{"multiplicity": 2}, {"leaf_multiplicities": [2]}]},
      "missing key 'multiplicity' in branch 2"),
+    ({"center_multiplicity": 2,
+      "branches": [{"multiplicity": 2, "leaf_multiplicities": [2]},
+                   {"multiplicity": 2, "leaf_multiplicites": [2]}]},
+     "unknown key 'leaf_multiplicites' in branch 2"),
+    ({"center_multiplicity": 2, "branches": [], "name": "P5"},
+     "unknown key 'name' in the document"),
 ])
 def test_spec_from_dict_names_the_field(doc, message):
     # the message names what is wrong, not Python's own TypeError or
