@@ -128,6 +128,8 @@ def cmd_classify(args):
 # ============================================================================
 
 def cmd_construct(args):
+    if args.json and args.format == "dot":
+        raise UsageError("give --json or --format dot, not both")
     spec = _load_within_budget(args.spec)
     result = build.construct_optimal(spec)
     d = result.orientation

@@ -21,13 +21,12 @@ each push stops at its own batch's smallest diameter: each other column
 is only told strong or not, by one of two certificates read from its
 reach sets.  A vertex whose ball stopped growing short of every vertex
 misses one, so the rank is not strong; a root that reaches every vertex
-and that every vertex reaches joins any two through it, so it is.  The
-push reads a column with a source or a sink as not strong after its
-first round.  Every other column has diameter D exactly when the halves
-of its reach sets written in round D - 1, those of one parity of
-distance, are first all full: a vertex off them has an in-neighbour on
-them.  So a batch needs one round less than its smallest diameter, and
-a root is certified from those halves alone.
+and that every vertex reaches joins any two through it, so it is.  A
+column has diameter D exactly when the halves of its reach sets written
+in round D - 1, those of one parity of distance, are first all full: a
+vertex off them has an in-neighbour on them.  So a batch needs one round
+less than its smallest diameter, and a root is certified from those
+halves alone.
 `search_rank_range` scans a contiguous range of ranks instead, with the
 same part checks and scoring (`_passing`, `_score`): the exhaustive
 reference for the search.
@@ -209,12 +208,11 @@ def _batch_diameters(graph: EnumGraph, ranks: np.ndarray) -> np.ndarray:
     written in a round, so the push is in place.  The bits past a side's
     size are set from the start, so a half is full when it is all ones.
 
-    Round 1 writes each vertex's out-neighbours.  A column where some
-    row's half is still its pad has a vertex without an out-neighbour,
-    and one where the halves of one side's rows do not together cover the
-    other side has a vertex without an in-neighbour: a source or a sink,
-    so it is not strong and keeps inf.  Every other column has neither,
-    which the rest rests on.
+    Every column is a rank that leaves no vertex a source or a sink, as
+    both callers' filters ensure: `_orbits` skips the all-in and all-out
+    keys of the searched side and judges every vertex of the other side,
+    and `_survivors` judges every vertex (`_passing`).  The rest rests on
+    this; a column with a source or a sink may read strong.
 
     Lemma: a column without a source or a sink has diameter at most D iff
     after round D - 1 every row's half written in that round is full.
@@ -318,12 +316,6 @@ def _batch_diameters(graph: EnumGraph, ranks: np.ndarray) -> np.ndarray:
             invert(f, step)
             and_(of_u, step, step)
             or_(to_v, step, to_v)
-        if t == 1:
-            # a vertex without an out-neighbour, its half still its pad, or
-            # a side not covered by the other side's out-neighbours
-            live &= ~any_(np.equal(write, prev, out=flags), axis=0)
-            for s in (0, 1):
-                live &= np.bitwise_or.reduce(write[mine[s]], axis=0) == ones
         grown = np.add.reduce(write, axis=0, dtype=wide)
         done = live & (grown == full)
         diam[done] = t + 1
@@ -351,9 +343,9 @@ def _batch_diameters(graph: EnumGraph, ranks: np.ndarray) -> np.ndarray:
 
 def _score(graph: EnumGraph, batches) -> tuple:
     """(best diameter, smallest rank with it, strong weight) over (ranks,
-    weights) batches, in any order, each pushed on its own and exact at its
-    best (`_batch_diameters`).  The diameter is math.inf, and the rank not
-    strong or 2^m, when no rank is strong."""
+    weights) batches of the filter's survivors, in any order, each pushed
+    on its own and exact at its best (`_batch_diameters`).  The diameter
+    is math.inf, and the rank not strong or 2^m, when no rank is strong."""
     import numpy as np
     best = (math.inf, 1 << graph.m)   # (diameter, smallest rank with it)
     strong = 0
@@ -399,11 +391,11 @@ def _incidence(graph: EnumGraph) -> list:
             for t, row, m_x, s_x in zip(near, rows, masks, into)]
 
 
-def _twin_classes(graph: EnumGraph, side: int, incidence=None) -> list:
+def _twin_classes(graph: EnumGraph, side: int, incidence: list) -> list:
     """The twin classes of one side, the vertices with the same neighbours,
     as (neighbour set, copies in index order) pairs."""
     classes = {}
-    for x, (twins, *_) in enumerate(incidence or _incidence(graph)):
+    for x, (twins, *_) in enumerate(incidence):
         if graph.sides[x] == side:
             classes.setdefault(twins, []).append(x)
     return list(classes.items())

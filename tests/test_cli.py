@@ -170,6 +170,11 @@ def test_malformed_input_exits_two(tmp_path, capsys):
         "i.json")
     assert main(["classify", invalid]) == 2
     capsys.readouterr()
+    # two output formats asked for at once
+    c0 = write_spec(tmp_path, c0_doc(), "c0.json")
+    assert main(["construct", c0, "--json", "--format", "dot"]) == 2
+    assert capsys.readouterr() == \
+        ("", "error: give --json or --format dot, not both\n")
     # more digits than Python 3.11 converts from text
     huge = tmp_path / "huge.json"
     huge.write_text('{"center_multiplicity": %s, "branches": []}'

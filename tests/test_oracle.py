@@ -18,9 +18,10 @@ from orient4.digraph import (Orientation, diameter, from_edge_list,
 from orient4.errors import Refusal, UsageError
 from orient4.oracle import (_BATCH, EnumGraph, RangeResult, _batch_diameters,
                             _candidates, _incidence, _multisets, _orbits,
-                            _parts, _score, _survivors, _twin_classes,
-                            bipartite_graph, bipartite_orientation_number,
-                            find_bridge, graph_from_spec, orientation_number,
+                            _parts, _passing, _score, _survivors,
+                            _twin_classes, bipartite_graph,
+                            bipartite_orientation_number, find_bridge,
+                            graph_from_spec, orientation_number,
                             search_rank_range)
 from orient4.tree import BranchSpec, TreeSpec, edge_count, validate
 
@@ -306,7 +307,7 @@ def test_search_premises():
         assert graph.sides == tuple(int(name.startswith("b"))
                                     for name in graph.names), label
         for side in (0, 1):
-            for _, copies in _twin_classes(graph, side):
+            for _, copies in _twin_classes(graph, side, _incidence(graph)):
                 # per copy, its edges by index: (neighbour, copy is the
                 # parent end, index)
                 rows = [[(u + v - x, u == x, j)
@@ -350,7 +351,7 @@ def twin_images(graph, side, ranks):
     """Each rank's image under every permutation of the side's twin
     classes, one row per permutation: copy x of a class becomes copy y,
     and edge (u, v) carries its bit to edge (f(u), f(v))."""
-    classes = _twin_classes(graph, side)
+    classes = _twin_classes(graph, side, _incidence(graph))
     index = {e: j for j, e in enumerate(graph.edges)}
     rows = []
     for choice in product(*(permutations(xs) for _, xs in classes)):
@@ -401,7 +402,8 @@ def test_orbits_are_one_smallest_rank_per_orbit(monkeypatch, graph, batch,
     assert multiset_arrays(monkeypatch, graph) == arrays
     # the side searched, with every rank's twin images; the ranks with no
     # all-in or all-out row on that side hold `_candidates` orbits
-    side = min((0, 1), key=lambda s: _candidates(_twin_classes(graph, s)))
+    side = min((0, 1), key=lambda s: _candidates(
+        _twin_classes(graph, s, _incidence(graph))))
     everything = np.arange(1 << graph.m, dtype=np.int64)
     images = twin_images(graph, side, everything)
     smallest = images.min(axis=0)
@@ -413,7 +415,7 @@ def test_orbits_are_one_smallest_rank_per_orbit(monkeypatch, graph, batch,
             rows_ok &= (everything & m_x != s_x) & \
                 (everything & m_x != s_x ^ m_x)
     assert (smallest[rows_ok] == everything[rows_ok]).sum() == \
-        _candidates(_twin_classes(graph, side))
+        _candidates(_twin_classes(graph, side, _incidence(graph)))
     # `_orbits` also drops what the rest of the filter drops, a source or
     # sink on the other side or a one-way cut, which twins never change:
     # the emitted ranks' expansions cover the filter's survivors exactly
@@ -670,8 +672,16 @@ KERNEL_GRAPHS = [(spec, graph_from_spec(spec))
                               sides_9_4())] + \
     [(None, bipartite_graph(p, q))
      for p, q in ((2, 2), (2, 3), (3, 3), (3, 4), (2, 6), (4, 4), (3, 6),
-                  (2, 14), (2, 15), (2, 30))] + \
-    [(None, isolated_vertex())]
+                  (2, 14), (2, 15), (2, 30))]
+
+
+def vertex_filtered(graph, ranks):
+    """The `ranks` that the source/sink filter keeps, every vertex and cut
+    of `graph` judged by `_passing`: what `_batch_diameters` may be given,
+    as `_orbits` and `_survivors` give it."""
+    ranks = np.asarray(ranks, dtype=np.int64)
+    parts = _parts(graph, _incidence(graph), range(graph.n))
+    return ranks[_passing(ranks, parts)]
 
 
 def assert_cut_contract(got, want):
@@ -713,18 +723,13 @@ def test_batch_diameters_match_reference_and_digraph(data):
     flips = data.draw(st.lists(st.sets(st.integers(0, graph.m - 1),
                                        max_size=3), max_size=20))
     near = [strong ^ sum(1 << j for j in js) for js in flips]
-    # ranks 0 and top - 1 point every edge one way, so each has a source
-    # and a sink
-    ranks = np.array([*range(lo, hi), 0, top - 1, strong, *extra, *near],
-                     dtype=np.int64)
+    # the push is given only ranks that pass the filter, as in a search;
+    # the strong rank passes it and stays first
+    ranks = vertex_filtered(graph, [strong, *range(lo, hi), *extra, *near])
     got = _batch_diameters(graph, ranks)
     want = reference_diameters(graph, ranks)
     assert_cut_contract(got, want)
-    assert math.isinf(got[hi - lo]) and math.isinf(got[hi - lo + 1])
-    # the search from vertex 0 orients its component; a vertex without
-    # edges is reached by none
-    spanning = {v for e in graph.edges for v in e} == set(range(graph.n))
-    assert math.isfinite(got[hi - lo + 2]) == spanning
+    assert ranks[0] == strong and math.isfinite(got[0])
     # a rank pushed alone is its batch's smallest diameter, so it reads
     # exactly: 25 strong ranks and the first 25, or all there are
     finite = np.flatnonzero(np.isfinite(want))
@@ -747,18 +752,15 @@ def k34_ranks():
 
 
 def test_batch_diameters_retire_columns_in_place():
-    # eight K(3,4) columns, of diameters 6, 5, inf, 6, 4, 5, 6, 5 when each
-    # is pushed alone.  Rank 0 points every edge from side a to side b, so
-    # the a's have no in-neighbour and its column retires after round 1;
-    # the diameter-4 column is full in round 3, the batch's smallest
-    # diameter, and the others are decided there.  A retired column rides
-    # along to the end of the batch, so rank 0 must keep inf through the
-    # pushes of rounds 2 and 3
+    # seven K(3,4) columns, of diameters 6, 5, 6, 4, 5, 6, 5 when each is
+    # pushed alone.  Together, the diameter-4 column is full in round 3,
+    # the batch's smallest diameter, and the others are decided there,
+    # each read in its own place
     graph, (d4, d5, d6) = k34_ranks()
-    ranks = np.array([d6[0], d5[0], 0, d6[1], d4[0], d5[1], d6[2], d5[2]],
+    ranks = np.array([d6[0], d5[0], d6[1], d4[0], d5[1], d6[2], d5[2]],
                      dtype=np.int64)
-    alone = [_batch_diameters(graph, ranks[i:i + 1])[0] for i in range(8)]
-    assert alone == [6, 5, math.inf, 6, 4, 5, 6, 5]
+    alone = [_batch_diameters(graph, ranks[i:i + 1])[0] for i in range(7)]
+    assert alone == [6, 5, 6, 4, 5, 6, 5]
     for batch in (ranks, np.array([], dtype=np.int64)):
         assert_cut_contract(_batch_diameters(graph, batch),
                             reference_diameters(graph, batch))
@@ -774,21 +776,11 @@ def test_diameter_is_read_one_round_early(monkeypatch):
             assert push_rounds(monkeypatch, graph, [rank]) == ([d], d - 1)
 
 
-def test_sources_and_sinks_retire_after_round_one(monkeypatch):
-    # ranks 0 and 2^m - 1 point every edge one way, and K(3,4) rank 3236
-    # makes b1 a sink: each reads inf after round 1, pushed alone or
-    # together
-    graph = bipartite_graph(3, 4)
-    ranks = [0, (1 << graph.m) - 1, 3236]
-    for rank in ranks:
-        assert push_rounds(monkeypatch, graph, [rank]) == ([math.inf], 1)
-    assert push_rounds(monkeypatch, graph, ranks) == ([math.inf] * 3, 1)
-
-
 def test_every_k34_rank_meets_the_cut_contract():
-    # all 4,096 K(3,4) ranks in one batch, cut at its smallest diameter 4.
-    # Every rank without a source or a sink is strong here, which is why
-    # the closed-ball test below needs another graph
+    # the 906 of the 4,096 K(3,4) ranks that pass the filter, in one batch
+    # cut at its smallest diameter 4.  Every rank without a source or a
+    # sink is strong here, which is why the closed-ball test below needs
+    # another graph
     graph = bipartite_graph(3, 4)
     ranks = np.arange(1 << graph.m, dtype=np.int64)
     want = reference_diameters(graph, ranks)
@@ -796,7 +788,7 @@ def test_every_k34_rank_meets_the_cut_contract():
         [330, 432, 144, 3190]
     survivors = np.concatenate(list(_survivors(graph, 0, 1 << graph.m)))
     assert np.isfinite(want[survivors]).all() and survivors.size == 906
-    assert_cut_contract(_batch_diameters(graph, ranks), want)
+    assert_cut_contract(_batch_diameters(graph, survivors), want[survivors])
 
 
 def test_certificates_hold_on_non_strong_ranks_without_a_source():
@@ -837,9 +829,9 @@ def test_root_certifies_a_column_above_the_cut(monkeypatch):
     graph, (d4, _, d6) = k34_ranks()
     assert push_rounds(monkeypatch, graph, [d6[0]]) == ([6], 5)
     assert push_rounds(monkeypatch, graph, [d4[0], d6[0]]) == ([4, 5], 3)
-    # the push stops at the cut, the batch's smallest diameter 4, one
-    # round early
-    ranks = [d4[0], d6[0], 0, d6[1]]
+    # with a second diameter-6 column, the push still stops at the cut,
+    # the batch's smallest diameter 4, one round early
+    ranks = [d4[0], d6[0], d6[1]]
     got, rounds = push_rounds(monkeypatch, graph, ranks)
     assert_cut_contract(np.array(got),
                         reference_diameters(graph, np.array(ranks)))
@@ -876,6 +868,28 @@ def search_rounds(monkeypatch, graph):
     ids=["20-C0", "20-C1", "22-C0", "22-C1", "24-C1", "K45", "K37"])
 def test_benchmark_searches_push_few_rounds(monkeypatch, graph, rounds):
     assert search_rounds(monkeypatch, graph) == rounds
+
+
+@pytest.mark.parametrize(
+    "graph", [graph for _, graph in KERNEL_GRAPHS] +
+    [graph_from_spec(c1_24_edges()), bipartite_graph(4, 5)],
+    ids=lambda graph: f"{graph.n}-vertices-{graph.m}-edges")
+def test_every_pushed_rank_leaves_no_source_or_sink(monkeypatch, graph):
+    # the push rests on its columns leaving no vertex a source or a sink:
+    # every batch that the search pushes, and the scan of every rank up to
+    # 16 edges, has passed the filter
+    pushed = []
+    push = oracle._batch_diameters
+
+    def checked(graph, ranks):
+        assert np.array_equal(ranks, vertex_filtered(graph, ranks))
+        pushed.append(len(ranks))
+        return push(graph, ranks)
+    monkeypatch.setattr(oracle, "_batch_diameters", checked)
+    oracle._search(graph, symmetry=False)
+    if graph.m <= 16:
+        search_rank_range(graph, 0, 1 << graph.m)
+    assert pushed
 
 
 def test_edge_within_a_side_is_refused_before_any_push():
